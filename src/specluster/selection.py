@@ -289,7 +289,12 @@ def dkest_statistic(
     norm_tol=1e-6,
     norm_max_iter=20000,
 ):
-    """Estimated perturbation-to-gap ratio for a fitted partition at tau."""
+    """Estimated perturbation-to-gap ratio for a fitted partition at tau.
+
+    The spectral numerator is a Lanczos norm estimate certified to
+    relative accuracy norm_tol.  Its memory is O(n x Krylov dimension
+    reached); norm_max_iter only caps the iteration.
+    """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
     if norm_kind not in ("spectral", "frobenius"):

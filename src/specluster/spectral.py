@@ -92,107 +92,107 @@ def _as_matvec(obj):
     raise SpeclusterError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
-def _materialize(op):
-    if isinstance(op, np.ndarray):
-        return op
-    dense_fn = getattr(op, "to_dense", None)
-    if callable(dense_fn):
-        return dense_fn()
-    mv, n = _as_matvec(op)
-    cols = np.empty((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        cols[:, i] = mv(eye[:, i])
-    return cols
+def _residuals(mv, vals, vecs):
+    return np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vals.size)])
 
 
-def _lanczos(mv, n, k, tol, max_dim, seed):
-    rng = rng_from(seed)
-    dim0 = min(n, max(2 * k + 10, 40))
-    max_dim = min(n, max(max_dim, dim0))
+def _lanczos(mv, q, rng, start, step, cap):
+    """Lanczos with full reorthogonalization from the unit vector q.
 
-    q_basis = np.zeros((n, max_dim))
-    alphas = np.zeros(max_dim)
-    betas = np.zeros(max_dim)  # betas[j] couples q_j and q_{j+1}
-
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    q_basis[:, 0] = q
+    Each basis vector is one row of a buffer that doubles as it fills, so
+    memory is O(n x Krylov dimension reached) and cap only bounds the
+    iteration.  Yields (values, vectors, basis) each time the dimension
+    reaches start, start + step, ...: the ascending eigenpairs of the
+    projected tridiagonal and the basis rows, whose Ritz vectors are
+    basis.T @ vectors.  The last yield is at min(cap, n); the caller stops
+    earlier by leaving the loop.  A breakdown (invariant subspace) restarts
+    from a fresh rng direction orthogonal to the basis.
+    """
+    n = q.size
+    cap = min(cap, n)
+    rows = np.empty((min(cap, start + 1), n))
+    alphas = np.zeros(cap)
+    betas = np.zeros(cap)  # betas[j] couples rows j and j + 1
+    rows[0] = q
     j = 0
-    target = dim0
-
-    def ritz(dim):
-        t = np.diag(alphas[:dim]) + np.diag(betas[: dim - 1], 1) + np.diag(betas[: dim - 1], -1)
-        vals, vecs = np.linalg.eigh(t)
-        order = np.argsort(vals)[::-1][:k]
-        return vals[order], q_basis[:, :dim] @ vecs[:, order]
-
+    target = min(cap, start)
     while True:
         while j < target:
-            u = mv(q_basis[:, j])
-            alphas[j] = q_basis[:, j] @ u
-            r = u - alphas[j] * q_basis[:, j]
+            u = mv(rows[j])
+            alphas[j] = rows[j] @ u
+            r = u - alphas[j] * rows[j]
             if j > 0:
-                r -= betas[j - 1] * q_basis[:, j - 1]
+                r -= betas[j - 1] * rows[j - 1]
+            j += 1
+            basis = rows[:j]
             # full reorthogonalization, applied twice for stability
             for _ in range(2):
-                r -= q_basis[:, : j + 1] @ (q_basis[:, : j + 1].T @ r)
-            beta = np.linalg.norm(r)
-            if j + 1 == max_dim or j + 1 == n:
-                j += 1
+                r -= basis.T @ (basis @ r)
+            if j == cap:
                 break
+            beta = np.linalg.norm(r)
             if beta < _BREAKDOWN:
-                # invariant subspace found: restart with a fresh direction
                 r = rng.standard_normal(n)
                 for _ in range(2):
-                    r -= q_basis[:, : j + 1] @ (q_basis[:, : j + 1].T @ r)
-                nrm = np.linalg.norm(r)
-                if nrm < _BREAKDOWN:
-                    j += 1
+                    r -= basis.T @ (basis @ r)
+                beta = np.linalg.norm(r)
+                if beta < _BREAKDOWN:  # the basis spans the whole space
+                    cap = j
                     break
-                betas[j] = 0.0
-                q_basis[:, j + 1] = r / nrm
+                betas[j - 1] = 0.0
             else:
-                betas[j] = beta
-                q_basis[:, j + 1] = r / beta
-            j += 1
+                betas[j - 1] = beta
+            if j == rows.shape[0]:
+                grown = np.empty((min(cap, 2 * j), n))
+                grown[:j] = rows
+                rows = grown
+            rows[j] = r / beta
+        t = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1) + np.diag(betas[: j - 1], -1)
+        values, vectors = np.linalg.eigh(t)
+        yield values, vectors, rows[:j]
+        if j == cap:
+            return
+        target = min(cap, j + step)
 
-        dim = j
-        vals, vecs = ritz(dim)
-        res = np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vals.size)])
-        if vals.size >= k and np.all(res <= tol):
-            return vals, vecs, res
-        if dim >= max_dim or dim >= n:
-            raise ConvergenceError(
-                f"Lanczos did not reach tol={tol} within Krylov dimension {dim}",
-                residuals=res,
-            )
-        target = min(max_dim, dim + 20)
+
+def _unit_start(rng, n):
+    q = rng.standard_normal(n)
+    return q / np.linalg.norm(q)
 
 
 def top_eigenpairs(op, k, tol=1e-8, max_iter=300, seed=0, dense_threshold=DENSE_FALLBACK):
     """K algebraically-largest eigenpairs of a symmetric operator.
 
-    Uses dense symmetric eigendecomposition for small operators and
-    restart-free Lanczos with full reorthogonalization otherwise.  The
-    Krylov basis starts at max(2K + 10, 40) vectors and is extended until
-    every retained pair has residual below tol; max_iter caps the basis
-    size.  Deterministic given seed.
+    Uses dense symmetric eigendecomposition for small arrays and operators
+    with to_dense, and restart-free Lanczos with full reorthogonalization
+    otherwise.  The Krylov basis starts at max(2K + 10, 40) vectors and is
+    extended by 20 until every retained pair has residual below tol.
+    max_iter only caps the Krylov dimension: memory is O(n x Krylov
+    dimension reached).  Deterministic given seed.
     """
     mv, n = _as_matvec(op)
     if k < 1 or k > n:
         raise SpeclusterError(f"k={k} out of range for operator of size {n}")
 
-    if n <= dense_threshold:
-        dense = _materialize(op)
-        vals, vecs = np.linalg.eigh(dense)
+    if n <= dense_threshold and (isinstance(op, np.ndarray) or hasattr(op, "to_dense")):
+        vals, vecs = np.linalg.eigh(op if isinstance(op, np.ndarray) else op.to_dense())
         vals = vals[::-1][:k].copy()
         vecs = vecs[:, ::-1][:, :k].copy()
-        res = np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(k)])
-        return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
+        return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=_residuals(mv, vals, vecs))
 
-    vals, vecs, res = _lanczos(mv, n, k, tol, max_iter, seed)
-    return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
+    rng = rng_from(seed)
+    dim0 = min(n, max(2 * k + 10, 40))
+    for values, vectors, basis in _lanczos(mv, _unit_start(rng, n), rng, dim0, 20, max(max_iter, dim0)):
+        order = np.argsort(values)[::-1][:k]
+        vals = values[order]
+        vecs = basis.T @ vectors[:, order]
+        res = _residuals(mv, vals, vecs)
+        if vals.size >= k and np.all(res <= tol):
+            return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
+    raise ConvergenceError(
+        f"Lanczos did not reach tol={tol} within Krylov dimension {len(basis)}",
+        residuals=res,
+    )
 
 
 def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
@@ -202,9 +202,10 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
     ever applied to vectors.  The extreme eigenvalues at both ends of the
     spectrum are located by restart-free Lanczos (plain power iteration
     stalls without a certificate when the top of the noise spectrum is
-    nearly tied); the iteration stops once the winning end's Ritz residual
-    certifies the requested relative accuracy.  max_iter caps the Krylov
-    dimension.
+    nearly tied), extended 12 vectors at a time; the iteration stops once
+    the winning end's Ritz residual certifies the requested relative
+    accuracy.  max_iter only caps the Krylov dimension: memory is
+    O(n x Krylov dimension reached).
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
@@ -213,64 +214,21 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
     n = n_a
     mv = lambda v: mv_a(v) - mv_b(v)
     rng = rng_from(seed)
-
-    max_dim = min(n, max_iter)
-    q_basis = np.zeros((n, max_dim))
-    alphas = np.zeros(max_dim)
-    betas = np.zeros(max_dim)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    y = mv(q)
-    if np.linalg.norm(y) < 1e-300:
+    q = _unit_start(rng, n)
+    if np.linalg.norm(mv(q)) < 1e-300:
         return 0.0
-    q_basis[:, 0] = q
-    j = 0
-    estimate = 0.0
-    target = min(max_dim, 12)
-    while True:
-        while j < target:
-            u = mv(q_basis[:, j])
-            alphas[j] = q_basis[:, j] @ u
-            r = u - alphas[j] * q_basis[:, j]
-            if j > 0:
-                r -= betas[j - 1] * q_basis[:, j - 1]
-            for _ in range(2):
-                r -= q_basis[:, : j + 1] @ (q_basis[:, : j + 1].T @ r)
-            beta = np.linalg.norm(r)
-            j += 1
-            if j == max_dim or j == n:
-                break
-            if beta < _BREAKDOWN:
-                r = rng.standard_normal(n)
-                for _ in range(2):
-                    r -= q_basis[:, :j] @ (q_basis[:, :j].T @ r)
-                nrm = np.linalg.norm(r)
-                if nrm < _BREAKDOWN:
-                    break
-                betas[j - 1] = 0.0
-                q_basis[:, j] = r / nrm
-            else:
-                betas[j - 1] = beta
-                q_basis[:, j] = r / beta
-        dim = j
-        t = np.diag(alphas[:dim]) + np.diag(betas[: dim - 1], 1) + np.diag(betas[: dim - 1], -1)
-        vals, vecs = np.linalg.eigh(t)
-        side = int(np.argmax(np.abs(vals[[0, -1]])))
-        idx = 0 if side == 0 else dim - 1
-        estimate = float(np.abs(vals[idx]))
+    for values, vectors, basis in _lanczos(mv, q, rng, 12, 12, max_iter):
         # Ritz residual of the winning extreme pair
-        tail = betas[dim - 1] if dim < max_dim else 0.0
-        resid = abs(tail * vecs[dim - 1, idx]) if dim < n else 0.0
-        vec = q_basis[:, :dim] @ vecs[:, idx]
-        resid = np.linalg.norm(mv(vec) - vals[idx] * vec)
-        if resid <= tol * max(estimate, 1e-300) or dim >= n:
+        idx = 0 if abs(values[0]) >= abs(values[-1]) else values.size - 1
+        estimate = float(abs(values[idx]))
+        vec = basis.T @ vectors[:, idx]
+        resid = np.linalg.norm(mv(vec) - values[idx] * vec)
+        if resid <= tol * max(estimate, 1e-300) or len(basis) == n:
             return estimate
-        if dim >= max_dim:
-            raise ConvergenceError(
-                f"norm estimate did not certify tol={tol} within Krylov dimension {dim}",
-                estimate=estimate,
-            )
-        target = min(max_dim, dim + 12)
+    raise ConvergenceError(
+        f"norm estimate did not certify tol={tol} within Krylov dimension {len(basis)}",
+        estimate=estimate,
+    )
 
 
 def frobenius_norm_diff(a, b, chunk=4096):

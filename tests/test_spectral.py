@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import specluster as sp
+from specluster.spectral import DENSE_FALLBACK
 from conftest import complete_graph, path_graph, two_block_benchmark_model
 
 
@@ -202,6 +205,36 @@ def test_spectral_norm_diff_matches_dense(rng):
 def test_spectral_norm_diff_dimension_mismatch():
     with pytest.raises(sp.SpeclusterError):
         sp.spectral_norm_diff(np.eye(3), np.eye(4))
+
+
+def test_norm_memory_does_not_depend_on_cap():
+    # the Krylov basis grows with the dimension reached, never to the cap
+    model = two_block_benchmark_model()
+    g = sp.sample(model, 0)
+    sample_op = sp.RegularizedLaplacian(g, 50.0)
+    pop = sp.PopulationLaplacian(model, 50.0)
+    capped = sp.spectral_norm_diff(sample_op, pop, max_iter=400)
+    tracemalloc.start()
+    try:
+        uncapped = sp.spectral_norm_diff(sample_op, pop, max_iter=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 / 4
+    assert uncapped == capped
+
+
+def test_breakdown_restart_on_rank_deficient_operator():
+    # a rank-one operator exhausts its Krylov space after two vectors, so
+    # both callers go through the breakdown restart
+    n = DENSE_FALLBACK + 88
+    a = np.zeros((n, n))
+    a[0, 0] = 5.0
+    assert abs(sp.spectral_norm_diff(a, np.zeros((n, n))) - 5.0) <= 1e-12
+    basis = sp.top_eigenpairs(a, 3)
+    assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3), atol=1e-12)
+    assert np.allclose(basis.values, [5.0, 0.0, 0.0], atol=1e-12)
+    assert np.all(basis.residuals <= 1e-8)
 
 
 def test_frobenius_norm_diff():
