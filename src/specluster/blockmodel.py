@@ -296,10 +296,12 @@ def population_laplacian(model, tau, max_n=DENSE_CAP):
 
 
 class PopulationLaplacian:
-    """Matrix-free population regularized Laplacian of an SBM.
+    """Matrix-free population regularized Laplacian of a plain block model.
 
-    Applies in O(n + K^2) using the block structure; used for
-    concentration experiments where the dense form is wasteful.
+    Applies in O(n + K^2) using the block structure.  It serves both the
+    model a graph was sampled from (concentration experiments, where the
+    dense form is wasteful) and the model fitted from a clustering, whose
+    population Laplacian is DKest's Lhat_tau.
     """
 
     def __init__(self, model, tau):
@@ -322,8 +324,6 @@ class PopulationLaplacian:
         t = self.block_tau @ s
         return self.inv_sqrt_deg * t[self.labels]
 
-    matvec = apply
-
     def to_dense(self):
         return population_laplacian(self.model, self.tau, max_n=self.shape[0])
 
@@ -342,20 +342,19 @@ def block_reduced_laplacian(model, tau):
     return bt * (sizes / d)[None, :]
 
 
-def _reduced_symmetric(model, tau):
+def reduced_spectrum(model, tau):
+    """Eigenvalues of the block-reduced Laplacian, descending.
+
+    Taken from the symmetric similar form W (B + tau/n) W with
+    W = diag(sqrt(n_k / (d_k + tau))).
+    """
     sizes = model.block_sizes
     d = block_degrees(model, tau)
     if np.any(d <= 0):
         raise SingularLaplacianError("a population degree plus tau is zero")
     w = np.sqrt(sizes / d)
     bt = model.block_matrix + tau / model.n
-    return w[:, None] * bt * w[None, :]
-
-
-def reduced_spectrum(model, tau):
-    """Eigenvalues of the block-reduced Laplacian, descending."""
-    vals = np.linalg.eigvalsh(_reduced_symmetric(model, tau))
-    return vals[::-1]
+    return np.linalg.eigvalsh(w[:, None] * bt * w[None, :])[::-1]
 
 
 def eigen_gap(model, tau):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpeclusterError
+from .errors import ConvergenceError, SpeclusterError
 from .spectral import RegularizedLaplacian, top_eigenpairs
 from .util import seed_sequence
 
@@ -107,9 +107,9 @@ def _lloyd(x, k, rng, max_iter):
         for c in range(k):
             centers[c] = x[labels == c].mean(axis=0)
         obj = kmeans_objective(x, labels, k)
-        if not repaired:
-            assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0), (
-                "objective increased across a Lloyd iteration"
+        if not repaired and obj > prev_obj + 1e-9 * max(1.0, prev_obj):
+            raise ConvergenceError(
+                f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
             )
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break

@@ -11,12 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .__about__ import __version__
 from .blockmodel import BlockModel, _parse_kv_file, sample
 from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
 from .selection import tau_scan
-from .util import config_digest, fmt
+from .util import fmt, write_artifact_csv
 
 
 def parse_tau_grid_spec(spec):
@@ -186,32 +185,24 @@ def run_experiment(cfg, out_path=None, workers=None):
         for crit, tau in sorted(scan.chosen.items()):
             result.chosen.append((rep, crit, tau, scan.record_at(tau).nmi))
 
-    path = Path(out_path or cfg.output_path)
-    digest = config_digest(cfg.digest_items())
-    with open(path, "w") as fh:
-        fh.write(f"# specluster v{__version__}\n")
-        fh.write(f"# config_hash={digest}\n")
-        fh.write(f"# seed={cfg.seed}\n")
-        fh.write("replicate,tau,dkest,gn_modularity,nmi,misclassified_fraction\n")
-        for rep, rec in result.rows:
-            fh.write(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        rep,
-                        rec.tau,
-                        rec.dkest,
-                        rec.gn_modularity,
-                        rec.nmi,
-                        rec.misclassified_fraction,
-                    )
-                )
-                + "\n"
-            )
-        for rep, crit, tau, score in result.chosen:
-            fh.write(f"# chosen replicate={rep} criterion={crit} tau={fmt(tau)} nmi={fmt(score)}\n")
-        for crit in ("dkest", "gn", "oracle"):
-            fh.write(f"# summary criterion={crit} mean_nmi={fmt(result.mean_nmi(crit))}\n")
-        for rep, msg in result.failures:
-            fh.write(f"# failed replicate={rep} error={msg}\n")
+    comments = [
+        f"chosen replicate={rep} criterion={crit} tau={fmt(tau)} nmi={fmt(score)}"
+        for rep, crit, tau, score in result.chosen
+    ]
+    comments += [
+        f"summary criterion={crit} mean_nmi={fmt(result.mean_nmi(crit))}"
+        for crit in ("dkest", "gn", "oracle")
+    ]
+    comments += [f"failed replicate={rep} error={msg}" for rep, msg in result.failures]
+    write_artifact_csv(
+        Path(out_path or cfg.output_path),
+        cfg.digest_items(),
+        cfg.seed,
+        ("replicate", "tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction"),
+        [
+            (rep, r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction)
+            for rep, r in result.rows
+        ],
+        comments,
+    )
     return result

@@ -12,7 +12,13 @@ on the same scan for comparison.
 
 The rebuilt Laplacian is never formed densely: its action is evaluated
 through the cluster structure and its nonzero spectrum through a K-by-K
-(or (K+1)-by-(K+1)) reduction.
+(or (K+1)-by-(K+1)) reduction.  The plain fit is exactly the population
+Laplacian of the fitted BlockModel, so blockmodel.PopulationLaplacian and
+blockmodel.eigen_gap serve it.  The degree-corrected fit keeps its own
+operator: it normalizes by the sample degrees, applies tau/n J as a
+rank-one term and clamps hub pairs whose fitted probability exceeds 1,
+none of which a plain block operator does, and sharing one class would
+make it branch on which fit it serves.
 """
 
 import time
@@ -22,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .__about__ import __version__
+from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import clustering_error, modularity, nmi
 from .spectral import RegularizedLaplacian, spectral_norm_diff, top_eigenpairs
-from .util import config_digest, fmt, max_workers
+from .util import fmt, max_workers, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
 
@@ -52,51 +58,6 @@ def estimate_block_matrix(g, part):
     np.add.at(counts, (z1, z0), 1.0)
     bhat = counts / np.outer(sizes, sizes)
     return bhat, counts
-
-
-def _kth_largest_with_zeros(nonzero_eigs, k):
-    """K-th largest eigenvalue of a rank-limited matrix whose remaining
-    spectrum is zero."""
-    padded = np.concatenate([nonzero_eigs, np.zeros(k)])
-    return float(np.sort(padded)[::-1][k - 1])
-
-
-class _EstimatedSBMLaplacian:
-    """Population regularized Laplacian of the fitted plain block model."""
-
-    def __init__(self, g, part, bhat, tau):
-        labels = part.labels
-        k = part.k
-        sizes = np.bincount(labels, minlength=k).astype(np.float64)
-        dk = bhat @ sizes
-        if np.any(dk + tau <= 0):
-            raise SingularLaplacianError("fitted population degree plus tau is zero")
-        self.n = g.n
-        self.k = k
-        self.labels = labels
-        self.sizes = sizes
-        self.block_degrees = dk
-        self.tau = float(tau)
-        self.inv_sqrt_deg = 1.0 / np.sqrt(dk[labels] + tau)
-        self.block_tau = bhat + tau / g.n
-        self.shape = (g.n, g.n)
-
-    def apply(self, x):
-        y = self.inv_sqrt_deg * x
-        s = np.bincount(self.labels, weights=y, minlength=self.k)
-        return self.inv_sqrt_deg * (self.block_tau @ s)[self.labels]
-
-    matvec = apply
-
-    def mu_k(self):
-        w = np.sqrt(self.sizes / (self.block_degrees + self.tau))
-        reduced = w[:, None] * self.block_tau * w[None, :]
-        return _kth_largest_with_zeros(np.linalg.eigvalsh(reduced), self.k)
-
-    def to_dense(self):
-        c = self.inv_sqrt_deg
-        g_full = self.block_tau[self.labels][:, self.labels]
-        return c[:, None] * g_full * c[None, :]
 
 
 def _clamped_pairs(labels, theta, counts, k):
@@ -203,8 +164,6 @@ class _EstimatedDSBMLaplacian:
             v -= self._excess @ y
         return self.inv_sqrt_deg * v
 
-    matvec = apply
-
     def mu_k(self, seed=0):
         if self._excess is None:
             # factored (K+1)-dimensional reduction: nonzero eigenvalues of
@@ -223,7 +182,7 @@ class _EstimatedDSBMLaplacian:
             vals, vecs = np.linalg.eigh(s)
             root = vecs @ (np.sqrt(np.clip(vals, 0, None))[:, None] * vecs.T)
             eigs = np.linalg.eigvalsh(root @ m @ root)
-            return _kth_largest_with_zeros(eigs, self.k)
+            return float(np.sort(eigs)[::-1][self.k - 1])
         basis = top_eigenpairs(self, self.k, tol=1e-9, seed=seed)
         return float(basis.values[self.k - 1])
 
@@ -247,8 +206,8 @@ def _frobenius_sbm(sample_op, est):
     z = est.labels
     u = a * np.sqrt(sample_op.tau / g.n)
     s_u2 = float((u * u).sum())
-    cross = np.bincount(z, weights=u * c, minlength=est.k)
-    mass = np.bincount(z, weights=c * c, minlength=est.k)
+    cross = np.bincount(z, weights=u * c, minlength=est.num_blocks)
+    mass = np.bincount(z, weights=c * c, minlength=est.num_blocks)
     total = s_u2**2
     total -= 2.0 * float(cross @ gmat @ cross)
     total += float(mass @ (gmat * gmat) @ mass)
@@ -302,13 +261,14 @@ def dkest_statistic(
     bhat, counts = estimate_block_matrix(g, part)
     sample_op = RegularizedLaplacian(g, tau)
     if model_kind == "sbm":
-        est = _EstimatedSBMLaplacian(g, part, bhat, tau)
-        mu = est.mu_k()
+        fitted = BlockModel(part.labels, bhat)
+        est = PopulationLaplacian(fitted, tau)
+        mu = eigen_gap(fitted, tau)
     else:
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
         mu = est.mu_k(seed=seed)
-    if mu < 1e-12:
-        raise DegenerateModelError("fitted spectral gap vanished")
+        if mu < 1e-12:
+            raise DegenerateModelError("fitted spectral gap vanished")
     if norm_kind == "spectral":
         num = spectral_norm_diff(sample_op, est, tol=norm_tol, max_iter=norm_max_iter, seed=seed)
     elif model_kind == "sbm":
@@ -352,38 +312,26 @@ class TauScan:
         raise KeyError(tau)
 
     def to_csv(self, path):
-        digest = config_digest(
-            {
-                "grid": ",".join(fmt(t) for t in self.grid),
-                "k": self.k,
-                "model": self.model_kind,
-                "norm": self.norm_kind,
-                "seed": self.seed,
-                **self.meta,
-            }
+        config = {
+            "grid": ",".join(fmt(t) for t in self.grid),
+            "k": self.k,
+            "model": self.model_kind,
+            "norm": self.norm_kind,
+            "seed": self.seed,
+            **self.meta,
+        }
+        chosen = " ".join(f"{name}={fmt(tau)}" for name, tau in sorted(self.chosen.items()))
+        write_artifact_csv(
+            path,
+            config,
+            self.seed,
+            ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction", "seconds"),
+            [
+                (r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction, r.seconds)
+                for r in self.records
+            ],
+            [f"chosen {chosen}"],
         )
-        with open(path, "w") as fh:
-            fh.write(f"# specluster v{__version__}\n")
-            fh.write(f"# config_hash={digest}\n")
-            fh.write(f"# seed={self.seed}\n")
-            fh.write("tau,dkest,gn_modularity,nmi,misclassified_fraction,seconds\n")
-            for rec in self.records:
-                fh.write(
-                    ",".join(
-                        fmt(v)
-                        for v in (
-                            rec.tau,
-                            rec.dkest,
-                            rec.gn_modularity,
-                            rec.nmi,
-                            rec.misclassified_fraction,
-                            rec.seconds,
-                        )
-                    )
-                    + "\n"
-                )
-            chosen = " ".join(f"{name}={fmt(tau)}" for name, tau in sorted(self.chosen.items()))
-            fh.write(f"# chosen {chosen}\n")
 
 
 def default_tau_grid(g, points=20):

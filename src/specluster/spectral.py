@@ -1,4 +1,4 @@
-"""Matrix-free regularized Laplacian, top-K eigensolver, norm utilities.
+"""Matrix-free regularized Laplacian, top-K eigensolver, spectral norm of a difference.
 
 The regularized adjacency A + tau J (J = all-ones / n) is dense if
 materialized, so the operator keeps A sparse and applies the tau term as a
@@ -43,13 +43,6 @@ class RegularizedLaplacian:
         out = self.graph.adjacency @ y
         out += (self.tau / self.graph.n) * y.sum()
         return self.inv_sqrt_deg * out
-
-    def apply_deg_variant(self, x):
-        """Degree-only regularization D_tau^{-1/2} A D_tau^{-1/2}."""
-        y = self.inv_sqrt_deg * x
-        return self.inv_sqrt_deg * (self.graph.adjacency @ y)
-
-    matvec = apply
 
     def to_dense(self):
         a = self.graph.adjacency.toarray()
@@ -229,34 +222,3 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
         f"norm estimate did not certify tol={tol} within Krylov dimension {len(basis)}",
         estimate=estimate,
     )
-
-
-def frobenius_norm_diff(a, b, chunk=4096):
-    """Frobenius norm of (a - b), accumulated row-block by row-block."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise SpeclusterError("shape mismatch")
-    total = 0.0
-    for r0 in range(0, a.shape[0], chunk):
-        d = a[r0 : r0 + chunk] - b[r0 : r0 + chunk]
-        total += float((d * d).sum())
-    return np.sqrt(total)
-
-
-def save_eigenbasis(basis, path):
-    """CSV form: one header row of eigenvalues, then one row per node."""
-    with open(path, "w") as fh:
-        fh.write(",".join(repr(float(v)) for v in basis.values) + "\n")
-        for row in basis.vectors:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_eigenbasis(path):
-    with open(path) as fh:
-        values = np.asarray([float(v) for v in fh.readline().split(",")])
-        vectors = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if vectors.shape[1] != values.size:
-        raise SpeclusterError("eigenbasis file is inconsistent")
-    residuals = np.full(values.size, np.nan)
-    return EigenBasis(values=values, vectors=vectors, residuals=residuals)

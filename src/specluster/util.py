@@ -1,9 +1,11 @@
-"""Small shared helpers: seeding, worker counts, artifact hashing."""
+"""Small shared helpers: seeding, worker counts, provenance-stamped CSV artifacts."""
 
 import hashlib
 import os
 
 import numpy as np
+
+from .__about__ import __version__
 
 THREADS_ENV = "SPECLUSTER_THREADS"
 
@@ -51,3 +53,18 @@ def fmt(value):
     if np.isinf(v):
         return "inf" if v > 0 else "-inf"
     return repr(v)
+
+
+def write_artifact_csv(path, config, seed, columns, rows, comments):
+    """CSV artifact: version, config hash and seed provenance lines, the
+    column header, one fmt-formatted line per row, then one '# ' line per
+    trailing comment."""
+    with open(path, "w") as fh:
+        fh.write(f"# specluster v{__version__}\n")
+        fh.write(f"# config_hash={config_digest(config)}\n")
+        fh.write(f"# seed={seed}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for line in comments:
+            fh.write(f"# {line}\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specluster as sp
+from specluster import clustering
 from conftest import two_cliques
 
 
@@ -79,6 +80,15 @@ def test_kmeans_deterministic_and_needs_enough_points():
     assert np.array_equal(p1.labels, p2.labels)
     with pytest.raises(sp.SpeclusterError):
         sp.kmeans(pts[:3], 4)
+
+
+def test_lloyd_objective_increase_raises(monkeypatch):
+    # the monotonicity check must be a real error, not an assert that -O strips
+    calls = iter(range(1, 1000))
+    monkeypatch.setattr(clustering, "kmeans_objective", lambda points, labels, k: float(next(calls)))
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
+    with pytest.raises(sp.ConvergenceError, match="objective increased"):
+        sp.kmeans(pts, 2, restarts=1, seed=0)
 
 
 def test_kmeans_all_identical_points_keeps_k_clusters():

@@ -4,11 +4,7 @@ import pytest
 
 import specluster as sp
 from conftest import two_cliques
-from specluster.selection import (
-    _EstimatedDSBMLaplacian,
-    _EstimatedSBMLaplacian,
-    estimate_block_matrix,
-)
+from specluster.selection import _EstimatedDSBMLaplacian, estimate_block_matrix
 from specluster.spectral import RegularizedLaplacian
 
 
@@ -89,15 +85,16 @@ def sample_two_block(n=60, seed=0):
 def test_estimated_sbm_operator_matches_dense(rng):
     g, part = sample_two_block()
     bhat, _ = estimate_block_matrix(g, part)
+    fitted = sp.BlockModel(part.labels, bhat)
     for tau in (0.5, 5.0, 100.0):
-        est = _EstimatedSBMLaplacian(g, part, bhat, tau)
+        est = sp.PopulationLaplacian(fitted, tau)
         dense = dense_estimated_sbm(g, part.labels, bhat, tau)
         x = rng.standard_normal(g.n)
         assert np.linalg.norm(est.apply(x) - dense @ x) < 1e-12
         assert np.linalg.norm(est.to_dense() - dense) < 1e-12
         # K-th largest over the full spectrum, zeros included
         vals = np.sort(np.linalg.eigvalsh(dense))[::-1]
-        assert est.mu_k() == pytest.approx(vals[1], abs=1e-10)
+        assert sp.eigen_gap(fitted, tau) == pytest.approx(vals[1], abs=1e-10)
 
 
 def test_estimated_dsbm_operator_matches_dense_without_clamps(rng):
@@ -178,6 +175,27 @@ def test_dkest_frobenius_matches_dense_with_clamps(rng):
     mu = np.sort(np.linalg.eigvalsh(dense_est))[::-1][1]
     got = sp.dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind="frobenius")
     assert got == pytest.approx(np.sqrt((diff * diff).sum()) / mu, rel=1e-10)
+
+
+def four_cycle():
+    """0-1-3-2-0: every 2-2 split has equal within and between densities."""
+    return sp.build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
+@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
+def test_dkest_rank_deficient_fit_raises(model_kind, norm_kind):
+    g = four_cycle()
+    part = sp.Partition(np.array([0, 0, 1, 1]), 2)
+    bhat, _ = estimate_block_matrix(g, part)
+    assert np.linalg.matrix_rank(bhat) == 1
+    with pytest.raises(sp.DegenerateModelError):
+        sp.dkest_statistic(g, part, 1.0, model_kind=model_kind, norm_kind=norm_kind)
+
+
+def test_scan_records_infinite_dkest_for_rank_deficient_fits():
+    scan = sp.tau_scan(four_cycle(), 2, [0.5, 2.0, 8.0], seed=0)
+    assert all(rec.dkest == np.inf for rec in scan.records)
 
 
 def test_dkest_prefers_regularization_on_sparse_model():
