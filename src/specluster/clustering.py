@@ -51,12 +51,6 @@ def save_partition(part, path):
             fh.write(f"{lab}\n")
 
 
-def _squared_distances(x, centers):
-    d2 = (x * x).sum(axis=1)[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def kmeans_objective(points, labels, k):
     """Sum of squared distances to the assigned cluster means."""
     x = np.asarray(points, dtype=np.float64)
@@ -84,36 +78,58 @@ def _kmeanspp_init(x, k, rng):
     return centers
 
 
-def _lloyd(x, k, rng, max_iter):
-    n = x.shape[0]
+def _assign(xt, xx, centers):
+    """Nearest center of every point and its squared distance.
+
+    xt holds the points as columns and xx their squared norms.  Distances
+    form one (K, n) array; a running minimum with strict < sends ties to the
+    lowest center index, as argmin does.
+    """
+    # |x|^2 - 2 c.x + |c|^2 built in place: IEEE addition commutes and
+    # negation is exact, so each entry equals that expression bitwise
+    d2 = centers @ xt
+    d2 *= -2.0
+    d2 += xx
+    d2 += (centers * centers).sum(axis=1)[:, None]
+    np.maximum(d2, 0.0, out=d2)
+    labels = np.zeros(xt.shape[1], dtype=np.int64)
+    assigned = d2[0].copy()
+    for c in range(1, centers.shape[0]):
+        np.putmask(labels, d2[c] < assigned, c)
+        np.minimum(assigned, d2[c], out=assigned)
+    return labels, assigned
+
+
+def _lloyd(x, xt, xx, k, rng, max_iter):
     centers = _kmeanspp_init(x, k, rng)
     prev_labels = None
     prev_obj = np.inf
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(xt.shape[1], dtype=np.int64)
     for _ in range(max_iter):
-        d2 = _squared_distances(x, centers)
-        labels = np.argmin(d2, axis=1)  # ties go to the lowest center index
-        repaired = False
+        labels, assigned = _assign(xt, xx, centers)
         counts = np.bincount(labels, minlength=k)
         if np.any(counts == 0):
             # reseed each empty center at the point farthest from its own center
-            repaired = True
-            assigned = d2[np.arange(n), labels].copy()
             for c in np.flatnonzero(counts == 0):
                 cand = int(np.argmax(assigned))
                 labels[cand] = c
                 assigned[cand] = -np.inf
             counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            centers[c] = x[labels == c].mean(axis=0)
-        obj = kmeans_objective(x, labels, k)
-        if not repaired and obj > prev_obj + 1e-9 * max(1.0, prev_obj):
-            raise ConvergenceError(
-                f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
-            )
+            # the repaired labels have no assignment objective to descend from
+            obj = np.inf
+        else:
+            # objective of the new labels against the centers they were
+            # assigned to: Lloyd never increases it
+            obj = float(assigned.sum())
+            if obj > prev_obj + 1e-9 * max(1.0, prev_obj):
+                raise ConvergenceError(
+                    f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
+                )
+        centers = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt], axis=1)
+        centers /= counts[:, None]
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
-        prev_labels = labels.copy()
+        prev_labels = labels
         prev_obj = obj
     return labels, kmeans_objective(x, labels, k)
 
@@ -122,7 +138,8 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     """Best-of-restarts Lloyd iteration with k-means++ seeding.
 
     Deterministic given seed; ties between restarts resolve to the lowest
-    restart index.  Returns the partition and its objective value.
+    restart index.  Returns the partition and its objective value.  Points
+    must be finite.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
@@ -130,12 +147,16 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     n = x.shape[0]
     if n < k:
         raise SpeclusterError(f"cannot form {k} clusters from {n} points")
+    if not np.isfinite(x).all():
+        raise SpeclusterError("k-means points must be finite")
+    xt = np.ascontiguousarray(x.T)
+    xx = (x * x).sum(axis=1)
     children = seed_sequence(seed).spawn(restarts)
     best_labels = None
     best_obj = np.inf
     for r in range(restarts):
         rng = np.random.default_rng(children[r])
-        labels, obj = _lloyd(x, k, rng, max_iter)
+        labels, obj = _lloyd(x, xt, xx, k, rng, max_iter)
         if obj < best_obj:
             best_obj = obj
             best_labels = labels

@@ -360,7 +360,8 @@ def tau_scan(
 
     One clustering seed is shared across grid points so per-tau differences
     reflect tau alone.  Grid points run concurrently (worker count capped
-    by SPECLUSTER_THREADS); results merge in grid order.
+    by SPECLUSTER_THREADS); results merge in grid order.  When DKest is
+    infinite at every grid point, "dkest" is left out of the chosen values.
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
@@ -401,7 +402,8 @@ def tau_scan(
     chosen = {}
     if "dkest" in criteria:
         stats = np.array([r.dkest for r in records])
-        chosen["dkest"] = float(grid[int(np.nanargmin(stats))])
+        if np.isfinite(stats).any():  # no choice when every fitted gap vanished
+            chosen["dkest"] = float(grid[int(np.nanargmin(stats))])
     if "gn" in criteria:
         mods = np.array([r.gn_modularity for r in records])
         chosen["gn"] = float(grid[int(np.nanargmax(mods))])

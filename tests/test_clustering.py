@@ -3,6 +3,7 @@ import pytest
 
 import specluster as sp
 from specluster import clustering
+from specluster.util import seed_sequence
 from conftest import two_cliques
 
 
@@ -30,6 +31,49 @@ def brute_force_kmeans_minimum(points, k):
         )
         best += within
     return float(best.min())
+
+
+def reference_kmeans(points, k, restarts=20, max_iter=100, seed=0):
+    """Lloyd with masked cluster means, row-wise argmin and the full
+    objective every iteration, on kmeans's seeding and seed streams."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    best_labels, best_obj = None, np.inf
+    for child in seed_sequence(seed).spawn(restarts):
+        centers = clustering._kmeanspp_init(x, k, np.random.default_rng(child))
+        prev_labels, prev_obj = None, np.inf
+        for _ in range(max_iter):
+            d2 = (
+                (x * x).sum(axis=1)[:, None]
+                - 2.0 * (x @ centers.T)
+                + (centers * centers).sum(axis=1)[None, :]
+            )
+            np.maximum(d2, 0.0, out=d2)
+            labels = np.argmin(d2, axis=1)
+            counts = np.bincount(labels, minlength=k)
+            repaired = bool(np.any(counts == 0))
+            assigned = d2[np.arange(n), labels]
+            for c in np.flatnonzero(counts == 0):
+                cand = int(np.argmax(assigned))
+                labels[cand] = c
+                assigned[cand] = -np.inf
+            for c in range(k):
+                centers[c] = x[labels == c].mean(axis=0)
+            obj = clustering.kmeans_objective(x, labels, k)
+            assert repaired or obj <= prev_obj + 1e-9 * max(1.0, prev_obj)
+            if prev_labels is not None and np.array_equal(labels, prev_labels):
+                break
+            prev_labels, prev_obj = labels, obj
+        if obj < best_obj:
+            best_labels, best_obj = labels, obj
+    return best_labels, best_obj
+
+
+def assert_matches_reference(points, k, seed, restarts=20):
+    part, obj = sp.kmeans(points, k, restarts=restarts, seed=seed)
+    ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, seed=seed)
+    assert np.array_equal(part.labels, ref_labels)
+    assert obj == ref_obj  # bitwise: same arithmetic in the same order
 
 
 def test_kmeans_separated_clusters():
@@ -83,12 +127,55 @@ def test_kmeans_deterministic_and_needs_enough_points():
 
 
 def test_lloyd_objective_increase_raises(monkeypatch):
-    # the monotonicity check must be a real error, not an assert that -O strips
+    # the descent check must be a real error, not an assert that -O strips
+    real_assign = clustering._assign
     calls = iter(range(1, 1000))
-    monkeypatch.setattr(clustering, "kmeans_objective", lambda points, labels, k: float(next(calls)))
+
+    def growing(xt, xx, centers):
+        labels, assigned = real_assign(xt, xx, centers)
+        return labels, assigned + next(calls)
+
+    monkeypatch.setattr(clustering, "_assign", growing)
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
     with pytest.raises(sp.ConvergenceError, match="objective increased"):
         sp.kmeans(pts, 2, restarts=1, seed=0)
+
+
+def test_assign_ties_go_to_lowest_index():
+    xt = np.array([[0.0, 2.0]])
+    xx = (xt * xt).sum(axis=0)
+    labels, assigned = clustering._assign(xt[:, :1], xx[:1], np.array([[-1.0], [1.0]]))
+    assert labels.tolist() == [0]
+    assert assigned.tolist() == [1.0]
+    # distances 9, 1, 1 from 0.0 and 1, 9, 1 from 2.0
+    labels, assigned = clustering._assign(xt, xx, np.array([[3.0], [-1.0], [1.0]]))
+    assert labels.tolist() == [1, 0]
+    assert assigned.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    pts = np.random.default_rng(0).standard_normal((10, 2))
+    pts[3, 1] = bad
+    with pytest.raises(sp.SpeclusterError, match="finite"):
+        sp.kmeans(pts, 2, seed=0)
+
+
+def test_kmeans_matches_reference_on_sbm_embeddings():
+    model = sp.BlockModel.from_sizes([150, 150, 100], np.full((3, 3), 0.02) + np.diag([0.1, 0.06, 0.08]))
+    g = sp.sample(model, 0)
+    for tau in (1.0, 20.0, 400.0):
+        vectors = sp.top_eigenpairs(sp.RegularizedLaplacian(g, tau), 3, seed=0).vectors
+        assert_matches_reference(vectors, 3, seed=int(tau))
+
+
+def test_kmeans_matches_reference_with_empty_cluster_repair():
+    # k=4 on three distinct rows and k=3 on identical points leave a cluster
+    # empty, so the repair runs
+    repeated = np.repeat(np.array([[0.0], [1.0], [2.0]]), 5, axis=0)
+    for k in (3, 4):
+        assert_matches_reference(repeated, k, seed=0)
+    assert_matches_reference(np.zeros((6, 2)), 3, seed=0, restarts=2)
 
 
 def test_kmeans_all_identical_points_keeps_k_clusters():

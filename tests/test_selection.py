@@ -196,6 +196,9 @@ def test_dkest_rank_deficient_fit_raises(model_kind, norm_kind):
 def test_scan_records_infinite_dkest_for_rank_deficient_fits():
     scan = sp.tau_scan(four_cycle(), 2, [0.5, 2.0, 8.0], seed=0)
     assert all(rec.dkest == np.inf for rec in scan.records)
+    # no finite statistic, so DKest chooses nothing; the other selectors still do
+    assert "dkest" not in scan.chosen
+    assert "gn" in scan.chosen
 
 
 def test_dkest_prefers_regularization_on_sparse_model():
@@ -256,15 +259,25 @@ def test_scan_reproducible(rng):
 
 
 def test_scan_parallel_workers_agree(monkeypatch):
-    model = sp.BlockModel.from_sizes([30, 30], [[0.5, 0.05], [0.05, 0.5]])
+    # records and choices must not depend on how grid points interleave
+    model = sp.BlockModel.from_sizes([150, 150], [[0.1, 0.02], [0.02, 0.06]])
     g = sp.sample(model, 2)
-    grid = [1.0, 5.0, 50.0]
-    seq = sp.tau_scan(g, 2, grid, seed=3, workers=1)
+    truth = sp.Partition(model.membership, 2)
+    grid = [0.5, 2.0, 8.0, 32.0, 128.0, 512.0]
+
+    def run(workers):
+        scan = sp.tau_scan(
+            g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, seed=3, workers=workers
+        )
+        rows = [(r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction) for r in scan.records]
+        return rows, scan.chosen
+
+    serial = run(1)
+    assert set(serial[1]) == {"dkest", "gn", "oracle"}
+    for workers in (2, 4):
+        assert run(workers) == serial
     monkeypatch.setenv("SPECLUSTER_THREADS", "3")
-    par = sp.tau_scan(g, 2, grid, seed=3)
-    for rec_a, rec_b in zip(seq.records, par.records):
-        assert rec_a.dkest == rec_b.dkest
-        assert rec_a.gn_modularity == rec_b.gn_modularity
+    assert run(None) == serial
 
 
 def test_scan_csv_format(tmp_path):
