@@ -163,25 +163,13 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     return Partition(labels=best_labels, k=k), float(best_obj)
 
 
-def regularized_spectral_clustering(
-    g,
-    k,
-    tau,
-    restarts=20,
-    max_iter=100,
-    seed=0,
-    eig_tol=1e-8,
-    eig_max_dim=300,
-    dense_threshold=512,
-):
+def regularized_spectral_clustering(g, k, tau, seed=0):
     """Cluster a graph: top-K eigenvectors of the regularized Laplacian,
     then K-means on the embedding rows (no row normalization)."""
     op = RegularizedLaplacian(g, tau)
     s_eig, s_km = seed_sequence(seed).spawn(2)
-    basis = top_eigenpairs(
-        op, k, tol=eig_tol, max_iter=eig_max_dim, seed=s_eig, dense_threshold=dense_threshold
-    )
-    part, _ = kmeans(basis.vectors, k, restarts=restarts, max_iter=max_iter, seed=s_km)
+    basis = top_eigenpairs(op, k, seed=s_eig)
+    part, _ = kmeans(basis.vectors, k, seed=s_km)
     return part
 
 

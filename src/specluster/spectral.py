@@ -3,17 +3,22 @@
 The regularized adjacency A + tau J (J = all-ones / n) is dense if
 materialized, so the operator keeps A sparse and applies the tau term as a
 rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
+
+Both Krylov computations, the top-K eigenpairs above DENSE_FALLBACK nodes
+and the spectral norm of a difference, run scipy's eigsh (ARPACK's
+implicitly restarted Lanczos) on a LinearOperator around that matvec, and
+each checks the pairs it returns with explicit residuals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
 from .util import rng_from
 
 DENSE_FALLBACK = 512
-_BREAKDOWN = 1e-14
 
 
 class RegularizedLaplacian:
@@ -89,116 +94,54 @@ def _residuals(mv, vals, vecs):
     return np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vals.size)])
 
 
-def _lanczos(mv, q, rng, start, step, cap):
-    """Lanczos with full reorthogonalization from the unit vector q.
-
-    Each basis vector is one row of a buffer that doubles as it fills, so
-    memory is O(n x Krylov dimension reached) and cap only bounds the
-    iteration.  Yields (values, vectors, basis) each time the dimension
-    reaches start, start + step, ...: the ascending eigenpairs of the
-    projected tridiagonal and the basis rows, whose Ritz vectors are
-    basis.T @ vectors.  The last yield is at min(cap, n); the caller stops
-    earlier by leaving the loop.  A breakdown (invariant subspace) restarts
-    from a fresh rng direction orthogonal to the basis.
-    """
-    n = q.size
-    cap = min(cap, n)
-    rows = np.empty((min(cap, start + 1), n))
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)  # betas[j] couples rows j and j + 1
-    rows[0] = q
-    j = 0
-    target = min(cap, start)
-    while True:
-        while j < target:
-            u = mv(rows[j])
-            alphas[j] = rows[j] @ u
-            r = u - alphas[j] * rows[j]
-            if j > 0:
-                r -= betas[j - 1] * rows[j - 1]
-            j += 1
-            basis = rows[:j]
-            # full reorthogonalization, applied twice for stability
-            for _ in range(2):
-                r -= basis.T @ (basis @ r)
-            if j == cap:
-                break
-            beta = np.linalg.norm(r)
-            if beta < _BREAKDOWN:
-                r = rng.standard_normal(n)
-                for _ in range(2):
-                    r -= basis.T @ (basis @ r)
-                beta = np.linalg.norm(r)
-                if beta < _BREAKDOWN:  # the basis spans the whole space
-                    cap = j
-                    break
-                betas[j - 1] = 0.0
-            else:
-                betas[j - 1] = beta
-            if j == rows.shape[0]:
-                grown = np.empty((min(cap, 2 * j), n))
-                grown[:j] = rows
-                rows = grown
-            rows[j] = r / beta
-        t = np.diag(alphas[:j]) + np.diag(betas[: j - 1], 1) + np.diag(betas[: j - 1], -1)
-        values, vectors = np.linalg.eigh(t)
-        yield values, vectors, rows[:j]
-        if j == cap:
-            return
-        target = min(cap, j + step)
-
-
-def _unit_start(rng, n):
-    q = rng.standard_normal(n)
-    return q / np.linalg.norm(q)
-
-
-def top_eigenpairs(op, k, tol=1e-8, max_iter=300, seed=0, dense_threshold=DENSE_FALLBACK):
+def top_eigenpairs(op, k, tol=1e-8, seed=0):
     """K algebraically-largest eigenpairs of a symmetric operator.
 
-    Uses dense symmetric eigendecomposition for small arrays and operators
-    with to_dense, and restart-free Lanczos with full reorthogonalization
-    otherwise.  The Krylov basis starts at max(2K + 10, 40) vectors and is
-    extended by 20 until every retained pair has residual below tol.
-    max_iter only caps the Krylov dimension: memory is O(n x Krylov
-    dimension reached).  Deterministic given seed.
+    Uses dense symmetric eigendecomposition for arrays and operators with
+    to_dense up to DENSE_FALLBACK nodes, and ARPACK's implicitly restarted
+    Lanczos (scipy eigsh) otherwise, from a start vector drawn from seed.
+    Every returned pair is checked explicitly: any residual above tol
+    raises ConvergenceError.  Deterministic given seed.
     """
     mv, n = _as_matvec(op)
     if k < 1 or k > n:
         raise SpeclusterError(f"k={k} out of range for operator of size {n}")
 
-    if n <= dense_threshold and (isinstance(op, np.ndarray) or hasattr(op, "to_dense")):
+    if n <= DENSE_FALLBACK and (isinstance(op, np.ndarray) or hasattr(op, "to_dense")):
         vals, vecs = np.linalg.eigh(op if isinstance(op, np.ndarray) else op.to_dense())
         vals = vals[::-1][:k].copy()
         vecs = vecs[:, ::-1][:, :k].copy()
         return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=_residuals(mv, vals, vecs))
 
+    if k == n:
+        raise SpeclusterError(f"k={k} needs k < n for an operator without a dense path")
+    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     rng = rng_from(seed)
-    dim0 = min(n, max(2 * k + 10, 40))
-    for values, vectors, basis in _lanczos(mv, _unit_start(rng, n), rng, dim0, 20, max(max_iter, dim0)):
-        order = np.argsort(values)[::-1][:k]
-        vals = values[order]
-        vecs = basis.T @ vectors[:, order]
-        res = _residuals(mv, vals, vecs)
-        if vals.size >= k and np.all(res <= tol):
-            return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
-    raise ConvergenceError(
-        f"Lanczos did not reach tol={tol} within Krylov dimension {len(basis)}",
-        residuals=res,
-    )
+    try:
+        vals, vecs = eigsh(lin, k, which="LA", tol=tol, v0=rng.standard_normal(n), rng=rng)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK did not reach tol={tol}",
+            residuals=_residuals(mv, exc.eigenvalues, exc.eigenvectors),
+        ) from None
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    res = _residuals(mv, vals, vecs)
+    if not np.all(res <= tol):
+        raise ConvergenceError(f"eigenpair residuals {res.max():.3g} exceed tol={tol}", residuals=res)
+    return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
 
 
-def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
+def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators; the difference is only
-    ever applied to vectors.  The extreme eigenvalues at both ends of the
-    spectrum are located by restart-free Lanczos (plain power iteration
-    stalls without a certificate when the top of the noise spectrum is
-    nearly tied), extended 12 vectors at a time; the iteration stops once
-    the winning end's Ritz residual certifies the requested relative
-    accuracy.  max_iter only caps the Krylov dimension: memory is
-    O(n x Krylov dimension reached).
+    ever applied to vectors.  ARPACK (scipy eigsh) finds the
+    largest-magnitude Ritz pair from a start vector drawn from seed, and
+    one explicit matvec then checks that pair's residual against tol times
+    the estimate.  That shows the estimate is within that distance of *an*
+    eigenvalue of the difference, not that it is the extreme one.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
@@ -207,18 +150,21 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, max_iter=400, seed=0):
     n = n_a
     mv = lambda v: mv_a(v) - mv_b(v)
     rng = rng_from(seed)
-    q = _unit_start(rng, n)
-    if np.linalg.norm(mv(q)) < 1e-300:
+    v0 = rng.standard_normal(n)
+    if np.linalg.norm(mv(v0)) < 1e-300:
         return 0.0
-    for values, vectors, basis in _lanczos(mv, q, rng, 12, 12, max_iter):
-        # Ritz residual of the winning extreme pair
-        idx = 0 if abs(values[0]) >= abs(values[-1]) else values.size - 1
-        estimate = float(abs(values[idx]))
-        vec = basis.T @ vectors[:, idx]
-        resid = np.linalg.norm(mv(vec) - values[idx] * vec)
-        if resid <= tol * max(estimate, 1e-300) or len(basis) == n:
-            return estimate
-    raise ConvergenceError(
-        f"norm estimate did not certify tol={tol} within Krylov dimension {len(basis)}",
-        estimate=estimate,
-    )
+    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
+    try:
+        vals, vecs = eigsh(lin, 1, which="LM", tol=tol, v0=v0, rng=rng)
+    except ArpackNoConvergence as exc:
+        estimate = float(np.max(np.abs(exc.eigenvalues))) if exc.eigenvalues.size else None
+        raise ConvergenceError(f"ARPACK norm estimate did not reach tol={tol}", estimate=estimate) from None
+    estimate = float(abs(vals[0]))
+    vec = vecs[:, 0]
+    resid = np.linalg.norm(mv(vec) - vals[0] * vec)
+    if resid > tol * max(estimate, 1e-300):
+        raise ConvergenceError(
+            f"norm estimate residual {resid:.3g} exceeds tol={tol} times the estimate",
+            estimate=estimate,
+        )
+    return estimate

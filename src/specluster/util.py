@@ -6,6 +6,7 @@ import os
 import numpy as np
 
 from .__about__ import __version__
+from .errors import ConfigError
 
 THREADS_ENV = "SPECLUSTER_THREADS"
 
@@ -22,18 +23,22 @@ def rng_from(seed):
 
 
 def max_workers(n_tasks, requested=None):
-    """Worker count for parallel sections, capped by SPECLUSTER_THREADS."""
-    if n_tasks <= 1:
-        return 1
+    """Worker count for parallel sections, capped by SPECLUSTER_THREADS.
+
+    A SPECLUSTER_THREADS value that is not a positive integer raises
+    ConfigError.
+    """
     if requested is None:
         env = os.environ.get(THREADS_ENV)
-        if env is not None:
+        if env is None:
+            requested = min(4, os.cpu_count() or 1)
+        else:
             try:
                 requested = int(env)
             except ValueError:
-                requested = 1
-        else:
-            requested = min(4, os.cpu_count() or 1)
+                requested = 0
+            if requested < 1:
+                raise ConfigError(f"{THREADS_ENV}={env!r} must be a positive integer")
     return max(1, min(requested, n_tasks))
 
 

@@ -150,3 +150,7 @@ def test_threads_env_cap(monkeypatch, tmp_path):
     assert max_workers(8) == 8  # never more workers than tasks
     monkeypatch.delenv("SPECLUSTER_THREADS")
     assert max_workers(1) == 1
+    for bad in ("four", "0", "-2"):
+        monkeypatch.setenv("SPECLUSTER_THREADS", bad)
+        with pytest.raises(sp.ConfigError, match=f"SPECLUSTER_THREADS='{bad}'"):
+            max_workers(8)

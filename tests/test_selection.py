@@ -5,7 +5,7 @@ import pytest
 import specluster as sp
 from conftest import two_cliques
 from specluster.selection import _EstimatedDSBMLaplacian, estimate_block_matrix
-from specluster.spectral import RegularizedLaplacian
+from specluster.spectral import DENSE_FALLBACK, RegularizedLaplacian, spectral_norm_diff
 
 
 def two_triangles():
@@ -175,6 +175,29 @@ def test_dkest_frobenius_matches_dense_with_clamps(rng):
     mu = np.sort(np.linalg.eigvalsh(dense_est))[::-1][1]
     got = sp.dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind="frobenius")
     assert got == pytest.approx(np.sqrt((diff * diff).sum()) / mu, rel=1e-10)
+
+
+def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
+    # n=600 with a hub joined to every odd node: the degree-corrected fit
+    # clamps pairs, so mu_k takes the Krylov path of top_eigenpairs
+    n = 600
+    model = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.03, 0.006], [0.006, 0.03]])
+    edges = {tuple(sorted(map(int, e))) for e in sp.sample(model, 1).edges}
+    edges |= {(0, j) for j in range(1, n, 2)}
+    g = sp.build_graph(n, sorted(edges))
+    assert g.n > DENSE_FALLBACK
+    part = sp.Partition(model.membership, 2)
+    bhat, counts = estimate_block_matrix(g, part)
+    for tau in (0.5, 60.0):
+        est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+        assert est.clamped_entries > 0
+        exact_mu = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][1]
+        assert est.mu_k() == pytest.approx(exact_mu, rel=1e-8)
+        sample_op = RegularizedLaplacian(g, tau)
+        for fitted in (sp.PopulationLaplacian(sp.BlockModel(part.labels, bhat), tau), est):
+            diff = sample_op.to_dense() - fitted.to_dense()
+            exact = np.max(np.abs(np.linalg.eigvalsh(diff)))
+            assert spectral_norm_diff(sample_op, fitted) == pytest.approx(exact, rel=1e-8)
 
 
 def four_cycle():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
 import specluster as sp
 from specluster.spectral import DENSE_FALLBACK
@@ -86,19 +87,28 @@ def test_top_eigenpairs_complete_graph():
 def test_dense_and_lanczos_match_brute_force():
     g = sample_graph(n=300, seed=4, p_in=0.2, p_out=0.05)
     op = sp.RegularizedLaplacian(g, 5.0)
-    brute = np.linalg.eigvalsh(dense_regularized(g, 5.0))[::-1][:4]
-    dense_path = sp.top_eigenpairs(op, 4)  # n=300 <= dense threshold
-    lanczos_path = sp.top_eigenpairs(op, 4, dense_threshold=0, seed=11)
+    dense = dense_regularized(g, 5.0)
+    brute = np.linalg.eigvalsh(dense)[::-1][:4]
+    dense_path = sp.top_eigenpairs(op, 4)  # n=300 <= DENSE_FALLBACK
+    # a matrix-free wrapper has no dense path, so it takes the Krylov path
+    lanczos_path = sp.top_eigenpairs(aslinearoperator(dense), 4, seed=11)
     assert np.allclose(dense_path.values, brute, atol=1e-10)
     assert np.allclose(lanczos_path.values, brute, atol=1e-8)
 
 
-def test_lanczos_full_spectrum_small():
+def test_full_spectrum_small_dense():
     g = sample_graph(n=30, seed=5)
-    op = sp.RegularizedLaplacian(g, 1.0)
-    brute = np.linalg.eigvalsh(dense_regularized(g, 1.0))[::-1]
-    basis = sp.top_eigenpairs(op, 30, dense_threshold=0, max_iter=60)
+    dense = dense_regularized(g, 1.0)
+    brute = np.linalg.eigvalsh(dense)[::-1]
+    basis = sp.top_eigenpairs(dense, 30)
     assert np.allclose(basis.values, brute, atol=1e-8)
+
+
+def test_matrix_free_full_spectrum_rejected():
+    # ARPACK needs k < n, and a matrix-free operator has no dense path
+    g = sample_graph(n=30, seed=5)
+    with pytest.raises(sp.SpeclusterError, match="k < n"):
+        sp.top_eigenpairs(aslinearoperator(dense_regularized(g, 1.0)), 30)
 
 
 def test_eigenbasis_invariants():
@@ -152,9 +162,12 @@ def test_second_eigenvector_separates_blocks_at_large_tau():
 def test_convergence_error_carries_residuals():
     g = sample_graph(n=600, seed=9, p_in=0.1, p_out=0.05)
     op = sp.RegularizedLaplacian(g, 1.0)
+    # ARPACK reports convergence, and the explicit residual check rejects
+    # a tol that no double-precision residual can reach
     with pytest.raises(sp.ConvergenceError) as err:
-        sp.top_eigenpairs(op, 30, tol=1e-14, max_iter=32, dense_threshold=0)
+        sp.top_eigenpairs(op, 3, tol=1e-18)
     assert err.value.residuals is not None
+    assert np.any(err.value.residuals > 1e-18)
 
 
 def test_k_out_of_range():
@@ -193,26 +206,24 @@ def test_spectral_norm_diff_dimension_mismatch():
         sp.spectral_norm_diff(np.eye(3), np.eye(4))
 
 
-def test_norm_memory_does_not_depend_on_cap():
-    # the Krylov basis grows with the dimension reached, never to the cap
+def test_norm_memory_is_far_below_dense():
+    # the Krylov basis holds a few dozen vectors, never an n x n array
     model = two_block_benchmark_model()
     g = sp.sample(model, 0)
     sample_op = sp.RegularizedLaplacian(g, 50.0)
     pop = sp.PopulationLaplacian(model, 50.0)
-    capped = sp.spectral_norm_diff(sample_op, pop, max_iter=400)
     tracemalloc.start()
     try:
-        uncapped = sp.spectral_norm_diff(sample_op, pop, max_iter=10**6)
+        sp.spectral_norm_diff(sample_op, pop)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < g.n * g.n * 8 / 4
-    assert uncapped == capped
 
 
-def test_breakdown_restart_on_rank_deficient_operator():
+def test_rank_one_operator_above_dense_fallback():
     # a rank-one operator exhausts its Krylov space after two vectors, so
-    # both callers go through the breakdown restart
+    # ARPACK must restart from a fresh direction in both callers
     n = DENSE_FALLBACK + 88
     a = np.zeros((n, n))
     a[0, 0] = 5.0
@@ -221,6 +232,8 @@ def test_breakdown_restart_on_rank_deficient_operator():
     assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3), atol=1e-12)
     assert np.allclose(basis.values, [5.0, 0.0, 0.0], atol=1e-12)
     assert np.all(basis.residuals <= 1e-8)
+    # the restart directions come from seed, so the answer repeats bitwise
+    assert np.array_equal(sp.top_eigenpairs(a, 3).vectors, basis.vectors)
 
 
 def test_frobenius_dominates_spectral(rng):
