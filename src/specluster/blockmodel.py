@@ -95,10 +95,7 @@ class DegreeCorrectedModel:
         if theta.min() <= 0:
             raise SpeclusterError("theta entries must be positive")
         # Largest entry of Theta Z B Z' Theta per block pair must stay <= 1.
-        k = self.base.num_blocks
-        tmax = np.zeros(k)
-        for blk in range(k):
-            tmax[blk] = theta[self.base.membership == blk].max()
+        tmax = _group_max(self.base.membership, theta, self.base.num_blocks)
         worst = np.outer(tmax, tmax) * self.base.block_matrix
         if worst.max() > 1 + 1e-12:
             raise SpeclusterError("theta scaling pushes an edge probability above 1")
@@ -156,36 +153,34 @@ def _distinct_indices(rng, total, m):
     return out
 
 
-def _bernoulli_pairs_within(rng, s, p):
-    rows_i = []
-    rows_j = []
-    for r0 in range(0, s, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, s)
-        u = rng.random((r1 - r0, s))
-        i, j = np.nonzero(u < p)
-        i = i + r0
-        keep = j > i
-        rows_i.append(i[keep])
-        rows_j.append(j[keep])
-    return np.concatenate(rows_i), np.concatenate(rows_j)
+def _bernoulli_pairs(rng, s1, s2, p, within):
+    """Per-pair Bernoulli draws over an s1-by-s2 grid, in row chunks.
 
-
-def _bernoulli_pairs_between(rng, s1, s2, p):
+    within=True reads the grid as the pairs of one s1-node block and keeps
+    only its upper triangle.
+    """
     rows_i = []
     rows_j = []
     for r0 in range(0, s1, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, s1)
         u = rng.random((r1 - r0, s2))
         i, j = np.nonzero(u < p)
-        rows_i.append(i + r0)
+        i = i + r0
+        if within:
+            keep = j > i
+            i, j = i[keep], j[keep]
+        rows_i.append(i)
         rows_j.append(j)
     return np.concatenate(rows_i), np.concatenate(rows_j)
 
 
-def _sample_sbm(model, rng):
-    k = model.num_blocks
-    b = model.block_matrix
-    ids = [np.flatnonzero(model.membership == blk) for blk in range(k)]
+def _block_pairs(labels, b, rng):
+    """(m, 2) edges of the plain block model with these labels and matrix b.
+
+    Rows (i, j) come block pair by block pair, with label[i] <= label[j].
+    """
+    k = b.shape[0]
+    ids = [np.flatnonzero(labels == blk) for blk in range(k)]
     chunks = []
     for k1 in range(k):
         for k2 in range(k1, k):
@@ -202,7 +197,7 @@ def _sample_sbm(model, rng):
                     t = _distinct_indices(rng, npairs, m)
                     i, j = _decode_triangular(t, s)
                 else:
-                    i, j = _bernoulli_pairs_within(rng, s, p)
+                    i, j = _bernoulli_pairs(rng, s, s, p, within=True)
                 chunks.append(np.column_stack([ids[k1][i], ids[k1][j]]))
             else:
                 s1, s2 = ids[k1].size, ids[k2].size
@@ -212,44 +207,18 @@ def _sample_sbm(model, rng):
                     t = _distinct_indices(rng, npairs, m)
                     i, j = t // s2, t % s2
                 else:
-                    i, j = _bernoulli_pairs_between(rng, s1, s2, p)
+                    i, j = _bernoulli_pairs(rng, s1, s2, p, within=False)
                 chunks.append(np.column_stack([ids[k1][i], ids[k2][j]]))
     if chunks:
-        edges = np.concatenate(chunks, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return build_graph(model.n, edges)
+        return np.concatenate(chunks, axis=0)
+    return np.empty((0, 2), dtype=np.int64)
 
 
-def _sample_dcsbm(model, rng):
-    base = model.base
-    theta = model.theta
-    k = base.num_blocks
-    b = base.block_matrix
-    ids = [np.flatnonzero(base.membership == blk) for blk in range(k)]
-    chunks = []
-    for k1 in range(k):
-        for k2 in range(k1, k):
-            p = b[k1, k2]
-            if p <= 0:
-                continue
-            t1 = theta[ids[k1]]
-            t2 = theta[ids[k2]]
-            for r0 in range(0, t1.size, _CHUNK_ROWS):
-                r1 = min(r0 + _CHUNK_ROWS, t1.size)
-                probs = p * np.outer(t1[r0:r1], t2)
-                u = rng.random(probs.shape)
-                i, j = np.nonzero(u < probs)
-                i = i + r0
-                if k1 == k2:
-                    keep = j > i
-                    i, j = i[keep], j[keep]
-                chunks.append(np.column_stack([ids[k1][i], ids[k2][j]]))
-    if chunks:
-        edges = np.concatenate(chunks, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return build_graph(base.n, edges)
+def _group_max(labels, values, k):
+    """Largest value in each of the k label groups."""
+    out = np.zeros(k)
+    np.maximum.at(out, labels, values)
+    return out
 
 
 def sample(model, seed):
@@ -257,36 +226,59 @@ def sample(model, seed):
 
     Each unordered pair {i, j} with i != j appears independently with
     probability P_ij.  Self loops are never generated.
+
+    A degree-corrected graph is drawn by thinning a plain one.  Each block
+    is split into bands of theta within a factor 2 of each other; a
+    (block, band) cell has ceiling c = its largest theta.  The plain model on
+    cells, with probabilities min(B c_a c_b, 1), proposes candidate pairs,
+    and each is kept with probability B theta_i theta_j over its cell
+    probability.  That makes the draw exact, and at least a quarter of the
+    candidates are kept, so the cost is O(edges + n + cells^2).
     """
     rng = rng_from(seed)
     if isinstance(model, DegreeCorrectedModel):
-        return _sample_dcsbm(model, rng)
-    return _sample_sbm(model, rng)
+        z = model.base.membership
+        b = model.base.block_matrix
+        theta = model.theta
+        tmax = _group_max(z, theta, b.shape[0])
+        band = np.floor(np.log2(tmax[z] / theta)).astype(np.int64)
+        stride = band.max() + 1
+        keys, cell = np.unique(z * stride + band, return_inverse=True)
+        ceil = _group_max(cell, theta, keys.size)
+        cell_block = keys // stride
+        pc = np.minimum(b[np.ix_(cell_block, cell_block)] * ceil[:, None] * ceil[None, :], 1.0)
+        cand = _block_pairs(cell, pc, rng)
+        i, j = cand[:, 0], cand[:, 1]
+        keep = rng.random(i.size) * pc[cell[i], cell[j]] < b[z[i], z[j]] * theta[i] * theta[j]
+        edges = cand[keep]
+    else:
+        edges = _block_pairs(model.membership, model.block_matrix, rng)
+    return build_graph(model.n, edges)
 
 
 # ---------------------------------------------------------------------------
 # Exact population quantities
 
 
-def edge_probabilities(model, max_n=DENSE_CAP):
+def edge_probabilities(model):
     """Dense n-by-n edge probability matrix P (diagonal included)."""
-    if model.n > max_n:
-        raise SizeCapError(f"n={model.n} exceeds dense cap {max_n}")
+    if model.n > DENSE_CAP:
+        raise SizeCapError(f"n={model.n} exceeds dense cap {DENSE_CAP}")
     if isinstance(model, DegreeCorrectedModel):
-        base = edge_probabilities(model.base, max_n=max_n)
+        base = edge_probabilities(model.base)
         return model.theta[:, None] * base * model.theta[None, :]
     z = model.membership
     return model.block_matrix[z][:, z]
 
 
-def population_laplacian(model, tau, max_n=DENSE_CAP):
+def population_laplacian(model, tau):
     """Dense population regularized Laplacian.
 
     With D = diag(P 1), this is (D + tau I)^{-1/2} (P + tau/n) (D + tau I)^{-1/2}.
     Its top eigenvalue is 1 and its rank equals the rank of the regularized
     block matrix.
     """
-    p = edge_probabilities(model, max_n=max_n)
+    p = edge_probabilities(model)
     d = p.sum(axis=1) + tau
     if np.any(d <= 0):
         raise SingularLaplacianError("a population degree plus tau is zero")
@@ -325,7 +317,7 @@ class PopulationLaplacian:
         return self.inv_sqrt_deg * t[self.labels]
 
     def to_dense(self):
-        return population_laplacian(self.model, self.tau, max_n=self.shape[0])
+        return population_laplacian(self.model, self.tau)
 
 
 def block_reduced_laplacian(model, tau):

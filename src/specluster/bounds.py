@@ -7,7 +7,7 @@ Logarithms are natural throughout.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -186,40 +186,14 @@ class BoundReport:
     precondition_ok: bool
     tau_growth_ratio: float
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "eigen_gap": self.eigen_gap,
-            "delta_tau": self.delta_tau,
-            "delta_limit": self.delta_limit,
-            "m1": self.m1,
-            "m1_tilde": self.m1_tilde,
-            "m2": self.m2,
-            "precondition_ok": self.precondition_ok,
-            "tau_growth_ratio": self.tau_growth_ratio,
-        }
-
     def to_text(self):
         lines = []
-        for key, value in self.as_dict().items():
+        for key, value in asdict(self).items():
             if isinstance(value, bool):
                 lines.append(f"{key} = {str(value).lower()}")
             else:
                 lines.append(f"{key} = {fmt(value)}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def csv_header():
-        return "n,k,tau,epsilon,eigen_gap,delta_tau,delta_limit,m1,m1_tilde,m2,precondition_ok,tau_growth_ratio"
-
-    def csv_row(self):
-        vals = self.as_dict()
-        return ",".join(
-            str(int(v)) if isinstance(v, bool) else fmt(v) for v in vals.values()
-        )
 
 
 def theory_report(model, tau):

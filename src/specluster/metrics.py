@@ -1,6 +1,5 @@
 """Clustering quality measures: worst-cluster error, NMI, modularity."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +8,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import EmptyClusterError, SpeclusterError
-
-_EXHAUSTIVE_MAX_K = 8
 
 
 @dataclass(frozen=True)
@@ -56,18 +53,6 @@ def _bottleneck_cost(o, truth_sizes, est_sizes):
     return cost
 
 
-def _minimize_exhaustive(cost):
-    k = cost.shape[0]
-    best = np.inf
-    best_perm = tuple(range(k))
-    for perm in itertools.permutations(range(k)):
-        worst = max(cost[a, perm[a]] for a in range(k))
-        if worst < best:
-            best = worst
-            best_perm = perm
-    return best, best_perm
-
-
 def _perfect_matching(mask):
     match = maximum_bipartite_matching(sparse.csr_matrix(mask), perm_type="column")
     if np.all(match >= 0):
@@ -77,7 +62,7 @@ def _perfect_matching(mask):
 
 def _minimize_matching(cost):
     """Bottleneck assignment: binary search over thresholds plus bipartite
-    feasibility.  Used above the exhaustive-permutation size limit."""
+    feasibility."""
     finite = np.unique(cost[np.isfinite(cost)])
     lo, hi = 0, finite.size - 1
     best = None
@@ -114,10 +99,7 @@ def clustering_error(est, truth):
         )
     est_sizes = np.bincount(est.labels, minlength=est.k)  # intruders may be unlabeled
     cost = _bottleneck_cost(o, truth_sizes, est_sizes)
-    if cost.shape[0] <= _EXHAUSTIVE_MAX_K:
-        error, perm = _minimize_exhaustive(cost)
-    else:
-        error, perm = _minimize_matching(cost)
+    error, perm = _minimize_matching(cost)
 
     # agreement-maximizing (sum) matching for the plain misclassified share
     k = cost.shape[0]

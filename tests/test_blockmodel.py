@@ -3,6 +3,7 @@ import pytest
 
 import specluster as sp
 from conftest import random_full_rank_model, strong_weak_benchmark_params, two_block_benchmark_model
+from specluster.blockmodel import DENSE_CAP
 
 
 def dense_top_eigvecs(model, tau, k):
@@ -74,6 +75,61 @@ def test_degree_corrected_sampling_matches_probabilities():
     assert abs(np.mean(counts) - expected) <= 4 * np.sqrt(expected / 5)
 
 
+def hub_heavy_model():
+    # Pareto(1.5) quantiles capped at the third largest: theta spans a factor
+    # above 16 in each block, so each block has at least 4 theta bands.  The
+    # top three nodes of block 0 reach the validator's bound B theta^2 = 1,
+    # while the low bands have cell probabilities far below 0.1, so both
+    # the Bernoulli and the binomial cell paths run.
+    sizes = (300, 200)
+    theta = []
+    for m in sizes:
+        q = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 1.5)
+        theta.append(np.minimum(q / q[-3], 1.0))
+    theta = np.concatenate(theta)
+    base = sp.BlockModel.from_sizes(sizes, [[1.0, 0.2], [0.2, 0.6]])
+    return sp.DegreeCorrectedModel(base=base, theta=theta)
+
+
+def test_degree_corrected_sampling_hub_heavy_moments():
+    model = hub_heavy_model()
+    z = model.base.membership
+    for blk in range(2):
+        t = model.theta[z == blk]
+        assert t.max() / t.min() >= 16
+    p = sp.edge_probabilities(model)
+    np.fill_diagonal(p, 0.0)
+    var = p * (1 - p)
+    hubs = np.argsort(-model.theta, kind="stable")[:5]
+    pairs = [(0, 0), (0, 1), (1, 1)]
+
+    def block_pair_sums(m):
+        out = []
+        for a, b in pairs:
+            s = m[np.ix_(z == a, z == b)].sum()
+            out.append(s / 2 if a == b else s)
+        return np.array(out)
+
+    seeds = range(20)
+    counts = np.zeros((len(seeds), len(pairs)))
+    hub_degrees = np.zeros((len(seeds), hubs.size))
+    top = np.flatnonzero((z == 0) & (model.theta == 1.0))
+    assert top.size >= 2
+    for row, seed in enumerate(seeds):
+        g = sp.sample(model, seed)
+        ez = np.sort(z[g.edges], axis=1)
+        counts[row] = [np.count_nonzero((ez[:, 0] == a) & (ez[:, 1] == b)) for a, b in pairs]
+        hub_degrees[row] = g.degrees[hubs]
+        # B theta_i theta_j = 1 for the top pair: it is an edge in every draw
+        assert g.adjacency[top[0], top[1]] == 1
+    n_draws = len(seeds)
+    mean_sigma = np.sqrt(block_pair_sums(var) / n_draws)
+    assert np.all(np.abs(counts.mean(axis=0) - block_pair_sums(p)) <= 4 * mean_sigma)
+    hub_sigma = np.sqrt(var[hubs].sum(axis=1) / n_draws)
+    assert np.all(np.abs(hub_degrees.mean(axis=0) - p[hubs].sum(axis=1)) <= 4 * hub_sigma)
+    assert np.array_equal(sp.sample(model, 7).edges, sp.sample(model, 7).edges)
+
+
 # ---------------------------------------------------------------------------
 # edge probabilities and population Laplacian
 
@@ -98,9 +154,10 @@ def test_edge_probabilities_unit_theta_matches_plain():
 
 
 def test_edge_probabilities_size_cap():
-    model = sp.BlockModel.from_sizes([30], [[0.1]])
+    # raises before allocating the dense matrix
+    model = sp.BlockModel.from_sizes([DENSE_CAP + 1], [[0.1]])
     with pytest.raises(sp.SizeCapError):
-        sp.edge_probabilities(model, max_n=10)
+        sp.edge_probabilities(model)
 
 
 def test_population_laplacian_single_block_tau_zero():

@@ -27,6 +27,22 @@ def test_generate_rsc_error_pipeline(tmp_path, capsys):
     assert sp.clustering_error(est, truth).error == 0.0
 
 
+def test_generate_degree_corrected_is_reproducible(tmp_path):
+    theta = tmp_path / "theta.txt"
+    theta.write_text("".join(f"{1.0 / (1 + i % 20)}\n" for i in range(60)))
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("n = 60\nk = 2\nsizes = 40,20\nb = 0.9,0.2,0.2,0.8\ntheta_file = theta.txt\n")
+    outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    labels = tmp_path / "labels.txt"
+    for out in outs:
+        assert main([
+            "generate", str(cfg), "--seed", "3", "--out", str(out), "--labels-out", str(labels),
+        ]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert sp.load_edge_list(outs[0]).num_edges > 0
+    assert sp.load_partition(labels).labels.tolist() == [0] * 40 + [1] * 20
+
+
 def test_rsc_on_two_cliques(tmp_path):
     edges = tmp_path / "cliques.txt"
     lines = [f"{i} {j}" for i in range(5) for j in range(i + 1, 5)]

@@ -92,8 +92,8 @@ def test_error_matches_exhaustive_oracle(rng):
 
 
 def test_matching_path_equals_exhaustive(rng):
-    # the threshold + bipartite-matching solver is only used for K > 8 in
-    # production; check it against the exhaustive result on small instances
+    # the threshold + bipartite-matching solver is the production path;
+    # check it against the exhaustive oracle on small instances
     for _ in range(40):
         n = int(rng.integers(8, 30))
         est, truth = random_partition_pair(rng, n, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
