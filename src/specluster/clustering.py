@@ -47,8 +47,7 @@ def load_partition(path, n=None):
 
 def save_partition(part, path):
     with open(path, "w") as fh:
-        for lab in part.labels:
-            fh.write(f"{lab}\n")
+        fh.write(("%d\n" * part.n) % tuple(part.labels.tolist()))
 
 
 def kmeans_objective(points, labels, k):

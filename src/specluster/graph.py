@@ -5,6 +5,9 @@ whitespace-separated integers; lines starting with '#' are comments.
 Graphs are immutable after construction and safe to share across workers.
 """
 
+import io
+import operator
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,6 +16,12 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EdgeListParseError, SpeclusterError
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# In reversed text: a line whose first non-blank character is not '#' but
+# that holds a '#'.  Reversed, the pattern starts at a literal '#', which
+# the regex engine skips to, where the forward pattern tests every line.
+_REVERSED_FIELD_BEFORE_HASH = re.compile(r"#[^\n]*[^\s#][^\S\n]*(?:\n|\Z)")
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,7 @@ def build_graph(n, edges):
     Pairs are canonicalized to (min, max) and sorted.  Self loops or
     duplicate pairs are rejected; use load_edge_list for lenient ingestion.
     """
+    n = operator.index(n)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and edges.min() < 0:
         raise SpeclusterError("negative node index in edge list")
@@ -55,14 +65,9 @@ def build_graph(n, edges):
         raise SpeclusterError(f"node index {edges.max()} out of range for n={n}")
     if np.any(edges[:, 0] == edges[:, 1]):
         raise SpeclusterError("self loop in edge list")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    order = np.lexsort((hi, lo))
-    edges = np.column_stack([lo[order], hi[order]])
-    if edges.shape[0] > 1:
-        dup = np.all(edges[1:] == edges[:-1], axis=1)
-        if np.any(dup):
-            raise SpeclusterError("duplicate edge in edge list")
+    edges, first = _canonical_pairs(n, edges)
+    if not first.all():
+        raise SpeclusterError("duplicate edge in edge list")
 
     m = edges.shape[0]
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -71,7 +76,23 @@ def build_graph(n, edges):
     adj = sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
     adj.sort_indices()
     degrees = np.diff(adj.indptr).astype(np.int64)
-    return Graph(n=int(n), edges=edges, adjacency=adj, degrees=degrees)
+    return Graph(n=n, edges=edges, adjacency=adj, degrees=degrees)
+
+
+def _canonical_pairs(n, edges):
+    """The pairs as (min, max) rows in lexicographic order, and a mask of
+    the rows that differ from the row before them.
+
+    Each row is sorted as the one int64 key min * n + max, which keeps
+    lexicographic order for indices in [0, n) and needs n**2 < 2**63.
+    """
+    if n * n > _INT64_MAX:
+        raise SpeclusterError(f"n={n} is too large: pair keys need n**2 < 2**63")
+    keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.column_stack(np.divmod(keys, n)), first
 
 
 def load_edge_list(path, n_hint=None):
@@ -80,13 +101,63 @@ def load_edge_list(path, n_hint=None):
     Duplicate pairs and self loops are dropped with a counted warning.
     n is max index + 1, or n_hint if that is larger.  A file with no valid
     edges is an error, as is any malformed line (reported with its number).
+
+    ASCII text is parsed in one np.loadtxt call.  Text that call cannot
+    take exactly (non-ASCII characters, a '#' after a field, a field
+    loadtxt rejects, a negative index, no pairs at all) is parsed again
+    line by line, which accepts whatever int() does and reports the first
+    bad line; both parsers give the same graph, warning and error.
+    Duplicates are found by sorting pair keys, so the cost is
+    O(edges log edges).
     """
     path = Path(path)
+    pairs = _parse_text(path)
+    if pairs is None:
+        pairs = _parse_lines(path)
+    loops = pairs[:, 0] == pairs[:, 1]
+    n_loops = int(loops.sum())
+    if n_loops == pairs.shape[0]:
+        raise SpeclusterError(f"{path}: no edges found")
+    n = int(pairs.max()) + 1
+    if n_hint is not None:
+        n = max(n, int(n_hint))
+    edges, first = _canonical_pairs(n, pairs[~loops])
+    n_dupes = first.size - int(first.sum())
+    if n_dupes or n_loops:
+        warnings.warn(
+            f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)",
+            stacklevel=2,
+        )
+    return build_graph(n, edges[first])
+
+
+def _parse_text(path):
+    """The (m, 2) pairs of the file in one np.loadtxt call, or None when
+    only the line parser gives the right answer or error."""
+    with open(path) as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+    # loadtxt misreads some non-ASCII characters as digits, and it would
+    # drop "# c" from "1 2 # c", which the line parser rejects
+    if not text.isascii() or _REVERSED_FIELD_BEFORE_HASH.search(text[::-1]):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    if pairs.shape[1] != 2 or not pairs.size or pairs.min() < 0:
+        return None
+    return pairs
+
+
+def _parse_lines(path):
+    """The (m, 2) pairs of the file, parsed line by line; raises
+    EdgeListParseError at the first malformed line."""
     pairs = []
-    n_dupes = 0
-    n_loops = 0
-    max_index = -1
-    seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -101,35 +172,16 @@ def load_edge_list(path, n_hint=None):
                 raise EdgeListParseError(path, lineno, f"non-integer field in {parts!r}") from None
             if a < 0 or b < 0:
                 raise EdgeListParseError(path, lineno, "negative node index")
-            max_index = max(max_index, a, b)
-            if a == b:
-                n_loops += 1
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                n_dupes += 1
-                continue
-            seen.add(key)
-            pairs.append(key)
-    if not pairs:
-        raise SpeclusterError(f"{path}: no edges found")
-    if n_dupes or n_loops:
-        warnings.warn(
-            f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)",
-            stacklevel=2,
-        )
-    edges = np.asarray(pairs, dtype=np.int64)
-    n = max_index + 1
-    if n_hint is not None:
-        n = max(n, int(n_hint))
-    return build_graph(n, edges)
+            if a > _INT64_MAX or b > _INT64_MAX:
+                raise EdgeListParseError(path, lineno, "node index too large")
+            pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def save_edge_list(g, path):
     """Write the canonical (sorted) edge list; inverse of load_edge_list."""
     with open(path, "w") as fh:
-        for a, b in g.edges:
-            fh.write(f"{a} {b}\n")
+        fh.write(("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist()))
 
 
 def degree_extremes(g):

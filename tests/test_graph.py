@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import specluster as sp
 from conftest import complete_graph, path_graph, two_block_benchmark_model
+from specluster import graph
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -41,6 +44,35 @@ def test_malformed_line_reports_number(tmp_path):
     assert err.value.line_number == 2
 
 
+def test_inline_comment_is_rejected_at_its_line(tmp_path):
+    # np.loadtxt would drop "# c"; the loader keeps rejecting the line
+    path = write(tmp_path, "0 1\n# ok\n1 2 # c\n")
+    with pytest.raises(sp.EdgeListParseError, match="expected 2 fields, got 4") as err:
+        sp.load_edge_list(path)
+    assert err.value.line_number == 3
+
+
+def test_fields_that_int_accepts_are_edges(tmp_path):
+    g = sp.load_edge_list(write(tmp_path, "1_0 2\n+3 007\n"))
+    assert g.edges.tolist() == [[2, 10], [3, 7]]
+    assert g.n == 11
+
+
+def test_oversized_index_reports_line(tmp_path):
+    path = write(tmp_path, "0 1\n99999999999999999999 2\n")
+    with pytest.raises(sp.EdgeListParseError, match="node index too large") as err:
+        sp.load_edge_list(path)
+    assert err.value.line_number == 2
+
+
+def test_node_count_beyond_pair_keys_is_error(tmp_path):
+    # n**2 must fit int64; raised before any n-sized array is allocated
+    with pytest.raises(sp.SpeclusterError, match="too large"):
+        sp.load_edge_list(write(tmp_path, "0 5000000000\n"))
+    with pytest.raises(sp.SpeclusterError, match="too large"):
+        sp.build_graph(2**32, [(0, 1)])
+
+
 def test_empty_file_is_error(tmp_path):
     with pytest.raises(sp.SpeclusterError, match="no edges"):
         sp.load_edge_list(write(tmp_path, ""))
@@ -76,8 +108,47 @@ def test_save_load_roundtrip(tmp_path):
     g = sp.build_graph(6, [(0, 5), (1, 2), (3, 4), (0, 2)])
     out = tmp_path / "round.txt"
     sp.save_edge_list(g, out)
+    assert out.read_text() == "0 2\n0 5\n1 2\n3 4\n"
     g2 = sp.load_edge_list(out)
     assert np.array_equal(g.edges, g2.edges)
+
+
+def _lexsorted_canonical(edges):
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    order = np.lexsort((hi, lo))
+    return np.column_stack([lo[order], hi[order]])
+
+
+@pytest.mark.parametrize("n", [2, 9000])
+def test_build_graph_sorts_like_lexsort(n):
+    rng = np.random.default_rng(n)
+    keys = rng.choice(n * n, size=min(n * n, 5000), replace=False)
+    pairs = np.column_stack(np.divmod(keys, n))
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    swap = rng.random(len(pairs)) < 0.5
+    pairs[swap] = pairs[swap][:, ::-1]
+    g = sp.build_graph(n, pairs)
+    assert g.edges.dtype == np.int64
+    assert np.array_equal(g.edges, _lexsorted_canonical(pairs))
+    with pytest.raises(sp.SpeclusterError, match="duplicate"):
+        sp.build_graph(n, np.vstack([pairs, pairs[-1:, ::-1]]))
+
+
+def test_pair_keys_sort_like_lexsort_at_large_n():
+    # build_graph itself would allocate an n + 1 CSR index array (16 GiB),
+    # so the sort it uses is checked directly
+    n = 2**31
+    rng = np.random.default_rng(31)
+    big = n - 1 - np.arange(4)
+    pairs = np.column_stack([rng.integers(0, 50, 40), rng.integers(50, 100, 40)])
+    pairs = np.vstack([pairs, [[big[0], big[1]], [0, big[2]], [big[3], 1], [big[1], big[0]]]])
+    pairs = pairs[rng.permutation(len(pairs))]
+    edges, first = graph._canonical_pairs(n, pairs)
+    assert np.array_equal(edges, _lexsorted_canonical(pairs))
+    dup = np.zeros(len(edges), dtype=bool)
+    dup[1:] = np.all(edges[1:] == edges[:-1], axis=1)
+    assert np.array_equal(first, ~dup)
+    assert dup.sum() >= 1  # (big0, big1) appears twice
 
 
 def test_build_graph_rejects_bad_edges():
@@ -119,3 +190,102 @@ def test_degree_extremes_match_expected_degrees_monte_carlo():
         g = sp.sample(model, seed)
         d_min, d_max = sp.degree_extremes(g)
         assert lo_env <= d_min <= d_max <= hi_env
+
+
+def reference_load_edge_list(path, n_hint=None):
+    """The line-by-line loader with a set of seen pairs that load_edge_list
+    replaced; the oracle for its vectorized parse.  Its one change is the
+    "node index too large" error, where it used to raise OverflowError."""
+    pairs = []
+    n_dupes = 0
+    n_loops = 0
+    max_index = -1
+    seen = set()
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise sp.EdgeListParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise sp.EdgeListParseError(path, lineno, f"non-integer field in {parts!r}") from None
+            if a < 0 or b < 0:
+                raise sp.EdgeListParseError(path, lineno, "negative node index")
+            if max(a, b) > np.iinfo(np.int64).max:
+                raise sp.EdgeListParseError(path, lineno, "node index too large")
+            max_index = max(max_index, a, b)
+            if a == b:
+                n_loops += 1
+                continue
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                n_dupes += 1
+                continue
+            seen.add(key)
+            pairs.append(key)
+    if not pairs:
+        raise sp.SpeclusterError(f"{path}: no edges found")
+    if n_dupes or n_loops:
+        warnings.warn(f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)")
+    edges = np.asarray(pairs, dtype=np.int64)
+    n = max_index + 1
+    if n_hint is not None:
+        n = max(n, int(n_hint))
+    return sp.build_graph(n, edges)
+
+
+_NODES = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "11", "12"]
+_ODD_FIELDS = ["+1", "1_0", "007", "-0", "1.0", "-1", "\u0661", "2\u01fe", "x", "99999999999999999999"]
+_SEPARATORS = [" ", " ", " ", "\t", "  ", " \t ", "\xa0"]
+_ODD_LINES = ["1 2 # c", "3", "1 2 3", "#", "   # indented", "\t", "\xa0", "0\xa01", "# \u00e9"]
+
+
+def _random_edge_list(rng):
+    """Text of a small edge-list file; about half are clean files that
+    np.loadtxt parses, the rest hold odd fields and lines."""
+    odd = rng.random() < 0.5
+    lines = []
+    for _ in range(rng.integers(0, 12)):
+        r = rng.random()
+        if r < 0.12:
+            lines.append(rng.choice(["# comment", "#", "  # a # b", "", "   "]))
+        elif odd and r < 0.3:
+            lines.append(rng.choice(_ODD_LINES))
+        else:
+            fields = [rng.choice(_NODES), rng.choice(_NODES)]
+            if odd and rng.random() < 0.3:
+                fields[rng.integers(2)] = rng.choice(_ODD_FIELDS)
+            sep = rng.choice(_SEPARATORS) if odd else rng.choice(_SEPARATORS[:-1])
+            lead = rng.choice(["", "", " ", "\t"])
+            lines.append(lead + sep.join(fields))
+    if lines and rng.random() < 0.3:
+        lines.append(lines[rng.integers(len(lines))])  # a duplicate line
+    eol = rng.choice(["\n", "\n", "\r\n", "\r"])
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+def _outcome(load, path, n_hint):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = load(path, n_hint=n_hint)
+        except sp.SpeclusterError as err:
+            return type(err), str(err), getattr(err, "line_number", None)
+    return g.n, g.edges.tolist(), [str(w.message) for w in caught]
+
+
+def test_load_matches_line_by_line_reference(tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "edges.txt"
+    loaded = 0
+    for _ in range(2000):
+        path.write_bytes(_random_edge_list(rng).encode())
+        n_hint = [None, None, 1, 40][rng.integers(4)]
+        expected = _outcome(reference_load_edge_list, path, n_hint)
+        assert _outcome(sp.load_edge_list, path, n_hint) == expected, path.read_bytes()
+        loaded += isinstance(expected[0], int)
+    assert 600 <= loaded <= 1400  # both outcomes are exercised

@@ -1,4 +1,6 @@
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,29 @@ def test_scan_empty_grid_rejected():
     g = two_cliques(4)
     with pytest.raises(sp.SpeclusterError, match="empty"):
         sp.tau_scan(g, 2, [])
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
+@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
+def test_karate_club_dkest_choice(model_kind, norm_kind):
+    # Zachary's karate club, a real network with two known factions; the
+    # DKest choice misplaces at most one of its 34 members for every fit
+    g = sp.load_edge_list(_DATA / "karate_edges.txt")
+    truth = sp.load_partition(_DATA / "karate_labels.txt", n=g.n)
+    assert (g.n, g.num_edges) == (34, 78)
+    scan = sp.tau_scan(
+        g,
+        2,
+        sp.default_tau_grid(g),
+        criteria=("dkest",),
+        truth=truth,
+        model_kind=model_kind,
+        norm_kind=norm_kind,
+        seed=0,
+    )
+    assert all(np.isfinite(rec.dkest) for rec in scan.records)
+    misplaced = scan.record_at(scan.chosen["dkest"]).misclassified_fraction * g.n
+    assert misplaced <= 1 + 1e-9
