@@ -1,5 +1,6 @@
 """K-means on spectral embeddings and the full clustering pipeline."""
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,27 @@ class Partition:
 
 
 def load_partition(path, n=None):
-    """Partition file: one integer label per line, line i = cluster of node i."""
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    """Partition file: one integer label per line, line i = cluster of node i.
+
+    Text after '#' is a comment.  Non-ASCII text is parsed line by line:
+    np.loadtxt misreads some non-ASCII characters as digits and crashes on
+    others.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if text.isascii():
+        labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=1)
+    else:
+        labels = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            field = raw.split("#", 1)[0].strip()
+            if not field:
+                continue
+            try:
+                labels.append(int(field))
+            except ValueError:
+                raise SpeclusterError(f"{path}:{lineno}: not an integer label: {field!r}") from None
+        labels = np.array(labels, dtype=np.int64)
     if n is not None and labels.size != n:
         raise SpeclusterError(f"partition has {labels.size} labels, expected {n}")
     return Partition.from_labels(labels)
@@ -62,10 +82,25 @@ def kmeans_objective(points, labels, k):
 
 
 def _kmeanspp_init(x, k, rng):
+    """k-means++ seeding: k rows of x, each drawn with probability
+    proportional to its squared distance to the nearest row drawn so far.
+
+    Distances are summed over the coordinates of one contiguous copy of
+    x.T, one coordinate after the other.  For d <= 7 that is the order of
+    numpy's row sum, so they are bitwise equal to it; from d = 8 numpy sums
+    rows pairwise and the two can differ in the last bits.
+    """
     n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
     centers = np.empty((k, x.shape[1]))
+
+    def sqdist(c):
+        diff = xt - c[:, None]
+        np.square(diff, out=diff)
+        return diff.sum(axis=0)
+
     centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = sqdist(centers[0])
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -73,7 +108,7 @@ def _kmeanspp_init(x, k, rng):
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[c] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        np.minimum(d2, sqdist(centers[c]), out=d2)
     return centers
 
 
@@ -100,20 +135,48 @@ def _assign(xt, xx, centers):
 
 
 def _lloyd(x, xt, xx, k, rng, max_iter):
+    """One k-means++-seeded Lloyd run.
+
+    Returns the final labels and a bound: the summed squared distances of
+    the step at which no point moved, or -inf when the run stopped at
+    max_iter, repaired an empty cluster at its last step or met a
+    non-finite distance.  A finite bound is the objective of the labels up
+    to rounding, since that step's centers are their means.
+
+    The per-cluster counts and coordinate sums change only by the points
+    that moved; they are recomputed in full on the first step, after an
+    empty-cluster repair and when more than n/8 points move.  Centers from
+    updated sums can differ from recomputed ones in the last bits, which
+    moves a label only for a point within rounding of two centers.
+    """
     centers = _kmeanspp_init(x, k, rng)
+    n = xt.shape[1]
     prev_labels = None
     prev_obj = np.inf
-    labels = np.zeros(xt.shape[1], dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
         labels, assigned = _assign(xt, xx, centers)
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
+        if prev_labels is None:
+            full = True
+        else:
+            moved = np.flatnonzero(labels != prev_labels)
+            full = moved.size > n / 8
+        if full:
+            counts = np.bincount(labels, minlength=k)
+        else:
+            gained, lost = labels[moved], prev_labels[moved]
+            np.add.at(counts, gained, 1)
+            np.subtract.at(counts, lost, 1)
+        if not counts.all():
             # reseed each empty center at the point farthest from its own center
             for c in np.flatnonzero(counts == 0):
                 cand = int(np.argmax(assigned))
                 labels[cand] = c
                 assigned[cand] = -np.inf
+            if prev_labels is not None and np.array_equal(labels, prev_labels):
+                return labels, -np.inf  # converged, but repaired: no bound
             counts = np.bincount(labels, minlength=k)
+            full = True
             # the repaired labels have no assignment objective to descend from
             obj = np.inf
         else:
@@ -124,13 +187,20 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
                 raise ConvergenceError(
                     f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
                 )
-        centers = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt], axis=1)
-        centers /= counts[:, None]
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
+            if not full and not moved.size:
+                return labels, obj if np.isfinite(obj) else -np.inf
+        if full:
+            sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt], axis=1)
+        else:
+            # one 1-D ufunc.at per coordinate: numpy's 2-D ufunc.at is
+            # several times slower once a few hundred points move
+            for col, total in zip(xt, sums.T):
+                np.subtract.at(total, lost, col[moved])
+                np.add.at(total, gained, col[moved])
+        centers = sums / counts[:, None]
         prev_labels = labels
         prev_obj = obj
-    return labels, kmeans_objective(x, labels, k)
+    return labels, -np.inf
 
 
 def kmeans(points, k, restarts=20, max_iter=100, seed=0):
@@ -139,6 +209,15 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     Deterministic given seed; ties between restarts resolve to the lowest
     restart index.  Returns the partition and its objective value.  Points
     must be finite.
+
+    Each Lloyd step updates the cluster sums from the points that moved
+    only (see _lloyd).  The exact objective (kmeans_objective) is computed
+    only for restarts that can win.  A restart whose labels equal the best
+    so far cannot beat it under strict <.  Nor can one that converged with
+    summed squared distances more than 1e-10 * sum(|x|^2) above the best
+    objective: the rounding error of those sums is about
+    4 (d + 3 + log2 n) u sum(|x|^2), u the unit roundoff, orders of
+    magnitude inside that margin.  Every other restart is scored.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
@@ -150,12 +229,16 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
         raise SpeclusterError("k-means points must be finite")
     xt = np.ascontiguousarray(x.T)
     xx = (x * x).sum(axis=1)
+    margin = 1e-10 * float(xx.sum())
     children = seed_sequence(seed).spawn(restarts)
     best_labels = None
     best_obj = np.inf
     for r in range(restarts):
         rng = np.random.default_rng(children[r])
-        labels, obj = _lloyd(x, xt, xx, k, rng, max_iter)
+        labels, bound = _lloyd(x, xt, xx, k, rng, max_iter)
+        if best_labels is not None and (bound > best_obj + margin or np.array_equal(labels, best_labels)):
+            continue
+        obj = kmeans_objective(x, labels, k)
         if obj < best_obj:
             best_obj = obj
             best_labels = labels

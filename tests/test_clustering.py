@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,9 +75,47 @@ def reference_kmeans(points, k, restarts=20, max_iter=100, seed=0):
     return best_labels, best_obj
 
 
-def assert_matches_reference(points, k, seed, restarts=20):
-    part, obj = sp.kmeans(points, k, restarts=restarts, seed=seed)
-    ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, seed=seed)
+def reference_kmeanspp_init(x, k, rng, sqdist=lambda diff: (diff**2).sum(axis=1)):
+    """k-means++ seeding with row-wise distance sums, by default numpy's
+    row sum (pairwise from d = 8)."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = sqdist(x - centers[0])
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = x[idx]
+        d2 = np.minimum(d2, sqdist(x - centers[c]))
+    return centers
+
+
+def sequential_sqdist(diff):
+    """Squared distances summed one coordinate after the other."""
+    return reduce(np.add, (diff**2).T)
+
+
+class RecordingRng:
+    """A Generator that keeps every probability vector passed to choice."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.p = []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.p.append(p.copy())
+        return self.rng.choice(n, p=p)
+
+
+def assert_matches_reference(points, k, seed, restarts=20, max_iter=100):
+    part, obj = sp.kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
     assert np.array_equal(part.labels, ref_labels)
     assert obj == ref_obj  # bitwise: same arithmetic in the same order
 
@@ -178,6 +222,94 @@ def test_kmeans_matches_reference_with_empty_cluster_repair():
     assert_matches_reference(np.zeros((6, 2)), 3, seed=0, restarts=2)
 
 
+def dcsbm_embeddings(taus):
+    """Unnormalized spectral embeddings of one n=600 degree-corrected
+    3-block graph (Pareto(2.5) theta, in/out ratio 6, mean degree 15), where
+    k-means restarts end in several different local optima."""
+    n, k = 600, 3
+    m = n // k
+    c = 15.0 / (n * 8.0 / 3.0)
+    b = np.full((k, k), c) + np.diag(np.full(k, 5.0 * c))
+    quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 2.5)
+    theta = np.minimum(np.tile(quantiles / quantiles.mean(), k), np.sqrt(1.0 / b.max()))
+    model = sp.DegreeCorrectedModel(base=sp.BlockModel.from_sizes([m] * k, b), theta=theta)
+    g = sp.sample(model, 0)
+    return [sp.top_eigenpairs(sp.RegularizedLaplacian(g, tau), k, seed=0).vectors for tau in taus]
+
+
+def test_kmeans_matches_reference_with_many_moves():
+    for i, vectors in enumerate(dcsbm_embeddings((2.0, 10.0, 50.0))):
+        single = {round(sp.kmeans(vectors, 3, restarts=1, seed=s)[1], 9) for s in range(20)}
+        assert len(single) >= 2  # restarts reach different local optima
+        assert_matches_reference(vectors, 3, seed=i)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_kmeans_matches_reference_when_restarts_stop_early(max_iter):
+    inputs = [(v, 3) for v in dcsbm_embeddings((10.0,))]
+    repeated = np.repeat(np.array([[0.0], [1.0], [2.0]]), 5, axis=0)
+    inputs += [(repeated, 3), (repeated, 4), (np.zeros((6, 2)), 3)]
+    for seed, (points, k) in enumerate(inputs):
+        assert_matches_reference(points, k, seed=seed, max_iter=max_iter)
+
+
+def test_kmeans_scores_only_restarts_that_can_win(monkeypatch, rng):
+    calls = []
+    real_objective = clustering.kmeans_objective
+
+    def counting(points, labels, k):
+        calls.append(labels)
+        return real_objective(points, labels, k)
+
+    monkeypatch.setattr(clustering, "kmeans_objective", counting)
+    centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+    blobs = np.repeat(centers, 30, axis=0) + 0.5 * rng.standard_normal((90, 2))
+    for k in (1, 3):
+        calls.clear()
+        part, obj = sp.kmeans(blobs, k, seed=4)
+        scored = len(calls)
+        ref_labels, ref_obj = reference_kmeans(blobs, k, seed=4)
+        assert np.array_equal(part.labels, ref_labels)
+        assert obj == ref_obj
+        if k == 1:
+            assert scored == 1  # every restart ends in the same labels
+        else:
+            # restarts find the same partition under different label
+            # permutations; those are scored, and the lowest index wins ties
+            assert 1 < scored < 20
+            assert len({tuple(lab.tolist()) for lab in calls}) > 1
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_kmeanspp_init_matches_row_sum_below_d8(k):
+    for seed in range(4):
+        x = np.random.default_rng(seed).standard_normal((300, k)) * np.linspace(0.5, 3.0, k)
+        got_rng, ref_rng = RecordingRng(seed), RecordingRng(seed)
+        centers = clustering._kmeanspp_init(x, k, got_rng)
+        assert np.array_equal(centers, reference_kmeanspp_init(x, k, ref_rng))
+        assert all(np.array_equal(a, b) for a, b in zip(got_rng.p, ref_rng.p, strict=True))
+
+
+@pytest.mark.parametrize("k", [8, 9, 12])
+def test_kmeanspp_init_sums_coordinates_in_order_from_d8(k):
+    # numpy's row sum turns pairwise at d = 8; the init keeps summing one
+    # coordinate after the other, so its probabilities move in the last bits
+    differs = False
+    for seed in range(4):
+        x = np.random.default_rng(seed).standard_normal((300, k)) * np.linspace(0.5, 3.0, k)
+        got_rng, seq_rng, row_rng = RecordingRng(seed), RecordingRng(seed), RecordingRng(seed)
+        centers = clustering._kmeanspp_init(x, k, got_rng)
+        assert np.array_equal(centers, reference_kmeanspp_init(x, k, seq_rng, sequential_sqdist))
+        assert all(np.array_equal(a, b) for a, b in zip(got_rng.p, seq_rng.p, strict=True))
+        # here no draw lands within rounding of a cumulative boundary, so the
+        # row-sum seeding picks the same rows
+        assert np.array_equal(centers, reference_kmeanspp_init(x, k, row_rng))
+        for a, b in zip(got_rng.p, row_rng.p, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+            differs |= not np.array_equal(a, b)
+    assert differs
+
+
 def test_kmeans_all_identical_points_keeps_k_clusters():
     pts = np.zeros((6, 2))
     part, obj = sp.kmeans(pts, 3, restarts=2, seed=0)
@@ -249,6 +381,36 @@ def test_partition_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.labels, part.labels)
     with pytest.raises(sp.SpeclusterError):
         sp.load_partition(path, n=7)
+
+
+def test_partition_file_non_ascii_text(tmp_path):
+    path = tmp_path / "labels.txt"
+    # np.loadtxt read the second line as label 472
+    path.write_text("0\n1\u01fe\n", encoding="utf-8")
+    with pytest.raises(sp.SpeclusterError, match=r"labels.txt:2: "):
+        sp.load_partition(path)
+    path.write_text("# r\u00e9seau\n0\n1  # \u00e9tiquette\n\n1\n", encoding="utf-8")
+    assert sp.load_partition(path, n=3).labels.tolist() == [0, 1, 1]
+
+
+def test_partition_file_that_crashed_loadtxt(tmp_path):
+    # np.loadtxt on this text killed the interpreter with SIGSEGV, so the
+    # load runs in a child process
+    path = tmp_path / "labels.txt"
+    path.write_text("1\U0010ffff2\n", encoding="utf-8")
+    code = (
+        "import sys, specluster as sp\n"
+        "try:\n"
+        "    sp.load_partition(sys.argv[1])\n"
+        "except sp.SpeclusterError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "labels.txt:1: " in done.stdout
 
 
 def test_partition_validation():
