@@ -1,6 +1,5 @@
 """K-means on spectral embeddings and the full clustering pipeline."""
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +7,8 @@ import numpy as np
 from .errors import ConvergenceError, SpeclusterError
 from .spectral import RegularizedLaplacian, top_eigenpairs
 from .util import seed_sequence
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -41,25 +42,23 @@ class Partition:
 def load_partition(path, n=None):
     """Partition file: one integer label per line, line i = cluster of node i.
 
-    Text after '#' is a comment.  Non-ASCII text is parsed line by line:
-    np.loadtxt misreads some non-ASCII characters as digits and crashes on
-    others.
+    Text after '#' is a comment.  A line that is not an integer label, or
+    whose label is outside int64, raises a SpeclusterError naming the line.
     """
+    labels = []
     with open(path) as fh:
-        text = fh.read()
-    if text.isascii():
-        labels = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=1)
-    else:
-        labels = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(fh, start=1):
             field = raw.split("#", 1)[0].strip()
             if not field:
                 continue
             try:
-                labels.append(int(field))
+                label = int(field)
             except ValueError:
                 raise SpeclusterError(f"{path}:{lineno}: not an integer label: {field!r}") from None
-        labels = np.array(labels, dtype=np.int64)
+            if not _INT64_MIN <= label <= _INT64_MAX:
+                raise SpeclusterError(f"{path}:{lineno}: label outside int64: {field!r}")
+            labels.append(label)
+    labels = np.array(labels, dtype=np.int64)
     if n is not None and labels.size != n:
         raise SpeclusterError(f"partition has {labels.size} labels, expected {n}")
     return Partition.from_labels(labels)
@@ -144,10 +143,10 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
     to rounding, since that step's centers are their means.
 
     The per-cluster counts and coordinate sums change only by the points
-    that moved; they are recomputed in full on the first step, after an
-    empty-cluster repair and when more than n/8 points move.  Centers from
-    updated sums can differ from recomputed ones in the last bits, which
-    moves a label only for a point within rounding of two centers.
+    that moved; they are recomputed in full on the first step and after an
+    empty-cluster repair.  Centers from updated sums can differ from
+    recomputed ones in the last bits, which moves a label only for a point
+    within rounding of two centers.
     """
     centers = _kmeanspp_init(x, k, rng)
     n = xt.shape[1]
@@ -156,14 +155,11 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
         labels, assigned = _assign(xt, xx, centers)
-        if prev_labels is None:
-            full = True
-        else:
-            moved = np.flatnonzero(labels != prev_labels)
-            full = moved.size > n / 8
+        full = prev_labels is None
         if full:
             counts = np.bincount(labels, minlength=k)
         else:
+            moved = np.flatnonzero(labels != prev_labels)
             gained, lost = labels[moved], prev_labels[moved]
             np.add.at(counts, gained, 1)
             np.subtract.at(counts, lost, 1)
