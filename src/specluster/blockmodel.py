@@ -47,10 +47,10 @@ class BlockModel:
         object.__setattr__(self, "block_matrix", b)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise SpeclusterError("block matrix must be square")
+        if not (b.min() >= 0 and b.max() <= 1):  # NaN fails too
+            raise SpeclusterError("block probabilities must lie in [0, 1]")
         if not np.allclose(b, b.T, atol=1e-12):
             raise SpeclusterError("block matrix must be symmetric")
-        if b.min() < 0 or b.max() > 1:
-            raise SpeclusterError("block probabilities must lie in [0, 1]")
         k = b.shape[0]
         if z.min() < 0 or z.max() >= k:
             raise SpeclusterError("membership labels out of range")
@@ -92,8 +92,8 @@ class DegreeCorrectedModel:
         object.__setattr__(self, "theta", theta)
         if theta.size != self.base.n:
             raise SpeclusterError("theta length must equal node count")
-        if theta.min() <= 0:
-            raise SpeclusterError("theta entries must be positive")
+        if not 0 < theta.min() <= theta.max() < np.inf:  # NaN fails too
+            raise SpeclusterError("theta entries must be positive and finite")
         # Largest entry of Theta Z B Z' Theta per block pair must stay <= 1.
         tmax = _group_max(self.base.membership, theta, self.base.num_blocks)
         worst = np.outer(tmax, tmax) * self.base.block_matrix

@@ -27,8 +27,8 @@ def parse_tau_grid_spec(spec):
         lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"tau grid spec {spec!r}: {exc}") from None
-    if lo <= 0 or hi < lo or points < 1:
-        raise ConfigError(f"tau grid spec {spec!r} needs 0 < min <= max and points >= 1")
+    if not (0 < lo <= hi < np.inf) or points < 1:
+        raise ConfigError(f"tau grid spec {spec!r} needs 0 < min <= max < inf and points >= 1")
     if points == 1:
         return np.array([lo])
     return np.geomspace(lo, hi, points)
@@ -157,7 +157,8 @@ def run_experiment(cfg, out_path=None, workers=None):
 
     Replicate seeds are seed + replicate index.  Per-replicate failures are
     recorded and skipped.  Output rows carry no wall-clock values, so
-    identical inputs produce byte-identical artifacts.
+    identical inputs produce byte-identical artifacts.  workers is accepted
+    and ignored, like tau_scan's; ROADMAP item 1 removes both.
     """
     model = build_experiment_model(cfg)
     truth = Partition(model.membership, cfg.k)
@@ -175,7 +176,6 @@ def run_experiment(cfg, out_path=None, workers=None):
                 model_kind=cfg.model_kind,
                 norm_kind=cfg.norm_kind,
                 seed=rep_seed,
-                workers=workers,
             )
         except SpeclusterError as exc:
             result.failures.append((rep, str(exc)))

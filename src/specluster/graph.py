@@ -2,7 +2,7 @@
 
 Node indices are 0-based.  Edge-list files hold one edge per line as two
 whitespace-separated integers; lines starting with '#' are comments.
-Graphs are immutable after construction and safe to share across workers.
+Graphs are immutable after construction.
 """
 
 import io

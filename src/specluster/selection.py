@@ -26,8 +26,7 @@ an explicit residual.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -37,7 +36,7 @@ from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import clustering_error, modularity, nmi
 from .spectral import RegularizedLaplacian, spectral_norm_diff, top_eigenpairs
-from .util import fmt, max_workers, write_artifact_csv
+from .util import fmt, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
 
@@ -299,7 +298,6 @@ class TauScan:
     model_kind: str
     norm_kind: str
     seed: int
-    meta: dict = field(default_factory=dict)
 
     def record_at(self, tau):
         for rec in self.records:
@@ -314,7 +312,6 @@ class TauScan:
             "model": self.model_kind,
             "norm": self.norm_kind,
             "seed": self.seed,
-            **self.meta,
         }
         chosen = " ".join(f"{name}={fmt(tau)}" for name, tau in sorted(self.chosen.items()))
         write_artifact_csv(
@@ -353,10 +350,11 @@ def tau_scan(
 ):
     """Run the clustering pipeline at every tau and evaluate the selectors.
 
-    One clustering seed is shared across grid points so per-tau differences
-    reflect tau alone.  Grid points run concurrently (worker count capped
-    by SPECLUSTER_THREADS); results merge in grid order.  When DKest is
-    infinite at every grid point, "dkest" is left out of the chosen values.
+    Grid points run one after another in ascending order, and one
+    clustering seed is shared across them so per-tau differences reflect
+    tau alone.  When DKest is infinite at every grid point, "dkest" is left
+    out of the chosen values.  workers is accepted and ignored; it stays
+    only until the benchmark stops passing it (ROADMAP item 1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
@@ -367,7 +365,8 @@ def tau_scan(
     if "oracle" in criteria and truth is None:
         raise SpeclusterError("oracle criterion needs a reference partition")
 
-    def eval_point(tau):
+    records = []
+    for tau in grid:
         start = time.perf_counter()
         rec = TauRecord(tau=float(tau))
         part = regularized_spectral_clustering(g, k, tau, seed=seed)
@@ -384,14 +383,7 @@ def tau_scan(
             rec.nmi = nmi(part, truth)
             rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
         rec.seconds = time.perf_counter() - start
-        return rec
-
-    n_workers = max_workers(grid.size, workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(eval_point, grid))
-    else:
-        records = [eval_point(tau) for tau in grid]
+        records.append(rec)
 
     chosen = {}
     if "dkest" in criteria:

@@ -30,8 +30,8 @@ class RegularizedLaplacian:
     """
 
     def __init__(self, graph, tau):
-        if tau < 0:
-            raise SpeclusterError("tau must be non-negative")
+        if not 0 <= tau < np.inf:
+            raise SpeclusterError(f"tau must be non-negative and finite, got {tau}")
         if tau == 0 and graph.degrees.min() == 0:
             raise SingularLaplacianError(
                 "graph has isolated nodes; the unregularized Laplacian is "

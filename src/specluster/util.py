@@ -1,45 +1,30 @@
-"""Small shared helpers: seeding, worker counts, provenance-stamped CSV artifacts."""
+"""Small shared helpers: seeding and provenance-stamped CSV artifacts."""
 
 import hashlib
-import os
 
 import numpy as np
 
 from .__about__ import __version__
-from .errors import ConfigError
-
-THREADS_ENV = "SPECLUSTER_THREADS"
 
 
 def seed_sequence(seed):
-    """Coerce an int or SeedSequence into a SeedSequence."""
+    """Coerce an int or SeedSequence into a SeedSequence.
+
+    A SeedSequence comes back as an equivalent copy, so spawning from the
+    result never changes the caller's object.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
     return np.random.SeedSequence(seed)
 
 
 def rng_from(seed):
     return np.random.default_rng(seed_sequence(seed))
-
-
-def max_workers(n_tasks, requested=None):
-    """Worker count for parallel sections, capped by SPECLUSTER_THREADS.
-
-    A SPECLUSTER_THREADS value that is not a positive integer raises
-    ConfigError.
-    """
-    if requested is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is None:
-            requested = min(4, os.cpu_count() or 1)
-        else:
-            try:
-                requested = int(env)
-            except ValueError:
-                requested = 0
-            if requested < 1:
-                raise ConfigError(f"{THREADS_ENV}={env!r} must be a positive integer")
-    return max(1, min(requested, n_tasks))
 
 
 def config_digest(items):

@@ -352,12 +352,18 @@ def test_blockmodel_validation():
         sp.BlockModel(membership=np.zeros(4, dtype=int), block_matrix=np.eye(2) * 0.5)
     with pytest.raises(sp.SpeclusterError, match="\\[0, 1\\]"):
         sp.BlockModel.from_sizes([2], [[1.5]])
+    for bad in (np.nan, np.inf):  # a symmetric-looking NaN must not read as asymmetry
+        with pytest.raises(sp.SpeclusterError, match="\\[0, 1\\]"):
+            sp.BlockModel.from_sizes([2, 2], [[0.5, bad], [bad, 0.5]])
 
 
 def test_degree_corrected_validation():
     base = sp.BlockModel.from_sizes([2, 2], [[0.9, 0.1], [0.1, 0.9]])
     with pytest.raises(sp.SpeclusterError, match="positive"):
         sp.DegreeCorrectedModel(base=base, theta=np.array([1.0, 0.0, 1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(sp.SpeclusterError, match="positive and finite"):
+            sp.DegreeCorrectedModel(base=base, theta=np.array([1.0, bad, 1.0, 1.0]))
     with pytest.raises(sp.SpeclusterError, match="above 1"):
         sp.DegreeCorrectedModel(base=base, theta=np.array([2.0, 1.0, 1.0, 1.0]))
 

@@ -113,6 +113,16 @@ def test_runtime_errors_exit_two(tmp_path):
                  "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_generate_rejects_nan_theta(tmp_path, capsys):
+    theta = tmp_path / "theta.txt"
+    theta.write_text("1.0\nnan\n" + "1.0\n" * 38)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("n = 40\nk = 2\nsizes = 20,20\nb = 0.9,0.05,0.05,0.9\ntheta_file = theta.txt\n")
+    assert main(["generate", str(cfg), "--out", str(tmp_path / "g.txt")]) == 2
+    assert "error: theta entries must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "specluster" in capsys.readouterr().out

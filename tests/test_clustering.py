@@ -170,6 +170,20 @@ def test_kmeans_deterministic_and_needs_enough_points():
         sp.kmeans(pts[:3], 4)
 
 
+def test_seed_sequence_argument_is_not_advanced():
+    pts = np.random.default_rng(0).standard_normal((40, 3))
+    ss = np.random.SeedSequence(11)
+    first = sp.kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
+    second = sp.kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
+    assert first[1] == second[1]
+    assert np.array_equal(first[0].labels, second[0].labels)
+    g = two_cliques(6)
+    parts = [sp.regularized_spectral_clustering(g, 2, 1.0, seed=ss).labels for _ in range(2)]
+    assert np.array_equal(parts[0], parts[1])
+    assert ss.n_children_spawned == 0
+    assert seed_sequence(ss).state == ss.state  # an equivalent copy
+
+
 def test_lloyd_objective_increase_raises(monkeypatch):
     # the descent check must be a real error, not an assert that -O strips
     real_assign = clustering._assign

@@ -92,8 +92,9 @@ def test_parse_tau_grid_spec():
     grid = sp.parse_tau_grid_spec("1:100:3")
     assert np.allclose(grid, [1.0, 10.0, 100.0])
     assert sp.parse_tau_grid_spec("5:5:1").tolist() == [5.0]
-    with pytest.raises(sp.ConfigError):
-        sp.parse_tau_grid_spec("5:4:3")
+    for bad in ("5:4:3", "0:4:3", "1:nan:5", "nan:nan:3", "nan:5:3", "1:inf:5"):
+        with pytest.raises(sp.ConfigError, match="0 < min <= max < inf"):
+            sp.parse_tau_grid_spec(bad)
     with pytest.raises(sp.ConfigError):
         sp.parse_tau_grid_spec("1:10")
 
@@ -139,18 +140,3 @@ def test_run_experiment_strong_signal_recovers(tmp_path):
     cfg = small_config(tmp_path, n=120, target_degree=40.0, out_in_ratio=8.0)
     result = sp.run_experiment(cfg)
     assert result.mean_nmi("oracle") >= 0.95
-
-
-def test_threads_env_cap(monkeypatch, tmp_path):
-    from specluster.util import max_workers
-
-    monkeypatch.setenv("SPECLUSTER_THREADS", "2")
-    assert max_workers(8) == 2
-    monkeypatch.setenv("SPECLUSTER_THREADS", "64")
-    assert max_workers(8) == 8  # never more workers than tasks
-    monkeypatch.delenv("SPECLUSTER_THREADS")
-    assert max_workers(1) == 1
-    for bad in ("four", "0", "-2"):
-        monkeypatch.setenv("SPECLUSTER_THREADS", bad)
-        with pytest.raises(sp.ConfigError, match=f"SPECLUSTER_THREADS='{bad}'"):
-            max_workers(8)

@@ -283,26 +283,27 @@ def test_scan_reproducible(rng):
     assert scan.record_at(scan.chosen["oracle"]).nmi == max(r.nmi for r in scan.records)
 
 
-def test_scan_parallel_workers_agree(monkeypatch):
-    # records and choices must not depend on how grid points interleave
-    model = sp.BlockModel.from_sizes([150, 150], [[0.1, 0.02], [0.02, 0.06]])
-    g = sp.sample(model, 2)
+def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
+    # grid points run on the calling thread, whatever SPECLUSTER_THREADS or workers= say
+    import threading
+
+    def refuse(self):
+        raise AssertionError("tau_scan started a thread")
+
+    monkeypatch.setenv("SPECLUSTER_THREADS", "2")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    model = sp.BlockModel.from_sizes([30, 30], [[0.4, 0.05], [0.05, 0.4]])
+    g = sp.sample(model, 1)
     truth = sp.Partition(model.membership, 2)
-    grid = [0.5, 2.0, 8.0, 32.0, 128.0, 512.0]
-
-    def run(workers):
-        scan = sp.tau_scan(
-            g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, seed=3, workers=workers
-        )
-        rows = [(r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction) for r in scan.records]
-        return rows, scan.chosen
-
-    serial = run(1)
-    assert set(serial[1]) == {"dkest", "gn", "oracle"}
-    for workers in (2, 4):
-        assert run(workers) == serial
-    monkeypatch.setenv("SPECLUSTER_THREADS", "3")
-    assert run(None) == serial
+    for workers in (None, 2):
+        scan = sp.tau_scan(g, 2, [1.0, 10.0, 100.0], truth=truth, seed=3, workers=workers)
+        assert len(scan.records) == 3
+    cfg = sp.ExperimentConfig(
+        n=60, k=2, inside_weights=(1.0, 1.0), out_in_ratio=6.0, target_degree=15.0,
+        tau_grid=[1.0, 10.0, 100.0], replicates=1, seed=2,
+    )
+    result = sp.run_experiment(cfg, out_path=tmp_path / "exp.csv", workers=2)
+    assert not result.failures and len(result.rows) == 3
 
 
 def test_scan_csv_format(tmp_path):

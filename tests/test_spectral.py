@@ -56,6 +56,13 @@ def test_isolated_node_needs_tau():
     sp.RegularizedLaplacian(g, 0.5)  # fine with regularization
 
 
+@pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+def test_tau_must_be_non_negative_and_finite(tau):
+    g = sp.build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(sp.SpeclusterError, match="non-negative and finite"):
+        sp.RegularizedLaplacian(g, tau)
+
+
 def test_apply_is_linear(rng):
     g = sample_graph(seed=2)
     op = sp.RegularizedLaplacian(g, 2.0)
