@@ -197,7 +197,12 @@ class BoundReport:
 
 
 def theory_report(model, tau):
-    """Assemble every closed-form quantity for one (model, tau) pair."""
+    """Assemble every closed-form quantity for one (model, tau) pair.
+
+    tau must be non-negative and finite, as RegularizedLaplacian requires.
+    """
+    if not 0 <= tau < np.inf:
+        raise SpeclusterError(f"tau must be non-negative and finite, got {tau}")
     d_min, d_max = population_degree_extremes(model)
     ok = concentration_precondition(model.n, d_min, tau)
     eps = concentration_bound(model.n, d_min, d_max, tau, warn=False)

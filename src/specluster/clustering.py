@@ -213,7 +213,10 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     summed squared distances more than 1e-10 * sum(|x|^2) above the best
     objective: the rounding error of those sums is about
     4 (d + 3 + log2 n) u sum(|x|^2), u the unit roundoff, orders of
-    magnitude inside that margin.  Every other restart is scored.
+    magnitude inside that margin.  For K = 2, neither can a restart whose
+    labels are the complement of the best's: kmeans_objective adds the
+    same two per-cluster terms in the other order, a bitwise-equal sum.
+    Every other restart is scored.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
@@ -232,7 +235,11 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     for r in range(restarts):
         rng = np.random.default_rng(children[r])
         labels, bound = _lloyd(x, xt, xx, k, rng, max_iter)
-        if best_labels is not None and (bound > best_obj + margin or np.array_equal(labels, best_labels)):
+        if best_labels is not None and (
+            bound > best_obj + margin
+            or np.array_equal(labels, best_labels)
+            or (k == 2 and np.array_equal(labels, 1 - best_labels))
+        ):
             continue
         obj = kmeans_objective(x, labels, k)
         if obj < best_obj:
@@ -241,14 +248,29 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     return Partition(labels=best_labels, k=k), float(best_obj)
 
 
-def regularized_spectral_clustering(g, k, tau, seed=0):
+def regularized_spectral_clustering(g, k, tau, seed=0, start=None):
     """Cluster a graph: top-K eigenvectors of the regularized Laplacian,
-    then K-means on the embedding rows (no row normalization)."""
+    then K-means on the embedding rows (no row normalization).
+
+    Labels are canonical: clusters are numbered in order of their first
+    node, so node 0 is in cluster 0.  start, a spectral.StartVector, is
+    passed to top_eigenpairs to warm-start the eigensolve (tau_scan
+    carries one along its grid); the partition depends on it only through
+    the eigenvectors' last digits.
+    """
     op = RegularizedLaplacian(g, tau)
     s_eig, s_km = seed_sequence(seed).spawn(2)
-    basis = top_eigenpairs(op, k, seed=s_eig)
+    basis = top_eigenpairs(op, k, seed=s_eig, start=start)
     part, _ = kmeans(basis.vectors, k, seed=s_km)
-    return part
+    return Partition(labels=_first_appearance_order(part.labels, k), k=k)
+
+
+def _first_appearance_order(labels, k):
+    """labels renumbered so clusters count up in order of their first node."""
+    values, first = np.unique(labels, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[values[np.argsort(first)]] = np.arange(values.size)
+    return rank[labels]
 
 
 def center_separation_margin(points, centers, block_sizes):

@@ -70,12 +70,20 @@ def build_graph(n, edges):
         raise SpeclusterError("duplicate edge in edge list")
 
     m = edges.shape[0]
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    data = np.ones(2 * m, dtype=np.float64)
-    adj = sparse.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
-    adj.sort_indices()
-    degrees = np.diff(adj.indptr).astype(np.int64)
+    lo, hi = edges[:, 0], edges[:, 1]
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    # Row r lists its neighbors below r, then those above r.  The ones above
+    # are the edges (r, j) in their sorted order; the ones below are column
+    # r of the upper triangle, which the CSC conversion lists in order.
+    upper_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n), out=upper_ptr[1:])
+    below = sparse.csr_array((np.ones(m), hi, upper_ptr), shape=(n, n)).tocsc()
+    indices = np.empty(2 * m, dtype=np.int64)
+    indices[np.arange(m) + np.repeat(upper_ptr[:-1], np.diff(below.indptr))] = below.indices
+    indices[np.arange(m) + below.indptr[1:][lo]] = hi
+    adj = sparse.csr_array((np.ones(2 * m), indices, indptr), shape=(n, n))
     return Graph(n=n, edges=edges, adjacency=adj, degrees=degrees)
 
 

@@ -35,7 +35,7 @@ from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import clustering_error, modularity, nmi
-from .spectral import RegularizedLaplacian, spectral_norm_diff, top_eigenpairs
+from .spectral import RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
 from .util import fmt, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
@@ -54,11 +54,9 @@ def estimate_block_matrix(g, part):
     sizes = np.bincount(labels, minlength=k)
     if np.any(sizes == 0):
         raise EmptyClusterError(f"cluster {int(np.flatnonzero(sizes == 0)[0])} is empty")
-    counts = np.zeros((k, k), dtype=np.float64)
-    z0 = labels[g.edges[:, 0]]
-    z1 = labels[g.edges[:, 1]]
-    np.add.at(counts, (z0, z1), 1.0)
-    np.add.at(counts, (z1, z0), 1.0)
+    pairs = labels[g.edges[:, 0]] * k + labels[g.edges[:, 1]]
+    counts = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    counts = (counts + counts.T).astype(np.float64)  # integer counts: exact
     bhat = counts / np.outer(sizes, sizes)
     return bhat, counts
 
@@ -241,13 +239,15 @@ def _frobenius_dsbm(sample_op, est):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0):
+def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, start=None):
     """Estimated perturbation-to-gap ratio for a fitted partition at tau.
 
     The spectral numerator is spectral_norm_diff's ARPACK estimate at its
     default tol: the returned Ritz pair's residual is checked to be at most
     1e-6 times the estimate, which places the estimate near an eigenvalue
-    of the difference but does not prove it is the extreme one.
+    of the difference but does not prove it is the extreme one.  start, a
+    spectral.StartVector, warm-starts that estimate; the Frobenius
+    numerator ignores it.
     """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
@@ -265,7 +265,7 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
         if mu < 1e-12:
             raise DegenerateModelError("fitted spectral gap vanished")
     if norm_kind == "spectral":
-        num = spectral_norm_diff(sample_op, est, seed=seed)
+        num = spectral_norm_diff(sample_op, est, seed=seed, start=start)
     elif model_kind == "sbm":
         num = _frobenius_sbm(sample_op, est)
     else:
@@ -352,9 +352,17 @@ def tau_scan(
 
     Grid points run one after another in ascending order, and one
     clustering seed is shared across them so per-tau differences reflect
-    tau alone.  When DKest is infinite at every grid point, "dkest" is left
-    out of the chosen values.  workers is accepted and ignored; it stays
-    only until the benchmark stops passing it (ROADMAP item 1).
+    tau alone.  The scan carries two spectral.StartVector chains, one for
+    the embedding eigensolve and one for the DKest norm: each solve starts
+    from its seeded random vector plus the direction the previous grid
+    point found.  That start is the only way a record depends on the grid
+    points before it.  The first grid point is exactly a lone call; later
+    eigenvectors and DKest norms agree with lone calls to the solvers'
+    tolerances, so k-means gives the same canonical labels unless a node
+    lies within that distance of a cluster boundary.  When DKest is
+    infinite at every grid point, "dkest" is left out of the chosen
+    values.  workers is accepted and ignored; it stays only until the
+    benchmark stops passing it (ROADMAP item 1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
@@ -366,14 +374,21 @@ def tau_scan(
         raise SpeclusterError("oracle criterion needs a reference partition")
 
     records = []
+    eig_start, norm_start = StartVector(), StartVector()
     for tau in grid:
         start = time.perf_counter()
         rec = TauRecord(tau=float(tau))
-        part = regularized_spectral_clustering(g, k, tau, seed=seed)
+        part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
         if "dkest" in criteria:
             try:
                 rec.dkest = dkest_statistic(
-                    g, part, tau, model_kind=model_kind, norm_kind=norm_kind, seed=seed
+                    g,
+                    part,
+                    tau,
+                    model_kind=model_kind,
+                    norm_kind=norm_kind,
+                    seed=seed,
+                    start=norm_start,
                 )
             except DegenerateModelError:
                 rec.dkest = np.inf

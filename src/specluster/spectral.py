@@ -7,7 +7,9 @@ rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
 Both Krylov computations, the top-K eigenpairs above DENSE_FALLBACK nodes
 and the spectral norm of a difference, run scipy's eigsh (ARPACK's
 implicitly restarted Lanczos) on a LinearOperator around that matvec, and
-each checks the pairs it returns with explicit residuals.
+each checks the pairs it returns with explicit residuals.  A StartVector
+carries the direction one solve found into the start of the next, so a
+sequence of nearby operators (a tau grid) needs fewer matvecs.
 """
 
 from dataclasses import dataclass
@@ -55,6 +57,26 @@ class RegularizedLaplacian:
         return self.inv_sqrt_deg[:, None] * a * self.inv_sqrt_deg[None, :]
 
 
+@dataclass
+class StartVector:
+    """Direction carried from one Krylov solve to the next.
+
+    direction is None until a solve stores the direction it found.  A
+    solve given this holder starts from its seeded random vector plus
+    direction scaled to that vector's norm, which keeps a random component
+    along every eigenvector.
+    """
+
+    direction: np.ndarray | None = None
+
+    def draw(self, rng, n):
+        """The seeded random draw of length n, plus the carried direction."""
+        v0 = rng.standard_normal(n)
+        if self.direction is not None:
+            v0 += self.direction * (np.linalg.norm(v0) / np.linalg.norm(self.direction))
+        return v0
+
+
 @dataclass(frozen=True)
 class EigenBasis:
     """Top eigenpairs: descending eigenvalues, orthonormal vector columns.
@@ -94,14 +116,18 @@ def _residuals(mv, vals, vecs):
     return np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vals.size)])
 
 
-def top_eigenpairs(op, k, tol=1e-8, seed=0):
+def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     """K algebraically-largest eigenpairs of a symmetric operator.
 
     Uses dense symmetric eigendecomposition for arrays and operators with
     to_dense up to DENSE_FALLBACK nodes, and ARPACK's implicitly restarted
     Lanczos (scipy eigsh) otherwise, from a start vector drawn from seed.
     Every returned pair is checked explicitly: any residual above tol
-    raises ConvergenceError.  Deterministic given seed.
+    raises ConvergenceError.  Deterministic given seed and start.
+
+    start, a StartVector, warm-starts the Lanczos path: its direction is
+    added to the random start, and after a successful solve it holds the
+    sum of the K returned (sign-fixed) vectors.  The dense path ignores it.
     """
     mv, n = _as_matvec(op)
     if k < 1 or k > n:
@@ -117,8 +143,10 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0):
         raise SpeclusterError(f"k={k} needs k < n for an operator without a dense path")
     lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     rng = rng_from(seed)
+    if start is None:
+        start = StartVector()
     try:
-        vals, vecs = eigsh(lin, k, which="LA", tol=tol, v0=rng.standard_normal(n), rng=rng)
+        vals, vecs = eigsh(lin, k, which="LA", tol=tol, v0=start.draw(rng, n), rng=rng)
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK did not reach tol={tol}",
@@ -130,10 +158,12 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0):
     res = _residuals(mv, vals, vecs)
     if not np.all(res <= tol):
         raise ConvergenceError(f"eigenpair residuals {res.max():.3g} exceed tol={tol}", residuals=res)
-    return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
+    vecs = _fix_signs(vecs)
+    start.direction = vecs.sum(axis=1)
+    return EigenBasis(values=vals, vectors=vecs, residuals=res)
 
 
-def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0):
+def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0, start=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators; the difference is only
@@ -142,6 +172,10 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0):
     one explicit matvec then checks that pair's residual against tol times
     the estimate.  That shows the estimate is within that distance of *an*
     eigenvalue of the difference, not that it is the extreme one.
+
+    start, a StartVector, warm-starts the solve: its direction is added to
+    the random start, and after a checked estimate it holds the Ritz
+    vector found.  Deterministic given seed and start.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
@@ -150,7 +184,9 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0):
     n = n_a
     mv = lambda v: mv_a(v) - mv_b(v)
     rng = rng_from(seed)
-    v0 = rng.standard_normal(n)
+    if start is None:
+        start = StartVector()
+    v0 = start.draw(rng, n)
     if np.linalg.norm(mv(v0)) < 1e-300:
         return 0.0
     lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
@@ -167,4 +203,5 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0):
             f"norm estimate residual {resid:.3g} exceeds tol={tol} times the estimate",
             estimate=estimate,
         )
+    start.direction = vec
     return estimate

@@ -243,3 +243,9 @@ def test_theory_report_without_diagonal_form():
     report = sp.theory_report(model, 100.0)
     assert np.isnan(report.delta_limit)
     assert np.isfinite(report.epsilon)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+def test_theory_report_rejects_negative_or_non_finite_tau(tau):
+    with pytest.raises(sp.SpeclusterError, match="tau must be non-negative and finite"):
+        sp.theory_report(two_block_benchmark_model(), tau)

@@ -1,3 +1,4 @@
+import pytest
 
 import specluster as sp
 from specluster.cli import main
@@ -83,6 +84,14 @@ def test_theory_subcommand(tmp_path, capsys):
     values = dict(line.split(" = ") for line in text.strip().splitlines())
     assert float(values["epsilon"]) > 0
     assert float(values["delta_limit"]) > 0
+
+
+@pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
+def test_theory_subcommand_rejects_negative_or_non_finite_tau(tmp_path, capsys, tau):
+    out = tmp_path / "report.txt"
+    assert main(["theory", str(write_model_config(tmp_path)), f"--tau={tau}", "--out", str(out)]) == 2
+    assert "tau must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_subcommand(tmp_path):

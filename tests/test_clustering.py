@@ -294,6 +294,33 @@ def test_kmeans_scores_only_restarts_that_can_win(monkeypatch, rng):
             assert len({tuple(lab.tolist()) for lab in calls}) > 1
 
 
+def test_kmeans_two_clusters_skips_the_complement_of_the_best(monkeypatch, rng):
+    calls, runs = [], []
+    real_objective, real_lloyd = clustering.kmeans_objective, clustering._lloyd
+
+    def counting(points, labels, k):
+        calls.append(labels)
+        return real_objective(points, labels, k)
+
+    def recording(*args):
+        out = real_lloyd(*args)
+        runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(clustering, "kmeans_objective", counting)
+    monkeypatch.setattr(clustering, "_lloyd", recording)
+    blobs = np.repeat([[0.0, 0.0], [6.0, 0.0]], 40, axis=0) + 0.5 * rng.standard_normal((80, 2))
+    part, obj = sp.kmeans(blobs, 2, seed=4)
+    # every restart ends in the same partition, under both labelings
+    assert {tuple(lab.tolist()) for lab in runs} == {tuple(runs[0]), tuple(1 - runs[0])}
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ref_labels, ref_obj = reference_kmeans(blobs, 2, seed=4)
+    assert np.array_equal(part.labels, ref_labels)
+    assert obj == ref_obj
+    assert clustering.kmeans_objective(blobs, 1 - ref_labels, 2) == ref_obj
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_kmeanspp_init_matches_row_sum_below_d8(k):
     for seed in range(4):
@@ -348,6 +375,30 @@ def test_rsc_relabeling_invariance(rng):
     # labels at corresponding nodes agree up to a relabeling of the clusters
     relabeled = sp.Partition(part_perm.labels[perm], 2)
     assert sp.clustering_error(relabeled, part).error == 0.0
+
+
+def test_rsc_labels_count_up_in_order_of_first_node(monkeypatch):
+    model = sp.BlockModel.from_sizes([30, 30, 30], np.full((3, 3), 0.03) + np.diag([0.4, 0.3, 0.35]))
+    perm = np.random.default_rng(5).permutation(90)
+    g0 = sp.sample(model, 5)
+    g = sp.build_graph(90, perm[g0.edges])
+    raw = []
+    real_kmeans = clustering.kmeans
+
+    def recording(*args, **kwargs):
+        out = real_kmeans(*args, **kwargs)
+        raw.append(out[0].labels)
+        return out
+
+    monkeypatch.setattr(clustering, "kmeans", recording)
+    for seed in range(6):
+        labels = sp.regularized_spectral_clustering(g, 3, 2.0, seed=seed).labels
+        values, first = np.unique(labels, return_index=True)
+        assert values.tolist() == [0, 1, 2]
+        assert first[0] == 0 and np.all(np.diff(first) > 0)
+        # the same set partition k-means returned, renumbered
+        pairs = {(a, b) for a, b in zip(raw[-1].tolist(), labels.tolist())}
+        assert len(pairs) == 3 and len({a for a, _ in pairs}) == 3
 
 
 def test_rsc_needs_tau_for_isolated_nodes():

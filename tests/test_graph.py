@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 import specluster as sp
 from conftest import complete_graph, path_graph, two_block_benchmark_model
 from specluster import graph
@@ -132,6 +134,38 @@ def test_build_graph_sorts_like_lexsort(n):
     assert np.array_equal(g.edges, _lexsorted_canonical(pairs))
     with pytest.raises(sp.SpeclusterError, match="duplicate"):
         sp.build_graph(n, np.vstack([pairs, pairs[-1:, ::-1]]))
+
+
+def _coo_adjacency(n, edges):
+    """Symmetric CSR through COO, summed and then sorted by scipy."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    adj.sort_indices()
+    return adj
+
+
+@pytest.mark.parametrize(
+    "n, draws, spread", [(60, 400, 60), (2000, 9000, 2000), (300, 40, 300), (50, 80, 12), (5, 0, 5)]
+)
+def test_build_graph_csr_matches_coo_construction(n, draws, spread):
+    # spread < n leaves the nodes above it isolated, and sparse draws
+    # isolate some below it; draws = 0 is the empty graph
+    rng = np.random.default_rng(n + draws)
+    pairs = rng.integers(0, spread, size=(draws, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    pairs = np.column_stack(np.divmod(keys, n))[rng.permutation(keys.size)]
+    g = sp.build_graph(n, pairs)
+    want = _coo_adjacency(n, g.edges)
+    if spread < n or draws < n:
+        assert (g.degrees == 0).any()
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(g.adjacency, name), getattr(want, name)
+        assert np.array_equal(got, ref)
+        # scipy's COO conversion gives an edgeless graph int32 indices
+        assert got.dtype == ref.dtype or not g.num_edges
+    assert np.array_equal(g.degrees, np.diff(want.indptr))
 
 
 def test_pair_keys_sort_like_lexsort_at_large_n():

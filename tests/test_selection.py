@@ -6,6 +6,7 @@ import pytest
 
 import specluster as sp
 from conftest import two_cliques
+from specluster import selection
 from specluster.selection import _EstimatedDSBMLaplacian, estimate_block_matrix
 from specluster.spectral import DENSE_FALLBACK, RegularizedLaplacian, spectral_norm_diff
 
@@ -64,6 +65,21 @@ def test_estimate_block_matrix_single_cluster():
     part = sp.Partition(np.zeros(6, dtype=int), 1)
     bhat, _ = estimate_block_matrix(g, part)
     assert bhat[0, 0] == pytest.approx(2 * g.num_edges / g.n**2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_estimate_block_matrix_counts_like_a_loop(k):
+    model = sp.BlockModel.from_sizes([40] * k, np.full((k, k), 0.1) + 0.3 * np.eye(k))
+    g = sp.sample(model, k)
+    part = sp.Partition(np.random.default_rng(k).permutation(model.membership), k)
+    want = np.zeros((k, k))
+    for i, j in g.edges:
+        want[part.labels[i], part.labels[j]] += 1.0
+        want[part.labels[j], part.labels[i]] += 1.0
+    bhat, counts = estimate_block_matrix(g, part)
+    assert np.array_equal(counts, want)
+    sizes = np.bincount(part.labels, minlength=k)
+    assert np.array_equal(bhat, want / np.outer(sizes, sizes))
 
 
 def test_estimate_block_matrix_empty_cluster():
@@ -281,6 +297,52 @@ def test_scan_reproducible(rng):
         r.gn_modularity for r in scan.records
     )
     assert scan.record_at(scan.chosen["oracle"]).nmi == max(r.nmi for r in scan.records)
+
+
+def warm_chain_graphs():
+    """A two-block SBM graph and a three-block degree-corrected one, both
+    above DENSE_FALLBACK so every eigensolve runs Lanczos."""
+    sbm = sp.BlockModel.from_sizes([350, 350], [[0.03, 0.008], [0.008, 0.015]])
+    m, c = 250, 0.006
+    b = np.full((3, 3), c) + np.diag(np.full(3, 5.0 * c))
+    quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 2.5)
+    theta = np.minimum(np.tile(quantiles / quantiles.mean(), 3), np.sqrt(1.0 / b.max()))
+    dsbm = sp.DegreeCorrectedModel(base=sp.BlockModel.from_sizes([m] * 3, b), theta=theta)
+    return [(sp.sample(sbm, 2), 2, "sbm"), (sp.sample(dsbm, 2), 3, "dsbm")]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
+    g, k, model_kind = warm_chain_graphs()[case]
+    assert g.n > DENSE_FALLBACK
+    grid = np.geomspace(1.0, g.n, 8)
+    applies = [0]
+    real_apply = RegularizedLaplacian.apply
+
+    def counting(self, x):
+        applies[0] += 1
+        return real_apply(self, x)
+
+    labels = []
+    real_rsc = selection.regularized_spectral_clustering
+
+    def recording(*args, **kwargs):
+        part = real_rsc(*args, **kwargs)
+        labels.append(part.labels)
+        return part
+
+    monkeypatch.setattr(RegularizedLaplacian, "apply", counting)
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
+    scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7)
+    warm_applies, applies[0] = applies[0], 0
+    for i, rec in enumerate(scan.records):
+        part = real_rsc(g, k, rec.tau, seed=7)
+        cold = sp.dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
+        assert np.array_equal(labels[i], part.labels)
+        if i == 0:
+            assert rec.dkest == cold  # nothing to carry yet: the lone call, bitwise
+        assert rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
+    assert warm_applies < applies[0]
 
 
 def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
