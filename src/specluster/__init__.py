@@ -5,20 +5,20 @@ D_tau^{-1/2} (A + tau J) D_tau^{-1/2} followed by K-means on the embedding
 rows.  The package also provides exact population spectra for (degree
 corrected) stochastic block models, closed-form perturbation bounds, and
 data-driven selection of the regularization parameter tau.
+
+The names below are the documented API: what the README, the demos and the
+command line use, plus the error classes.  Everything else is importable
+from its module (specluster.spectral, specluster.selection, ...).
 """
 
 from .__about__ import __version__
 from .blockmodel import (
     BlockModel,
     DegreeCorrectedModel,
-    PopulationLaplacian,
     StrongWeakParams,
     block_degrees,
-    block_reduced_laplacian,
     center_distances,
-    edge_probabilities,
     eigen_gap,
-    full_model,
     load_model_config,
     merged_model,
     population_degree_extremes,
@@ -28,26 +28,13 @@ from .blockmodel import (
     strong_weak_spectrum,
 )
 from .bounds import (
-    BoundReport,
     concentration_bound,
     concentration_check,
-    concentration_precondition,
     davis_kahan_limit,
-    davis_kahan_ratio,
-    mixing_moments,
-    strong_weak_conditions,
     theory_report,
     trace_inverse_limit,
 )
-from .clustering import (
-    Partition,
-    center_separation_margin,
-    kmeans,
-    kmeans_objective,
-    load_partition,
-    regularized_spectral_clustering,
-    save_partition,
-)
+from .clustering import Partition, load_partition, regularized_spectral_clustering, save_partition
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -66,72 +53,40 @@ from .experiments import (
     parse_tau_grid_spec,
     run_experiment,
 )
-from .graph import Graph, build_graph, degree_extremes, load_edge_list, save_edge_list
-from .metrics import ErrorReport, clustering_error, modularity, nmi
-from .selection import (
-    TauScan,
-    default_tau_grid,
-    dkest_statistic,
-    estimate_block_matrix,
-    tau_scan,
-)
-from .spectral import (
-    EigenBasis,
-    RegularizedLaplacian,
-    spectral_norm_diff,
-    top_eigenpairs,
-)
+from .graph import degree_extremes, load_edge_list, save_edge_list
+from .metrics import clustering_error, nmi
+from .selection import default_tau_grid, tau_scan
 
 __all__ = [
     "__version__",
     "BlockModel",
-    "BoundReport",
     "ConfigError",
     "ConvergenceError",
     "DegenerateModelError",
     "DegreeCorrectedModel",
     "EdgeListParseError",
-    "EigenBasis",
     "EmptyClusterError",
-    "ErrorReport",
     "ExperimentConfig",
-    "Graph",
     "InfeasibleConfigError",
     "Partition",
-    "PopulationLaplacian",
-    "RegularizedLaplacian",
     "SingularLaplacianError",
     "SizeCapError",
     "SpeclusterError",
     "StrongWeakParams",
-    "TauScan",
     "block_degrees",
-    "block_reduced_laplacian",
     "build_experiment_model",
-    "build_graph",
     "center_distances",
-    "center_separation_margin",
     "clustering_error",
     "concentration_bound",
     "concentration_check",
-    "concentration_precondition",
     "davis_kahan_limit",
-    "davis_kahan_ratio",
     "default_tau_grid",
     "degree_extremes",
-    "dkest_statistic",
-    "edge_probabilities",
     "eigen_gap",
-    "estimate_block_matrix",
-    "full_model",
-    "kmeans",
-    "kmeans_objective",
     "load_edge_list",
     "load_model_config",
     "load_partition",
     "merged_model",
-    "mixing_moments",
-    "modularity",
     "nmi",
     "parse_experiment_config",
     "parse_tau_grid_spec",
@@ -143,11 +98,8 @@ __all__ = [
     "sample",
     "save_edge_list",
     "save_partition",
-    "spectral_norm_diff",
-    "strong_weak_conditions",
     "strong_weak_spectrum",
     "tau_scan",
     "theory_report",
-    "top_eigenpairs",
     "trace_inverse_limit",
 ]

@@ -320,20 +320,6 @@ class PopulationLaplacian:
         return population_laplacian(self.model, self.tau)
 
 
-def block_reduced_laplacian(model, tau):
-    """K-by-K matrix sharing the nonzero spectrum of the population Laplacian.
-
-    (B + tau/n) diag(n_k / (d_k + tau)), computed without forming anything
-    n-by-n.  d_k is the common population degree of block k.
-    """
-    sizes = model.block_sizes
-    d = block_degrees(model, tau)
-    if np.any(d <= 0):
-        raise SingularLaplacianError("a population degree plus tau is zero")
-    bt = model.block_matrix + tau / model.n
-    return bt * (sizes / d)[None, :]
-
-
 def reduced_spectrum(model, tau):
     """Eigenvalues of the block-reduced Laplacian, descending.
 
@@ -400,9 +386,8 @@ class StrongWeakParams:
         # but then the repeated eigenvalue collapses to zero
         if not (0 <= self.q <= self.p_strong <= 1):
             raise SpeclusterError("need 0 <= q <= p_strong <= 1")
-        for p in (self.b_sw,):
-            if not 0 <= p <= 1:
-                raise SpeclusterError("probabilities must lie in [0, 1]")
+        if not 0 <= self.b_sw <= 1:
+            raise SpeclusterError("probabilities must lie in [0, 1]")
 
     @property
     def n(self):
@@ -498,16 +483,18 @@ def _parse_kv_file(path):
 
 
 def _sizes_from_weights(n, weights):
+    """Block sizes summing to n, in proportion to weights (largest remainders
+    round up).  Bad weights raise ValueError for the caller to name the file."""
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w <= 0):
-        raise ConfigError("weights must be positive")
+        raise ValueError("weights must be positive")
     frac = n * w / w.sum()
     sizes = np.floor(frac).astype(np.int64)
     rem = int(n - sizes.sum())
     order = np.argsort(-(frac - sizes), kind="stable")
     sizes[order[:rem]] += 1
     if sizes.min() == 0:
-        raise ConfigError("a block received zero nodes; adjust weights or n")
+        raise ValueError("a block received zero nodes; adjust weights or n")
     return sizes
 
 
@@ -520,10 +507,20 @@ def load_model_config(path):
     """
     path = Path(path)
     items = _parse_kv_file(path)
+
+    def numbers(key, kind):
+        return [kind(v) for v in items[key].replace(",", " ").split()]
+
     try:
         n = int(items["n"])
         k = int(items["k"])
-        b_entries = [float(v) for v in items["b"].replace(",", " ").split()]
+        b_entries = numbers("b", float)
+        if "sizes" in items:
+            sizes = np.asarray(numbers("sizes", int), dtype=np.int64)
+        elif "weights" in items:
+            sizes = _sizes_from_weights(n, numbers("weights", float))
+        else:
+            raise ConfigError(f"{path}: need sizes or weights")
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
@@ -531,17 +528,8 @@ def load_model_config(path):
     if len(b_entries) != k * k:
         raise ConfigError(f"{path}: b must have {k * k} entries, got {len(b_entries)}")
     b = np.asarray(b_entries).reshape(k, k)
-    if "sizes" in items:
-        sizes = np.asarray(
-            [int(v) for v in items["sizes"].replace(",", " ").split()], dtype=np.int64
-        )
-        if sizes.sum() != n:
-            raise ConfigError(f"{path}: sizes sum to {sizes.sum()}, expected n={n}")
-    elif "weights" in items:
-        weights = [float(v) for v in items["weights"].replace(",", " ").split()]
-        sizes = _sizes_from_weights(n, weights)
-    else:
-        raise ConfigError(f"{path}: need sizes or weights")
+    if sizes.sum() != n:
+        raise ConfigError(f"{path}: sizes sum to {sizes.sum()}, expected n={n}")
     if sizes.size != k:
         raise ConfigError(f"{path}: expected {k} block sizes, got {sizes.size}")
     model = BlockModel.from_sizes(sizes, b)

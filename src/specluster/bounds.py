@@ -50,14 +50,6 @@ def concentration_bound(n, d_min, d_max, tau, warn=True):
     return float(BOUND_CONSTANT * np.sqrt(d_max * log_n) / (d_max + tau / 2))
 
 
-def davis_kahan_ratio(model, tau, warn=True):
-    """Population perturbation-to-gap ratio; squared (times K) it bounds the
-    clustering error order."""
-    d_min, d_max = population_degree_extremes(model)
-    eps = concentration_bound(model.n, d_min, d_max, tau, warn=warn)
-    return eps / eigen_gap(model, tau)
-
-
 def _diagonal_plus_q_form(model):
     """Split B into diagonal p_k and constant off-diagonal q; error otherwise."""
     b = model.block_matrix
@@ -124,51 +116,13 @@ def concentration_check(model, tau, trials=50, seed=0):
 
 
 @dataclass(frozen=True)
-class StrongWeakConditions:
-    """Numeric ratios (and constants-1 flags) for the strong/weak regime.
-
-    separation_ratio  : ((p_s - q)^2 / p_s) / (log n / n), want > 1
-    weak_size_ratio   : n_w / log n, want <= 1 (n_w bounded)
-    crosslink_ratio   : b_sw / sqrt(p_s log n / n), want <= 1
-    tau_growth_ratio  : (n p_s log n) / tau, want < 1
-    """
-
-    separation_ratio: float
-    separation_ok: bool
-    weak_size_ratio: float
-    weak_size_ok: bool
-    crosslink_ratio: float
-    crosslink_ok: bool
-    tau_growth_ratio: float
-    tau_growth_ok: bool
-
-
-def strong_weak_conditions(params, tau):
-    n = params.n
-    log_n = np.log(n)
-    p_s, q = params.p_strong, params.q
-    sep = ((p_s - q) ** 2 / p_s) / (log_n / n)
-    weak = params.num_weak_nodes / log_n
-    cross = params.b_sw / np.sqrt(p_s * log_n / n)
-    growth = (n * p_s * log_n) / tau if tau > 0 else np.inf
-    return StrongWeakConditions(
-        separation_ratio=float(sep),
-        separation_ok=bool(sep > 1),
-        weak_size_ratio=float(weak),
-        weak_size_ok=bool(params.num_weak_nodes <= log_n),
-        crosslink_ratio=float(cross),
-        crosslink_ok=bool(cross <= 1),
-        tau_growth_ratio=float(growth),
-        tau_growth_ok=bool(growth < 1),
-    )
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Bound quantities for one (model, tau) pair.
 
-    delta_tau is epsilon / eigen_gap exactly.  delta_limit and the moments
-    are populated only for diagonal-plus-q models (nan otherwise).
+    delta_tau is epsilon / eigen_gap exactly, the population
+    perturbation-to-gap ratio; squared (times K) it bounds the clustering
+    error order.  delta_limit and the moments are populated only for
+    diagonal-plus-q models (nan otherwise).
     tau_growth_ratio is (sum_k 1/w_k) d_max log n / tau, the quantity whose
     vanishing makes the large-tau analysis applicable.
     """
@@ -210,7 +164,7 @@ def theory_report(model, tau):
     try:
         m1, m1t, m2 = mixing_moments(model)
         limit = davis_kahan_limit(model)
-    except (SpeclusterError, DegenerateModelError):
+    except SpeclusterError:  # not diagonal-plus-q, or p_k <= q
         m1 = m1t = m2 = limit = float("nan")
     inv_w = float((1.0 / model.weights).sum())
     growth = inv_w * d_max * np.log(model.n) / tau if tau > 0 else np.inf

@@ -271,32 +271,3 @@ def _first_appearance_order(labels, k):
     rank = np.empty(k, dtype=np.int64)
     rank[values[np.argsort(first)]] = np.arange(values.size)
     return rank[labels]
-
-
-def center_separation_margin(points, centers, block_sizes):
-    """Smallest separation multiplier delta for the center-separation bound.
-
-    points are embedding rows grouped by cluster, in the order given by
-    block_sizes; centers holds the K distinct cluster centers as rows.  For
-    each pair (k, l) computes sqrt(K) * ||X - M|| * (1/sqrt(n_k) +
-    1/sqrt(n_l)) / ||m_k - m_l|| and returns the maximum; near-optimal
-    K-means then misclassifies at most O(delta^2) of the nodes.  Coincident
-    centers give infinity.
-    """
-    x = np.asarray(points, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    k = centers.shape[0]
-    if sizes.size != k or sizes.sum() != x.shape[0]:
-        raise SpeclusterError("block sizes do not match the points")
-    m = np.repeat(centers, sizes, axis=0)
-    pert = np.linalg.svd(x - m, compute_uv=False)[0] if x.size else 0.0
-    worst = 0.0
-    for a in range(k):
-        for b in range(a + 1, k):
-            sep = np.linalg.norm(centers[a] - centers[b])
-            if sep < 1e-300:
-                return np.inf
-            factor = 1.0 / np.sqrt(sizes[a]) + 1.0 / np.sqrt(sizes[b])
-            worst = max(worst, np.sqrt(k) * pert * factor / sep)
-    return float(worst)

@@ -91,6 +91,8 @@ def parse_experiment_config(path):
         beta = float(items["beta"])
         lam = float(items["lambda"])
         grid = parse_tau_grid_spec(items["tau_grid"])
+        replicates = int(items.get("replicates", "1"))
+        seed = int(items.get("seed", "0"))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     except ValueError as exc:
@@ -102,8 +104,8 @@ def parse_experiment_config(path):
         out_in_ratio=beta,
         target_degree=lam,
         tau_grid=grid,
-        replicates=int(items.get("replicates", "1")),
-        seed=int(items.get("seed", "0")),
+        replicates=replicates,
+        seed=seed,
         model_kind=items.get("model", "sbm"),
         norm_kind=items.get("norm", "spectral"),
         output_path=items.get("out", "experiment.csv"),

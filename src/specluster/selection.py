@@ -180,6 +180,14 @@ class _EstimatedDSBMLaplacian:
             m = np.zeros_like(s)
             m[: self.k, : self.k] = self.counts
             m[self.k, self.k] = self.tau / self.n
+            # the block columns a theta are tiny next to the all-a column, so
+            # S's square root loses digits unless S has unit diagonal: use
+            # D S D and D^{-1} M D^{-1} with D = diag(S)^{-1/2}, leaving a
+            # zero diagonal entry (a cluster with theta = 0) unscaled
+            scale = np.sqrt(np.diag(s))
+            scale[scale == 0] = 1.0
+            s /= np.outer(scale, scale)
+            m *= np.outer(scale, scale)
             vals, vecs = np.linalg.eigh(s)
             root = vecs @ (np.sqrt(np.clip(vals, 0, None))[:, None] * vecs.T)
             eigs = np.linalg.eigvalsh(root @ m @ root)

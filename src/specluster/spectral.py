@@ -105,10 +105,8 @@ def _as_matvec(obj):
         if obj.ndim != 2 or obj.shape[0] != obj.shape[1]:
             raise SpeclusterError("expected a square matrix")
         return (lambda x: obj @ x), obj.shape[0]
-    for name in ("apply", "matvec"):
-        fn = getattr(obj, name, None)
-        if callable(fn):
-            return fn, obj.shape[0]
+    if callable(getattr(obj, "apply", None)):
+        return obj.apply, obj.shape[0]
     raise SpeclusterError(f"cannot interpret {type(obj).__name__} as a linear operator")
 
 
@@ -166,8 +164,8 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
 def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0, start=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
-    Accepts dense arrays or matrix-free operators; the difference is only
-    ever applied to vectors.  ARPACK (scipy eigsh) finds the
+    Accepts dense arrays or matrix-free operators (any object with apply
+    and shape); the difference is only ever applied to vectors.  ARPACK (scipy eigsh) finds the
     largest-magnitude Ritz pair from a start vector drawn from seed, and
     one explicit matvec then checks that pair's residual against tol times
     the estimate.  That shows the estimate is within that distance of *an*

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 import specluster as sp
+from specluster.graph import build_graph
 
 
 def path_graph(n):
-    return sp.build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n):
-    return sp.build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def two_cliques(size):
     edges = [(i, j) for i in range(size) for j in range(i + 1, size)]
     edges += [(size + i, size + j) for i in range(size) for j in range(i + 1, size)]
-    return sp.build_graph(2 * size, edges)
+    return build_graph(2 * size, edges)
 
 
 def two_block_benchmark_model(n=3000):

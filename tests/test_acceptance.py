@@ -17,6 +17,10 @@ from conftest import (
     strong_weak_benchmark_params,
     two_block_benchmark_model,
 )
+from specluster.blockmodel import PopulationLaplacian, full_model
+from specluster.bounds import mixing_moments
+from specluster.clustering import kmeans
+from specluster.spectral import RegularizedLaplacian, spectral_norm_diff
 
 
 def report(num, desc, ok, detail=""):
@@ -114,11 +118,11 @@ def test_criterion_04_concentration_monte_carlo():
     tau = 64 * np.log(model.n)
     d_min, d_max = sp.population_degree_extremes(model)
     eps = sp.concentration_bound(model.n, d_min, d_max, tau, warn=False)
-    pop = sp.PopulationLaplacian(model, tau)
+    pop = PopulationLaplacian(model, tau)
     hits = 0
     for trial in range(50):
         g = sp.sample(model, 400 + trial)
-        dist = sp.spectral_norm_diff(sp.RegularizedLaplacian(g, tau), pop, seed=trial)
+        dist = spectral_norm_diff(RegularizedLaplacian(g, tau), pop, seed=trial)
         hits += dist <= eps
     elapsed = time.perf_counter() - start
     ok = hits >= 49 and elapsed < 120
@@ -179,7 +183,7 @@ def test_criterion_05_benchmark_reproduction():
 
 
 def test_criterion_06_strong_weak_reproduction():
-    model = sp.full_model(strong_weak_benchmark_params())
+    model = full_model(strong_weak_benchmark_params())
     labels = np.full(model.n, -1)
     labels[:800] = 0
     labels[800:1600] = 1
@@ -217,7 +221,7 @@ def test_criterion_07_large_tau_insensitivity():
             nmis.append(sp.nmi(part, truth))
         diffs.append(abs(nmis[0] - nmis[1]))
     mean_diff = float(np.mean(diffs))
-    ratios = [sp.davis_kahan_ratio(model, tau, warn=False) for tau in (1e8, 1e9)]
+    ratios = [sp.theory_report(model, tau).delta_tau for tau in (1e8, 1e9)]
     ratio_drift = abs(ratios[0] - ratios[1]) / abs(ratios[1])
     ok = mean_diff <= 0.02 and ratio_drift < 1e-3
     assert report(
@@ -238,7 +242,7 @@ def test_criterion_08_limit_identities():
         b = np.full((2, 2), q)
         np.fill_diagonal(b, p)
         model = sp.BlockModel.from_sizes(sizes, b)
-        m1, m1t, m2 = sp.mixing_moments(model)
+        m1, m1t, m2 = mixing_moments(model)
         w = model.weights
         gamma = model.block_sizes * (p - q)
         coeff = (m1t * m1 - m2) / m1
@@ -254,7 +258,7 @@ def test_criterion_08_limit_identities():
         np.fill_diagonal(b, p)
         model = sp.BlockModel.from_sizes(sizes, b)
         tau = 1e8
-        numeric = np.trace(np.linalg.inv(sp.block_reduced_laplacian(model, tau))) / tau
+        numeric = np.sum(1 / sp.reduced_spectrum(model, tau)) / tau
         limit = sp.trace_inverse_limit(model)
         worst_trace = max(worst_trace, abs(numeric - limit) / abs(limit))
     ok = worst_identity <= 1e-12 and worst_trace <= 1e-5
@@ -326,7 +330,7 @@ def test_criterion_09_metric_oracles():
         centers = np.array([[0.0, 0.0], [4.0, 4.0], [8.0, 0.0]])
         pts = np.repeat(centers, 4, axis=0) + rng.normal(scale=0.9, size=(12, 2))
         brute = _brute_force_kmeans(pts, 3)
-        _, obj = sp.kmeans(pts, 3, restarts=40, seed=trial)
+        _, obj = kmeans(pts, 3, restarts=40, seed=trial)
         if not np.isclose(obj, brute, rtol=1e-9, atol=1e-12):
             km_ok = False
             break

@@ -3,7 +3,7 @@ import pytest
 
 import specluster as sp
 from conftest import random_full_rank_model, strong_weak_benchmark_params, two_block_benchmark_model
-from specluster.blockmodel import DENSE_CAP
+from specluster.blockmodel import DENSE_CAP, PopulationLaplacian, edge_probabilities, full_model
 
 
 def dense_top_eigvecs(model, tau, k):
@@ -69,7 +69,7 @@ def test_degree_corrected_sampling_matches_probabilities():
     rng = np.random.default_rng(3)
     theta = rng.uniform(0.5, 1.5, size=200)
     model = sp.DegreeCorrectedModel(base=base, theta=theta)
-    p = sp.edge_probabilities(model)
+    p = edge_probabilities(model)
     expected = (p.sum() - np.trace(p)) / 2
     counts = [sp.sample(model, s).num_edges for s in range(5)]
     assert abs(np.mean(counts) - expected) <= 4 * np.sqrt(expected / 5)
@@ -97,7 +97,7 @@ def test_degree_corrected_sampling_hub_heavy_moments():
     for blk in range(2):
         t = model.theta[z == blk]
         assert t.max() / t.min() >= 16
-    p = sp.edge_probabilities(model)
+    p = edge_probabilities(model)
     np.fill_diagonal(p, 0.0)
     var = p * (1 - p)
     hubs = np.argsort(-model.theta, kind="stable")[:5]
@@ -136,7 +136,7 @@ def test_degree_corrected_sampling_hub_heavy_moments():
 
 def test_edge_probabilities_single_block_constant():
     model = sp.BlockModel.from_sizes([4], [[0.3]])
-    assert np.allclose(sp.edge_probabilities(model), 0.3)
+    assert np.allclose(edge_probabilities(model), 0.3)
 
 
 def test_edge_probabilities_two_blocks_explicit():
@@ -144,20 +144,20 @@ def test_edge_probabilities_two_blocks_explicit():
     expected = np.array(
         [[0.8, 0.8, 0.1], [0.8, 0.8, 0.1], [0.1, 0.1, 0.5]]
     )
-    assert np.array_equal(sp.edge_probabilities(model), expected)
+    assert np.array_equal(edge_probabilities(model), expected)
 
 
 def test_edge_probabilities_unit_theta_matches_plain():
     base = sp.BlockModel.from_sizes([3, 3], [[0.5, 0.2], [0.2, 0.4]])
     model = sp.DegreeCorrectedModel(base=base, theta=np.ones(6))
-    assert np.array_equal(sp.edge_probabilities(model), sp.edge_probabilities(base))
+    assert np.array_equal(edge_probabilities(model), edge_probabilities(base))
 
 
 def test_edge_probabilities_size_cap():
     # raises before allocating the dense matrix
     model = sp.BlockModel.from_sizes([DENSE_CAP + 1], [[0.1]])
     with pytest.raises(sp.SizeCapError):
-        sp.edge_probabilities(model)
+        edge_probabilities(model)
 
 
 def test_population_laplacian_single_block_tau_zero():
@@ -170,7 +170,7 @@ def test_population_laplacian_unit_eigenvector(rng):
     model = random_full_rank_model(rng)
     for tau in (0.0, 7.0):
         lap = sp.population_laplacian(model, tau)
-        d = sp.edge_probabilities(model).sum(axis=1) + tau
+        d = edge_probabilities(model).sum(axis=1) + tau
         v = np.sqrt(d)
         assert np.linalg.norm(lap @ v - v) / np.linalg.norm(v) < 1e-10
 
@@ -198,7 +198,7 @@ def test_population_laplacian_spectrum_in_unit_interval(rng):
 
 def test_matrix_free_population_laplacian_matches_dense(rng):
     model = random_full_rank_model(rng, max_n=120, max_k=3)
-    op = sp.PopulationLaplacian(model, 4.0)
+    op = PopulationLaplacian(model, 4.0)
     dense = sp.population_laplacian(model, 4.0)
     x = rng.standard_normal(model.n)
     assert np.linalg.norm(op.apply(x) - dense @ x) < 1e-10
@@ -211,7 +211,7 @@ def test_matrix_free_population_laplacian_matches_dense(rng):
 def test_reduced_laplacian_single_block_is_one():
     model = sp.BlockModel.from_sizes([10], [[0.25]])
     for tau in (0.0, 3.0, 1e6):
-        assert np.allclose(sp.block_reduced_laplacian(model, tau), 1.0)
+        assert np.allclose(sp.reduced_spectrum(model, tau), 1.0)
         assert sp.eigen_gap(model, tau) == pytest.approx(1.0)
 
 
@@ -332,7 +332,7 @@ def test_strong_weak_gap_large_tau_limit():
 
 def test_full_model_shapes():
     params = strong_weak_benchmark_params()
-    model = sp.full_model(params)
+    model = full_model(params)
     assert model.n == 2000
     assert model.num_blocks == 5
     assert model.block_sizes.tolist() == [800, 800, 134, 133, 133]
@@ -405,4 +405,21 @@ def test_model_config_errors(tmp_path):
         sp.load_model_config(cfg)
     cfg.write_text("n = 6\nk = 2\nsizes = 4,2\nb = 0.5,0.1\n")
     with pytest.raises(sp.ConfigError, match="entries"):
+        sp.load_model_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sizes = 4,two", "invalid literal"),
+        ("sizes = 4.5,1.5", "invalid literal"),
+        ("weights = 3,x", "could not convert"),
+        ("weights = 3,-1", "weights must be positive"),
+        ("weights = 1000,1", "a block received zero nodes"),
+    ],
+)
+def test_model_config_bad_block_sizes_name_the_file(tmp_path, line, message):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"n = 6\nk = 2\n{line}\nb = 0.5,0.1,0.1,0.4\n")
+    with pytest.raises(sp.ConfigError, match=f"model.cfg: {message}"):
         sp.load_model_config(cfg)

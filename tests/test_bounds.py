@@ -3,6 +3,7 @@ import pytest
 
 import specluster as sp
 from conftest import two_block_benchmark_model
+from specluster.bounds import concentration_precondition, mixing_moments
 
 
 def diagonal_q_model(rng, k=None, n_lo=400, n_hi=1500):
@@ -41,8 +42,8 @@ def test_concentration_bound_branch_jump():
 def test_concentration_bound_warns_outside_regime():
     with pytest.warns(UserWarning, match="32 log n"):
         sp.concentration_bound(1000, 2, 10, 0)
-    assert sp.concentration_precondition(1000, 2, 300)
-    assert not sp.concentration_precondition(1000, 2, 200)
+    assert concentration_precondition(1000, 2, 300)
+    assert not concentration_precondition(1000, 2, 200)
 
 
 def test_davis_kahan_ratio_single_block():
@@ -50,7 +51,7 @@ def test_davis_kahan_ratio_single_block():
     tau = 200.0
     d = 50 * 0.5
     eps = sp.concentration_bound(50, d, d, tau, warn=False)
-    assert sp.davis_kahan_ratio(model, tau, warn=False) == pytest.approx(eps, rel=1e-12)
+    assert sp.theory_report(model, tau).delta_tau == pytest.approx(eps, rel=1e-12)
 
 
 def test_davis_kahan_ratio_on_benchmark():
@@ -59,19 +60,19 @@ def test_davis_kahan_ratio_on_benchmark():
     # validity regime (d_min = 8.25 << 32 log n), so only the regularized
     # value is a usable bound
     model = two_block_benchmark_model()
-    r0 = sp.davis_kahan_ratio(model, 0.0, warn=False)
-    rn = sp.davis_kahan_ratio(model, float(model.n), warn=False)
+    r0 = sp.theory_report(model, 0.0).delta_tau
+    rn = sp.theory_report(model, float(model.n)).delta_tau
     assert r0 == pytest.approx(28.517, abs=0.01)
     assert rn == pytest.approx(40.585, abs=0.01)
     d_min, _ = sp.population_degree_extremes(model)
-    assert not sp.concentration_precondition(model.n, d_min, 0.0)
-    assert sp.concentration_precondition(model.n, d_min, float(model.n))
+    assert not concentration_precondition(model.n, d_min, 0.0)
+    assert concentration_precondition(model.n, d_min, float(model.n))
 
 
 def test_davis_kahan_ratio_flattens_at_large_tau():
     model = two_block_benchmark_model()
-    r10 = sp.davis_kahan_ratio(model, 10.0 * model.n, warn=False)
-    r100 = sp.davis_kahan_ratio(model, 100.0 * model.n, warn=False)
+    r10 = sp.theory_report(model, 10.0 * model.n).delta_tau
+    r100 = sp.theory_report(model, 100.0 * model.n).delta_tau
     assert abs(r10 - r100) / r100 < 0.05
 
 
@@ -84,7 +85,7 @@ def test_two_block_limit_identity(rng):
     # ((m1t m1 - m2)/m1) = 1 / (w2 gamma1 + w1 gamma2) exactly for two blocks
     for _ in range(100):
         model = diagonal_q_model(rng, k=2)
-        m1, m1t, m2 = sp.mixing_moments(model)
+        m1, m1t, m2 = mixing_moments(model)
         w = model.weights
         p = np.diag(model.block_matrix)
         q = model.block_matrix[0, 1]
@@ -103,7 +104,7 @@ def test_balanced_coefficient_tracks_second_smallest_gamma(rng):
     for _ in range(25):
         k = int(rng.integers(2, 6))
         model = diagonal_q_model(rng, k=k, n_lo=900, n_hi=1100)
-        m1, m1t, m2 = sp.mixing_moments(model)
+        m1, m1t, m2 = mixing_moments(model)
         p = np.diag(model.block_matrix)
         q = model.block_matrix[0, 1]
         gamma = np.sort(model.block_sizes * (p - q))
@@ -118,8 +119,8 @@ def test_trace_inverse_limit_single_block(rng):
 
 
 def test_trace_inverse_limit_matches_numeric(rng):
-    # numeric trace of the inverted reduced matrix at tau = 1e8, with and
-    # without block interaction q
+    # numeric trace of the inverted reduced matrix, the sum of its inverse
+    # eigenvalues, at tau = 1e8, with and without block interaction q
     for q_zero in (True, False):
         for _ in range(10):
             model = diagonal_q_model(rng, k=int(rng.integers(2, 5)))
@@ -129,8 +130,7 @@ def test_trace_inverse_limit_matches_numeric(rng):
                 b[off] = 0.0
                 model = sp.BlockModel(membership=model.membership, block_matrix=b)
             tau = 1e8
-            reduced = sp.block_reduced_laplacian(model, tau)
-            numeric = np.trace(np.linalg.inv(reduced)) / tau
+            numeric = np.sum(1 / sp.reduced_spectrum(model, tau)) / tau
             assert numeric == pytest.approx(sp.trace_inverse_limit(model), rel=1e-5)
 
 
@@ -151,7 +151,7 @@ def test_perturbation_ratio_converges():
     # the bound and the gap each scale like 1/tau, so their ratio has a
     # finite limit; compare the ratio itself at two enormous tau values
     model = two_block_benchmark_model()
-    vals = [sp.davis_kahan_ratio(model, tau, warn=False) for tau in (1e8, 1e9)]
+    vals = [sp.theory_report(model, tau).delta_tau for tau in (1e8, 1e9)]
     assert abs(vals[0] - vals[1]) / abs(vals[1]) < 1e-3
 
 
@@ -163,8 +163,7 @@ def test_limit_matches_numeric_ratio_up_to_constants(rng):
         limit = sp.davis_kahan_limit(model)
         if limit == 0.0:
             continue
-        numeric = 1e9 * sp.davis_kahan_ratio(model, 1e9, warn=False) / 1e9
-        numeric = sp.davis_kahan_ratio(model, 1e9, warn=False)
+        numeric = sp.theory_report(model, 1e9).delta_tau
         ratio = numeric / limit
         assert 1 / 20 <= ratio <= 20
 
@@ -172,12 +171,12 @@ def test_limit_matches_numeric_ratio_up_to_constants(rng):
 def test_mixing_moments_validation():
     model = sp.BlockModel.from_sizes([50, 50], [[0.05, 0.05], [0.05, 0.2]])
     with pytest.raises(sp.DegenerateModelError):
-        sp.mixing_moments(model)  # p_1 == q
+        mixing_moments(model)  # p_1 == q
     uneven = sp.BlockModel.from_sizes([40, 40, 40], np.array(
         [[0.5, 0.1, 0.2], [0.1, 0.5, 0.1], [0.2, 0.1, 0.5]]
     ))
     with pytest.raises(sp.SpeclusterError, match="constant"):
-        sp.mixing_moments(uneven)
+        mixing_moments(uneven)
 
 
 def test_concentration_check_passes_in_regime():
@@ -197,34 +196,6 @@ def test_concentration_check_skipped_outside_regime():
     with pytest.warns(UserWarning, match="skipped"):
         rate = sp.concentration_check(model, 1.0, trials=3, seed=0)
     assert np.isnan(rate)
-
-
-def test_strong_weak_conditions_benchmark():
-    from conftest import strong_weak_benchmark_params
-
-    params = strong_weak_benchmark_params()
-    report = sp.strong_weak_conditions(params, 2000.0)
-    assert report.separation_ratio > 1 and report.separation_ok
-    assert not report.weak_size_ok  # 400 weak nodes is far from bounded
-    assert report.weak_size_ratio == pytest.approx(400 / np.log(2000))
-    # n p_s log n = 380 < tau = 2000, so the growth condition holds here
-    assert report.tau_growth_ok
-    assert report.tau_growth_ratio == pytest.approx(2000 * 0.025 * np.log(2000) / 2000)
-    assert not sp.strong_weak_conditions(params, 100.0).tau_growth_ok
-
-
-def test_strong_weak_conditions_edge_cases():
-    none_weak = sp.StrongWeakParams(
-        num_strong=2, strong_size=100, p_strong=0.2, q=0.05, b_sw=0.0, num_weak_nodes=0
-    )
-    report = sp.strong_weak_conditions(none_weak, 1e6)
-    assert report.weak_size_ok and report.crosslink_ok
-    flat = sp.StrongWeakParams(
-        num_strong=2, strong_size=100, p_strong=0.2, q=0.2, b_sw=0.01, num_weak_nodes=0
-    )
-    report2 = sp.strong_weak_conditions(flat, 1e6)
-    assert report2.separation_ratio == 0.0
-    assert not report2.separation_ok
 
 
 def test_theory_report_round_trip():

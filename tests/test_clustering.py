@@ -9,6 +9,9 @@ import pytest
 
 import specluster as sp
 from specluster import clustering
+from specluster.clustering import kmeans
+from specluster.graph import build_graph
+from specluster.spectral import RegularizedLaplacian, top_eigenpairs
 from specluster.util import seed_sequence
 from conftest import two_cliques
 
@@ -114,7 +117,7 @@ class RecordingRng:
 
 
 def assert_matches_reference(points, k, seed, restarts=20, max_iter=100):
-    part, obj = sp.kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
+    part, obj = kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
     ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
     assert np.array_equal(part.labels, ref_labels)
     assert obj == ref_obj  # bitwise: same arithmetic in the same order
@@ -122,7 +125,7 @@ def assert_matches_reference(points, k, seed, restarts=20, max_iter=100):
 
 def test_kmeans_separated_clusters():
     pts = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)
-    part, obj = sp.kmeans(pts, 2, seed=0)
+    part, obj = kmeans(pts, 2, seed=0)
     assert obj == pytest.approx(0.0, abs=1e-12)
     assert len(set(part.labels[:5])) == 1
     assert len(set(part.labels[5:])) == 1
@@ -131,7 +134,7 @@ def test_kmeans_separated_clusters():
 
 def test_kmeans_single_cluster_objective_is_variance(rng):
     pts = rng.standard_normal((20, 3))
-    _, obj = sp.kmeans(pts, 1, seed=0)
+    _, obj = kmeans(pts, 1, seed=0)
     assert obj == pytest.approx(((pts - pts.mean(axis=0)) ** 2).sum(), rel=1e-12)
 
 
@@ -139,7 +142,7 @@ def test_kmeans_matches_exhaustive_minimum(rng):
     centers = np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]])
     pts = np.repeat(centers, 4, axis=0) + 0.8 * rng.standard_normal((12, 2))
     brute = brute_force_kmeans_minimum(pts, 3)
-    _, obj = sp.kmeans(pts, 3, restarts=30, seed=1)
+    _, obj = kmeans(pts, 3, restarts=30, seed=1)
     assert obj == pytest.approx(brute, rel=1e-9)
 
 
@@ -147,14 +150,14 @@ def test_kmeans_matches_exhaustive_minimum_hard_instances(rng):
     for trial in range(5):
         pts = rng.standard_normal((9, 2))
         brute = brute_force_kmeans_minimum(pts, 3)
-        _, obj = sp.kmeans(pts, 3, restarts=50, seed=trial)
+        _, obj = kmeans(pts, 3, restarts=50, seed=trial)
         assert obj <= brute * (1 + 1e-9) + 1e-12
         assert obj >= brute - 1e-9
 
 
 def test_kmeans_recovers_duplicated_rows():
     pts = np.repeat(np.array([[0.0], [1.0], [2.0]]), 5, axis=0)
-    part, obj = sp.kmeans(pts, 3, seed=0)
+    part, obj = kmeans(pts, 3, seed=0)
     assert obj == pytest.approx(0.0, abs=1e-15)
     assert len(np.unique(part.labels[:5])) == 1
     assert len(np.unique([part.labels[0], part.labels[5], part.labels[10]])) == 3
@@ -162,19 +165,19 @@ def test_kmeans_recovers_duplicated_rows():
 
 def test_kmeans_deterministic_and_needs_enough_points():
     pts = np.random.default_rng(0).standard_normal((30, 2))
-    p1, o1 = sp.kmeans(pts, 4, seed=9)
-    p2, o2 = sp.kmeans(pts, 4, seed=9)
+    p1, o1 = kmeans(pts, 4, seed=9)
+    p2, o2 = kmeans(pts, 4, seed=9)
     assert o1 == o2
     assert np.array_equal(p1.labels, p2.labels)
     with pytest.raises(sp.SpeclusterError):
-        sp.kmeans(pts[:3], 4)
+        kmeans(pts[:3], 4)
 
 
 def test_seed_sequence_argument_is_not_advanced():
     pts = np.random.default_rng(0).standard_normal((40, 3))
     ss = np.random.SeedSequence(11)
-    first = sp.kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
-    second = sp.kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
+    first = kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
+    second = kmeans(pts, 6, restarts=2, max_iter=2, seed=ss)
     assert first[1] == second[1]
     assert np.array_equal(first[0].labels, second[0].labels)
     g = two_cliques(6)
@@ -196,7 +199,7 @@ def test_lloyd_objective_increase_raises(monkeypatch):
     monkeypatch.setattr(clustering, "_assign", growing)
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
     with pytest.raises(sp.ConvergenceError, match="objective increased"):
-        sp.kmeans(pts, 2, restarts=1, seed=0)
+        kmeans(pts, 2, restarts=1, seed=0)
 
 
 def test_assign_ties_go_to_lowest_index():
@@ -216,14 +219,14 @@ def test_kmeans_rejects_non_finite_points(bad):
     pts = np.random.default_rng(0).standard_normal((10, 2))
     pts[3, 1] = bad
     with pytest.raises(sp.SpeclusterError, match="finite"):
-        sp.kmeans(pts, 2, seed=0)
+        kmeans(pts, 2, seed=0)
 
 
 def test_kmeans_matches_reference_on_sbm_embeddings():
     model = sp.BlockModel.from_sizes([150, 150, 100], np.full((3, 3), 0.02) + np.diag([0.1, 0.06, 0.08]))
     g = sp.sample(model, 0)
     for tau in (1.0, 20.0, 400.0):
-        vectors = sp.top_eigenpairs(sp.RegularizedLaplacian(g, tau), 3, seed=0).vectors
+        vectors = top_eigenpairs(RegularizedLaplacian(g, tau), 3, seed=0).vectors
         assert_matches_reference(vectors, 3, seed=int(tau))
 
 
@@ -248,12 +251,12 @@ def dcsbm_embeddings(taus):
     theta = np.minimum(np.tile(quantiles / quantiles.mean(), k), np.sqrt(1.0 / b.max()))
     model = sp.DegreeCorrectedModel(base=sp.BlockModel.from_sizes([m] * k, b), theta=theta)
     g = sp.sample(model, 0)
-    return [sp.top_eigenpairs(sp.RegularizedLaplacian(g, tau), k, seed=0).vectors for tau in taus]
+    return [top_eigenpairs(RegularizedLaplacian(g, tau), k, seed=0).vectors for tau in taus]
 
 
 def test_kmeans_matches_reference_with_many_moves():
     for i, vectors in enumerate(dcsbm_embeddings((2.0, 10.0, 50.0))):
-        single = {round(sp.kmeans(vectors, 3, restarts=1, seed=s)[1], 9) for s in range(20)}
+        single = {round(kmeans(vectors, 3, restarts=1, seed=s)[1], 9) for s in range(20)}
         assert len(single) >= 2  # restarts reach different local optima
         assert_matches_reference(vectors, 3, seed=i)
 
@@ -280,7 +283,7 @@ def test_kmeans_scores_only_restarts_that_can_win(monkeypatch, rng):
     blobs = np.repeat(centers, 30, axis=0) + 0.5 * rng.standard_normal((90, 2))
     for k in (1, 3):
         calls.clear()
-        part, obj = sp.kmeans(blobs, k, seed=4)
+        part, obj = kmeans(blobs, k, seed=4)
         scored = len(calls)
         ref_labels, ref_obj = reference_kmeans(blobs, k, seed=4)
         assert np.array_equal(part.labels, ref_labels)
@@ -310,7 +313,7 @@ def test_kmeans_two_clusters_skips_the_complement_of_the_best(monkeypatch, rng):
     monkeypatch.setattr(clustering, "kmeans_objective", counting)
     monkeypatch.setattr(clustering, "_lloyd", recording)
     blobs = np.repeat([[0.0, 0.0], [6.0, 0.0]], 40, axis=0) + 0.5 * rng.standard_normal((80, 2))
-    part, obj = sp.kmeans(blobs, 2, seed=4)
+    part, obj = kmeans(blobs, 2, seed=4)
     # every restart ends in the same partition, under both labelings
     assert {tuple(lab.tolist()) for lab in runs} == {tuple(runs[0]), tuple(1 - runs[0])}
     assert len(calls) == 1
@@ -350,7 +353,7 @@ def test_kmeanspp_init_sums_coordinates_in_order_from_d8(k):
 
 def test_kmeans_all_identical_points_keeps_k_clusters():
     pts = np.zeros((6, 2))
-    part, obj = sp.kmeans(pts, 3, restarts=2, seed=0)
+    part, obj = kmeans(pts, 3, restarts=2, seed=0)
     assert obj == 0.0
     assert np.bincount(part.labels, minlength=3).min() >= 1
 
@@ -369,7 +372,7 @@ def test_rsc_relabeling_invariance(rng):
     perm = rng.permutation(10)
     # relabel nodes by perm: edge (i, j) -> (perm[i], perm[j])
     edges = np.column_stack([perm[g.edges[:, 0]], perm[g.edges[:, 1]]])
-    g_perm = sp.build_graph(10, edges)
+    g_perm = build_graph(10, edges)
     part = sp.regularized_spectral_clustering(g, 2, 0.5, seed=0)
     part_perm = sp.regularized_spectral_clustering(g_perm, 2, 0.5, seed=0)
     # labels at corresponding nodes agree up to a relabeling of the clusters
@@ -381,7 +384,7 @@ def test_rsc_labels_count_up_in_order_of_first_node(monkeypatch):
     model = sp.BlockModel.from_sizes([30, 30, 30], np.full((3, 3), 0.03) + np.diag([0.4, 0.3, 0.35]))
     perm = np.random.default_rng(5).permutation(90)
     g0 = sp.sample(model, 5)
-    g = sp.build_graph(90, perm[g0.edges])
+    g = build_graph(90, perm[g0.edges])
     raw = []
     real_kmeans = clustering.kmeans
 
@@ -402,37 +405,9 @@ def test_rsc_labels_count_up_in_order_of_first_node(monkeypatch):
 
 
 def test_rsc_needs_tau_for_isolated_nodes():
-    g = sp.build_graph(6, [(0, 1), (1, 2), (3, 4)])  # node 5 isolated
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4)])  # node 5 isolated
     with pytest.raises(sp.SingularLaplacianError):
         sp.regularized_spectral_clustering(g, 2, 0.0)
-
-
-def test_center_separation_margin_zero_perturbation():
-    centers = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pts = np.repeat(centers, 10, axis=0)
-    assert sp.center_separation_margin(pts, centers, [10, 10]) == 0.0
-
-
-def test_center_separation_margin_two_block_algebra(rng):
-    # equal blocks of size m, centers sqrt(2/m) apart, perturbation eps:
-    # sqrt(2) * eps * (2/sqrt(m)) / sqrt(2/m) = 2 eps
-    m, eps = 25, 0.01
-    gap = np.sqrt(2.0 / m)
-    centers = np.array([[0.0, 0.0], [gap, 0.0]])
-    base = np.repeat(centers, m, axis=0)
-    u = rng.standard_normal(2 * m)
-    u /= np.linalg.norm(u)
-    w = rng.standard_normal(2)
-    w /= np.linalg.norm(w)
-    pts = base + eps * np.outer(u, w)  # rank one, spectral norm exactly eps
-    got = sp.center_separation_margin(pts, centers, [m, m])
-    assert got == pytest.approx(2 * eps, rel=1e-12)
-
-
-def test_center_separation_margin_coincident_centers():
-    centers = np.zeros((2, 2))
-    pts = np.zeros((4, 2))
-    assert sp.center_separation_margin(pts, centers, [2, 2]) == np.inf
 
 
 def test_partition_file_roundtrip(tmp_path):

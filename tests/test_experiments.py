@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specluster as sp
+from specluster.blockmodel import edge_probabilities
 
 
 def small_config(tmp_path, **overrides):
@@ -40,7 +41,7 @@ def test_build_model_mean_degree_exact():
         target_degree=15.0, tau_grid=[1.0],
     )
     model = sp.build_experiment_model(cfg)
-    p = sp.edge_probabilities(model)
+    p = edge_probabilities(model)
     assert p.sum() / model.n == pytest.approx(15.0, rel=1e-12)
 
 
@@ -115,6 +116,16 @@ def test_parse_experiment_config(tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n = 60\n")
         sp.parse_experiment_config(bad)
+
+
+@pytest.mark.parametrize("line", ["replicates = two", "seed = 1.5", "n = sixty", "beta = x"])
+def test_bad_config_value_names_the_file(tmp_path, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "n = 60\nk = 2\nw = 1,1\nbeta = 5\nlambda = 12\ntau_grid = 1:600:4\n" + line + "\n"
+    )
+    with pytest.raises(sp.ConfigError, match="exp.cfg: invalid literal|exp.cfg: could not convert"):
+        sp.parse_experiment_config(path)
 
 
 def test_run_experiment_shape_and_determinism(tmp_path):

@@ -8,6 +8,7 @@ from scipy import sparse
 import specluster as sp
 from conftest import complete_graph, path_graph, two_block_benchmark_model
 from specluster import graph
+from specluster.graph import build_graph
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -72,7 +73,7 @@ def test_node_count_beyond_pair_keys_is_error(tmp_path):
     with pytest.raises(sp.SpeclusterError, match="too large"):
         sp.load_edge_list(write(tmp_path, "0 5000000000\n"))
     with pytest.raises(sp.SpeclusterError, match="too large"):
-        sp.build_graph(2**32, [(0, 1)])
+        build_graph(2**32, [(0, 1)])
 
 
 def test_empty_file_is_error(tmp_path):
@@ -100,14 +101,14 @@ def test_line_permutation_idempotent(tmp_path):
 
 
 def test_neighbor_lists_sorted():
-    g = sp.build_graph(5, [(4, 0), (2, 0), (0, 3), (1, 0)])
+    g = build_graph(5, [(4, 0), (2, 0), (0, 3), (1, 0)])
     assert g.neighbors(0).tolist() == [1, 2, 3, 4]
     assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
     assert g.degrees.sum() == 2 * g.num_edges
 
 
 def test_save_load_roundtrip(tmp_path):
-    g = sp.build_graph(6, [(0, 5), (1, 2), (3, 4), (0, 2)])
+    g = build_graph(6, [(0, 5), (1, 2), (3, 4), (0, 2)])
     out = tmp_path / "round.txt"
     sp.save_edge_list(g, out)
     assert out.read_text() == "0 2\n0 5\n1 2\n3 4\n"
@@ -129,11 +130,11 @@ def test_build_graph_sorts_like_lexsort(n):
     pairs = pairs[pairs[:, 0] < pairs[:, 1]]
     swap = rng.random(len(pairs)) < 0.5
     pairs[swap] = pairs[swap][:, ::-1]
-    g = sp.build_graph(n, pairs)
+    g = build_graph(n, pairs)
     assert g.edges.dtype == np.int64
     assert np.array_equal(g.edges, _lexsorted_canonical(pairs))
     with pytest.raises(sp.SpeclusterError, match="duplicate"):
-        sp.build_graph(n, np.vstack([pairs, pairs[-1:, ::-1]]))
+        build_graph(n, np.vstack([pairs, pairs[-1:, ::-1]]))
 
 
 def _coo_adjacency(n, edges):
@@ -156,7 +157,7 @@ def test_build_graph_csr_matches_coo_construction(n, draws, spread):
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
     pairs = np.column_stack(np.divmod(keys, n))[rng.permutation(keys.size)]
-    g = sp.build_graph(n, pairs)
+    g = build_graph(n, pairs)
     want = _coo_adjacency(n, g.edges)
     if spread < n or draws < n:
         assert (g.degrees == 0).any()
@@ -187,11 +188,11 @@ def test_pair_keys_sort_like_lexsort_at_large_n():
 
 def test_build_graph_rejects_bad_edges():
     with pytest.raises(sp.SpeclusterError, match="self loop"):
-        sp.build_graph(3, [(1, 1)])
+        build_graph(3, [(1, 1)])
     with pytest.raises(sp.SpeclusterError, match="duplicate"):
-        sp.build_graph(3, [(0, 1), (1, 0)])
+        build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(sp.SpeclusterError, match="out of range"):
-        sp.build_graph(2, [(0, 5)])
+        build_graph(2, [(0, 5)])
 
 
 def test_degree_extremes():
@@ -269,7 +270,7 @@ def reference_load_edge_list(path, n_hint=None):
     n = max_index + 1
     if n_hint is not None:
         n = max(n, int(n_hint))
-    return sp.build_graph(n, edges)
+    return build_graph(n, edges)
 
 
 _NODES = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "11", "12"]

@@ -7,12 +7,14 @@ import pytest
 import specluster as sp
 from conftest import two_cliques
 from specluster import selection
-from specluster.selection import _EstimatedDSBMLaplacian, estimate_block_matrix
+from specluster.blockmodel import PopulationLaplacian
+from specluster.graph import build_graph
+from specluster.selection import _EstimatedDSBMLaplacian, dkest_statistic, estimate_block_matrix
 from specluster.spectral import DENSE_FALLBACK, RegularizedLaplacian, spectral_norm_diff
 
 
 def two_triangles():
-    return sp.build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    return build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
 def dense_estimated_sbm(g, labels, bhat, tau):
@@ -37,7 +39,7 @@ def hub_graph():
     edges = [(0, j) for j in range(1, 30)]  # node 0 is a hub
     edges += [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (30, 31)]
     edges += [(30, j) for j in range(32, 40)]
-    return sp.build_graph(40, edges)
+    return build_graph(40, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +55,7 @@ def test_estimate_block_matrix_two_triangles():
 
 
 def test_estimate_block_matrix_no_edges_is_zero():
-    g = sp.build_graph(4, np.empty((0, 2), dtype=int))
+    g = build_graph(4, np.empty((0, 2), dtype=int))
     part = sp.Partition(np.array([0, 0, 1, 1]), 2)
     bhat, counts = estimate_block_matrix(g, part)
     assert np.all(bhat == 0.0)
@@ -105,7 +107,7 @@ def test_estimated_sbm_operator_matches_dense(rng):
     bhat, _ = estimate_block_matrix(g, part)
     fitted = sp.BlockModel(part.labels, bhat)
     for tau in (0.5, 5.0, 100.0):
-        est = sp.PopulationLaplacian(fitted, tau)
+        est = PopulationLaplacian(fitted, tau)
         dense = dense_estimated_sbm(g, part.labels, bhat, tau)
         x = rng.standard_normal(g.n)
         assert np.linalg.norm(est.apply(x) - dense @ x) < 1e-12
@@ -152,14 +154,55 @@ def test_dsbm_clamping_matches_dense(rng):
         assert est.mu_k() == pytest.approx(vals[1], abs=1e-8)
 
 
+def dcsbm_model(n, k=3):
+    """Degree-corrected k-block model with in/out ratio 6, mean degree 15
+    and Pareto(2.5) quantile thetas, capped so every probability is <= 1."""
+    c = 15.0 / (n * 8.0 / 3.0)
+    b = np.full((k, k), c)
+    np.fill_diagonal(b, 6.0 * c)
+    base = sp.BlockModel.from_sizes([n // k] * k, b)
+    m = n // k
+    quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 2.5)
+    theta = np.tile(quantiles / quantiles.mean(), k)
+    np.minimum(theta, np.sqrt(1.0 / b.max()), out=theta)
+    return sp.DegreeCorrectedModel(base=base, theta=theta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])  # seed 2's true fit clamps a hub pair
+def test_dsbm_mu_k_keeps_full_precision(seed):
+    # the block columns a theta of the factored reduction are tiny next to
+    # its all-a column; without rescaling, mu_k lost ~1e-9 relative here
+    model = dcsbm_model(3000)
+    g = sp.sample(model, seed)
+    part = sp.Partition(model.base.membership, 3)
+    _, counts = estimate_block_matrix(g, part)
+    for tau in (1.0, 3.67, 13.5, 49.5):
+        est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+        assert est.clamped_entries == 0
+        exact = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][2]
+        assert est.mu_k() == pytest.approx(exact, rel=1e-12)
+
+
+def test_dsbm_mu_k_with_a_cluster_of_isolated_nodes():
+    # theta = 0 on cluster 2 leaves a zero on the diagonal of the reduction
+    g = build_graph(12, two_cliques(4).edges)
+    part = sp.Partition(np.repeat([0, 1, 2], 4), 3)
+    _, counts = estimate_block_matrix(g, part)
+    for tau in (0.5, 6.0):
+        est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+        assert np.all(est.theta[8:] == 0)
+        vals = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1]
+        assert est.mu_k() == pytest.approx(vals[2], abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the statistic
 
 
 def test_dkest_zero_for_edgeless_graph():
-    g = sp.build_graph(5, np.empty((0, 2), dtype=int))
+    g = build_graph(5, np.empty((0, 2), dtype=int))
     part = sp.Partition(np.zeros(5, dtype=int), 1)
-    assert sp.dkest_statistic(g, part, 2.0) == pytest.approx(0.0, abs=1e-12)
+    assert dkest_statistic(g, part, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dkest_numerators_match_dense(rng):
@@ -175,8 +218,8 @@ def test_dkest_numerators_match_dense(rng):
         exact_spec = np.max(np.abs(np.linalg.eigvalsh(diff)))
         exact_frob = np.sqrt((diff * diff).sum())
         mu = np.sort(np.linalg.eigvalsh(dense_est))[::-1][1]
-        got_spec = sp.dkest_statistic(g, part, tau, model_kind=kind, norm_kind="spectral")
-        got_frob = sp.dkest_statistic(g, part, tau, model_kind=kind, norm_kind="frobenius")
+        got_spec = dkest_statistic(g, part, tau, model_kind=kind, norm_kind="spectral")
+        got_frob = dkest_statistic(g, part, tau, model_kind=kind, norm_kind="frobenius")
         assert got_spec == pytest.approx(exact_spec / mu, rel=1e-6)
         assert got_frob == pytest.approx(exact_frob / mu, rel=1e-10)
         assert got_frob >= got_spec - 1e-9
@@ -191,7 +234,7 @@ def test_dkest_frobenius_matches_dense_with_clamps(rng):
     dense_est = dense_estimated_dsbm(g, part.labels, counts, tau)
     diff = sample_dense - dense_est
     mu = np.sort(np.linalg.eigvalsh(dense_est))[::-1][1]
-    got = sp.dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind="frobenius")
+    got = dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind="frobenius")
     assert got == pytest.approx(np.sqrt((diff * diff).sum()) / mu, rel=1e-10)
 
 
@@ -202,7 +245,7 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
     model = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.03, 0.006], [0.006, 0.03]])
     edges = {tuple(sorted(map(int, e))) for e in sp.sample(model, 1).edges}
     edges |= {(0, j) for j in range(1, n, 2)}
-    g = sp.build_graph(n, sorted(edges))
+    g = build_graph(n, sorted(edges))
     assert g.n > DENSE_FALLBACK
     part = sp.Partition(model.membership, 2)
     bhat, counts = estimate_block_matrix(g, part)
@@ -212,7 +255,7 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
         exact_mu = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][1]
         assert est.mu_k() == pytest.approx(exact_mu, rel=1e-8)
         sample_op = RegularizedLaplacian(g, tau)
-        for fitted in (sp.PopulationLaplacian(sp.BlockModel(part.labels, bhat), tau), est):
+        for fitted in (PopulationLaplacian(sp.BlockModel(part.labels, bhat), tau), est):
             diff = sample_op.to_dense() - fitted.to_dense()
             exact = np.max(np.abs(np.linalg.eigvalsh(diff)))
             assert spectral_norm_diff(sample_op, fitted) == pytest.approx(exact, rel=1e-8)
@@ -220,7 +263,7 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
 
 def four_cycle():
     """0-1-3-2-0: every 2-2 split has equal within and between densities."""
-    return sp.build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
+    return build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
 
 
 @pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
@@ -231,7 +274,7 @@ def test_dkest_rank_deficient_fit_raises(model_kind, norm_kind):
     bhat, _ = estimate_block_matrix(g, part)
     assert np.linalg.matrix_rank(bhat) == 1
     with pytest.raises(sp.DegenerateModelError):
-        sp.dkest_statistic(g, part, 1.0, model_kind=model_kind, norm_kind=norm_kind)
+        dkest_statistic(g, part, 1.0, model_kind=model_kind, norm_kind=norm_kind)
 
 
 def test_scan_records_infinite_dkest_for_rank_deficient_fits():
@@ -252,8 +295,8 @@ def test_dkest_prefers_regularization_on_sparse_model():
         g = sp.sample(model, seed)
         if g.degrees.min() == 0:
             continue
-        lo.append(sp.dkest_statistic(g, truth, 0.0))
-        hi.append(sp.dkest_statistic(g, truth, float(g.n)))
+        lo.append(dkest_statistic(g, truth, 0.0))
+        hi.append(dkest_statistic(g, truth, float(g.n)))
     assert len(lo) >= 10
     assert np.mean(hi) < np.mean(lo)
 
@@ -337,7 +380,7 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     warm_applies, applies[0] = applies[0], 0
     for i, rec in enumerate(scan.records):
         part = real_rsc(g, k, rec.tau, seed=7)
-        cold = sp.dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
+        cold = dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
         assert np.array_equal(labels[i], part.labels)
         if i == 0:
             assert rec.dkest == cold  # nothing to carry yet: the lone call, bitwise
@@ -389,7 +432,7 @@ def test_default_grid_structure():
     assert grid[0] == 0.0  # no isolated nodes
     assert grid[-1] == pytest.approx(10.0 * g.n)
     assert grid.size == 11
-    lonely = sp.build_graph(4, [(0, 1), (1, 2)])
+    lonely = build_graph(4, [(0, 1), (1, 2)])
     grid2 = sp.default_tau_grid(lonely, points=5)
     assert grid2[0] > 0.0
 

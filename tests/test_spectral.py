@@ -2,11 +2,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import aslinearoperator
 
 import specluster as sp
-from specluster.spectral import DENSE_FALLBACK
+from specluster.blockmodel import PopulationLaplacian
+from specluster.graph import build_graph
+from specluster.spectral import (
+    DENSE_FALLBACK,
+    RegularizedLaplacian,
+    spectral_norm_diff,
+    top_eigenpairs,
+)
 from conftest import complete_graph, path_graph, two_block_benchmark_model
+
+
+class MatrixFree:
+    """A matrix seen only through apply, so it has no dense path."""
+
+    def __init__(self, a):
+        self.shape = a.shape
+        self.apply = lambda x: a @ x
 
 
 def dense_regularized(g, tau):
@@ -26,7 +40,7 @@ def sample_graph(n=50, seed=0, p_in=0.4, p_out=0.1):
 
 def test_apply_unit_eigenvector():
     g = path_graph(6)
-    op = sp.RegularizedLaplacian(g, 3.0)
+    op = RegularizedLaplacian(g, 3.0)
     v = np.sqrt(g.degrees + 3.0)
     assert np.linalg.norm(op.apply(v) - v) < 1e-10
 
@@ -34,7 +48,7 @@ def test_apply_unit_eigenvector():
 def test_apply_path_graph_hand_value():
     # L at tau=0 for 0-1-2 maps the middle basis vector to (1/sqrt2, 0, 1/sqrt2)
     g = path_graph(3)
-    op = sp.RegularizedLaplacian(g, 0.0)
+    op = RegularizedLaplacian(g, 0.0)
     x = np.array([0.0, 1.0, 0.0])
     expected = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
     assert np.allclose(op.apply(x), expected, atol=1e-14)
@@ -43,29 +57,29 @@ def test_apply_path_graph_hand_value():
 def test_apply_matches_dense(rng):
     g = sample_graph()
     for tau in (0.0, 3.0, 50.0):
-        op = sp.RegularizedLaplacian(g, tau)
+        op = RegularizedLaplacian(g, tau)
         dense = dense_regularized(g, tau)
         x = rng.standard_normal(g.n)
         assert np.linalg.norm(op.apply(x) - dense @ x) < 1e-12
 
 
 def test_isolated_node_needs_tau():
-    g = sp.build_graph(4, [(0, 1), (1, 2)])  # node 3 isolated
+    g = build_graph(4, [(0, 1), (1, 2)])  # node 3 isolated
     with pytest.raises(sp.SingularLaplacianError, match="tau > 0"):
-        sp.RegularizedLaplacian(g, 0.0)
-    sp.RegularizedLaplacian(g, 0.5)  # fine with regularization
+        RegularizedLaplacian(g, 0.0)
+    RegularizedLaplacian(g, 0.5)  # fine with regularization
 
 
 @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
 def test_tau_must_be_non_negative_and_finite(tau):
-    g = sp.build_graph(3, [(0, 1), (1, 2)])
+    g = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(sp.SpeclusterError, match="non-negative and finite"):
-        sp.RegularizedLaplacian(g, tau)
+        RegularizedLaplacian(g, tau)
 
 
 def test_apply_is_linear(rng):
     g = sample_graph(seed=2)
-    op = sp.RegularizedLaplacian(g, 2.0)
+    op = RegularizedLaplacian(g, 2.0)
     a, b = rng.standard_normal(2)
     x, y = rng.standard_normal((2, g.n))
     lhs = op.apply(a * x + b * y)
@@ -75,7 +89,7 @@ def test_apply_is_linear(rng):
 
 def test_operator_symmetry(rng):
     g = sample_graph(seed=3)
-    op = sp.RegularizedLaplacian(g, 1.5)
+    op = RegularizedLaplacian(g, 1.5)
     x, y = rng.standard_normal((2, g.n))
     assert abs(y @ op.apply(x) - x @ op.apply(y)) < 1e-10
 
@@ -86,19 +100,19 @@ def test_operator_symmetry(rng):
 
 def test_top_eigenpairs_complete_graph():
     g = complete_graph(5)
-    basis = sp.top_eigenpairs(sp.RegularizedLaplacian(g, 0.0), 1)
+    basis = top_eigenpairs(RegularizedLaplacian(g, 0.0), 1)
     assert basis.values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(basis.vectors[:, 0], 1 / np.sqrt(5), atol=1e-10)
 
 
 def test_dense_and_lanczos_match_brute_force():
     g = sample_graph(n=300, seed=4, p_in=0.2, p_out=0.05)
-    op = sp.RegularizedLaplacian(g, 5.0)
+    op = RegularizedLaplacian(g, 5.0)
     dense = dense_regularized(g, 5.0)
     brute = np.linalg.eigvalsh(dense)[::-1][:4]
-    dense_path = sp.top_eigenpairs(op, 4)  # n=300 <= DENSE_FALLBACK
+    dense_path = top_eigenpairs(op, 4)  # n=300 <= DENSE_FALLBACK
     # a matrix-free wrapper has no dense path, so it takes the Krylov path
-    lanczos_path = sp.top_eigenpairs(aslinearoperator(dense), 4, seed=11)
+    lanczos_path = top_eigenpairs(MatrixFree(dense), 4, seed=11)
     assert np.allclose(dense_path.values, brute, atol=1e-10)
     assert np.allclose(lanczos_path.values, brute, atol=1e-8)
 
@@ -107,7 +121,7 @@ def test_full_spectrum_small_dense():
     g = sample_graph(n=30, seed=5)
     dense = dense_regularized(g, 1.0)
     brute = np.linalg.eigvalsh(dense)[::-1]
-    basis = sp.top_eigenpairs(dense, 30)
+    basis = top_eigenpairs(dense, 30)
     assert np.allclose(basis.values, brute, atol=1e-8)
 
 
@@ -115,13 +129,13 @@ def test_matrix_free_full_spectrum_rejected():
     # ARPACK needs k < n, and a matrix-free operator has no dense path
     g = sample_graph(n=30, seed=5)
     with pytest.raises(sp.SpeclusterError, match="k < n"):
-        sp.top_eigenpairs(aslinearoperator(dense_regularized(g, 1.0)), 30)
+        top_eigenpairs(MatrixFree(dense_regularized(g, 1.0)), 30)
 
 
 def test_eigenbasis_invariants():
     g = sample_graph(n=600, seed=6, p_in=0.1, p_out=0.02)
-    op = sp.RegularizedLaplacian(g, 10.0)
-    basis = sp.top_eigenpairs(op, 3, seed=0)
+    op = RegularizedLaplacian(g, 10.0)
+    basis = top_eigenpairs(op, 3, seed=0)
     gram = basis.vectors.T @ basis.vectors
     assert np.allclose(gram, np.eye(3), atol=1e-8)
     assert np.all(basis.residuals <= 1e-7)
@@ -132,9 +146,9 @@ def test_eigenbasis_invariants():
 
 def test_lanczos_seed_invariance():
     g = sample_graph(n=600, seed=7, p_in=0.1, p_out=0.02)
-    op = sp.RegularizedLaplacian(g, 10.0)
-    b1 = sp.top_eigenpairs(op, 2, seed=1)
-    b2 = sp.top_eigenpairs(op, 2, seed=2)
+    op = RegularizedLaplacian(g, 10.0)
+    b1 = top_eigenpairs(op, 2, seed=1)
+    b2 = top_eigenpairs(op, 2, seed=2)
     assert np.allclose(b1.values, b2.values, atol=1e-8)
     # principal angles between the two 2-dimensional subspaces
     sv = np.linalg.svd(b1.vectors.T @ b2.vectors, compute_uv=False)
@@ -144,7 +158,7 @@ def test_lanczos_seed_invariance():
 
 def test_sign_convention_deterministic():
     g = sample_graph(n=40, seed=8)
-    basis = sp.top_eigenpairs(sp.RegularizedLaplacian(g, 2.0), 3)
+    basis = top_eigenpairs(RegularizedLaplacian(g, 2.0), 3)
     for col in range(3):
         idx = int(np.argmax(np.abs(basis.vectors[:, col])))
         assert basis.vectors[idx, col] > 0
@@ -158,7 +172,7 @@ def test_second_eigenvector_separates_blocks_at_large_tau():
     z = model.membership.astype(bool)
     for seed in (3, 5, 12):
         g = sp.sample(model, seed)
-        basis = sp.top_eigenpairs(sp.RegularizedLaplacian(g, float(g.n)), 2, seed=0)
+        basis = top_eigenpairs(RegularizedLaplacian(g, float(g.n)), 2, seed=0)
         first_spread = basis.vectors[:, 0].std() / abs(basis.vectors[:, 0].mean())
         assert first_spread < 0.05
         signs = basis.vectors[:, 1] > 0
@@ -168,11 +182,11 @@ def test_second_eigenvector_separates_blocks_at_large_tau():
 
 def test_convergence_error_carries_residuals():
     g = sample_graph(n=600, seed=9, p_in=0.1, p_out=0.05)
-    op = sp.RegularizedLaplacian(g, 1.0)
+    op = RegularizedLaplacian(g, 1.0)
     # ARPACK reports convergence, and the explicit residual check rejects
     # a tol that no double-precision residual can reach
     with pytest.raises(sp.ConvergenceError) as err:
-        sp.top_eigenpairs(op, 3, tol=1e-18)
+        top_eigenpairs(op, 3, tol=1e-18)
     assert err.value.residuals is not None
     assert np.any(err.value.residuals > 1e-18)
 
@@ -180,7 +194,7 @@ def test_convergence_error_carries_residuals():
 def test_k_out_of_range():
     g = path_graph(4)
     with pytest.raises(sp.SpeclusterError):
-        sp.top_eigenpairs(sp.RegularizedLaplacian(g, 1.0), 5)
+        top_eigenpairs(RegularizedLaplacian(g, 1.0), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +203,14 @@ def test_k_out_of_range():
 
 def test_spectral_norm_diff_identical_is_zero():
     g = sample_graph(seed=10)
-    op = sp.RegularizedLaplacian(g, 2.0)
-    assert sp.spectral_norm_diff(op, op) == 0.0
+    op = RegularizedLaplacian(g, 2.0)
+    assert spectral_norm_diff(op, op) == 0.0
 
 
 def test_spectral_norm_diff_diagonal():
     a = np.diag([3.0, -5.0])
     b = np.zeros((2, 2))
-    assert sp.spectral_norm_diff(a, b) == pytest.approx(5.0, rel=1e-6)
+    assert spectral_norm_diff(a, b) == pytest.approx(5.0, rel=1e-6)
 
 
 def test_spectral_norm_diff_matches_dense(rng):
@@ -205,23 +219,23 @@ def test_spectral_norm_diff_matches_dense(rng):
     b = rng.standard_normal((40, 40))
     b = (b + b.T) / 2
     exact = np.max(np.abs(np.linalg.eigvalsh(a - b)))
-    assert sp.spectral_norm_diff(a, b) == pytest.approx(exact, rel=1e-6)
+    assert spectral_norm_diff(a, b) == pytest.approx(exact, rel=1e-6)
 
 
 def test_spectral_norm_diff_dimension_mismatch():
     with pytest.raises(sp.SpeclusterError):
-        sp.spectral_norm_diff(np.eye(3), np.eye(4))
+        spectral_norm_diff(np.eye(3), np.eye(4))
 
 
 def test_norm_memory_is_far_below_dense():
     # the Krylov basis holds a few dozen vectors, never an n x n array
     model = two_block_benchmark_model()
     g = sp.sample(model, 0)
-    sample_op = sp.RegularizedLaplacian(g, 50.0)
-    pop = sp.PopulationLaplacian(model, 50.0)
+    sample_op = RegularizedLaplacian(g, 50.0)
+    pop = PopulationLaplacian(model, 50.0)
     tracemalloc.start()
     try:
-        sp.spectral_norm_diff(sample_op, pop)
+        spectral_norm_diff(sample_op, pop)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -234,13 +248,13 @@ def test_rank_one_operator_above_dense_fallback():
     n = DENSE_FALLBACK + 88
     a = np.zeros((n, n))
     a[0, 0] = 5.0
-    assert abs(sp.spectral_norm_diff(a, np.zeros((n, n))) - 5.0) <= 1e-12
-    basis = sp.top_eigenpairs(a, 3)
+    assert abs(spectral_norm_diff(a, np.zeros((n, n))) - 5.0) <= 1e-12
+    basis = top_eigenpairs(a, 3)
     assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3), atol=1e-12)
     assert np.allclose(basis.values, [5.0, 0.0, 0.0], atol=1e-12)
     assert np.all(basis.residuals <= 1e-8)
     # the restart directions come from seed, so the answer repeats bitwise
-    assert np.array_equal(sp.top_eigenpairs(a, 3).vectors, basis.vectors)
+    assert np.array_equal(top_eigenpairs(a, 3).vectors, basis.vectors)
 
 
 def test_frobenius_dominates_spectral(rng):
@@ -248,4 +262,4 @@ def test_frobenius_dominates_spectral(rng):
     a = (a + a.T) / 2
     b = rng.standard_normal((40, 40))
     b = (b + b.T) / 2
-    assert np.linalg.norm(a - b) >= sp.spectral_norm_diff(a, b) - 1e-9
+    assert np.linalg.norm(a - b) >= spectral_norm_diff(a, b) - 1e-9
