@@ -538,6 +538,9 @@ def load_model_config(path):
         theta_path = Path(theta_file)
         if not theta_path.is_absolute():
             theta_path = path.parent / theta_path
-        theta = np.loadtxt(theta_path, dtype=np.float64, ndmin=1)
+        try:
+            theta = np.loadtxt(theta_path, dtype=np.float64, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: theta_file {theta_path}: {exc}") from None
         return DegreeCorrectedModel(base=model, theta=theta)
     return model

@@ -93,23 +93,23 @@ def parse_experiment_config(path):
         grid = parse_tau_grid_spec(items["tau_grid"])
         replicates = int(items.get("replicates", "1"))
         seed = int(items.get("seed", "0"))
+        return ExperimentConfig(
+            n=n,
+            k=k,
+            inside_weights=weights,
+            out_in_ratio=beta,
+            target_degree=lam,
+            tau_grid=grid,
+            replicates=replicates,
+            seed=seed,
+            model_kind=items.get("model", "sbm"),
+            norm_kind=items.get("norm", "spectral"),
+            output_path=items.get("out", "experiment.csv"),
+        )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return ExperimentConfig(
-        n=n,
-        k=k,
-        inside_weights=weights,
-        out_in_ratio=beta,
-        target_degree=lam,
-        tau_grid=grid,
-        replicates=replicates,
-        seed=seed,
-        model_kind=items.get("model", "sbm"),
-        norm_kind=items.get("norm", "spectral"),
-        output_path=items.get("out", "experiment.csv"),
-    )
 
 
 def _equal_sizes(n, k):

@@ -35,7 +35,7 @@ from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import clustering_error, modularity, nmi
-from .spectral import RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
+from .spectral import NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
 from .util import fmt, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
@@ -247,15 +247,22 @@ def _frobenius_dsbm(sample_op, est):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, start=None):
+def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, start=None, above=None):
     """Estimated perturbation-to-gap ratio for a fitted partition at tau.
 
     The spectral numerator is spectral_norm_diff's ARPACK estimate at its
-    default tol: the returned Ritz pair's residual is checked to be at most
-    1e-6 times the estimate, which places the estimate near an eigenvalue
-    of the difference but does not prove it is the extreme one.  start, a
-    spectral.StartVector, warm-starts that estimate; the Frobenius
-    numerator ignores it.
+    default tol (NORM_TOL): the returned Ritz pair's residual is checked to
+    be at most 1e-6 times the estimate, which places the estimate near an
+    eigenvalue of the difference but does not prove it is the extreme one;
+    as a Ritz value it is never above the norm.  start, a
+    spectral.StartVector, warm-starts that estimate.
+
+    above, when given, is a DKest value the caller already holds.  If a
+    coarse norm estimate shows the statistic exceeds above * (1 + NORM_TOL),
+    that coarse value is returned: a certified lower bound on the
+    statistic, within the coarse tolerance of it.  Otherwise the result is
+    the full-precision one.  The Frobenius numerator ignores start and
+    above.
     """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
@@ -273,7 +280,8 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
         if mu < 1e-12:
             raise DegenerateModelError("fitted spectral gap vanished")
     if norm_kind == "spectral":
-        num = spectral_norm_diff(sample_op, est, seed=seed, start=start)
+        stop_above = None if above is None else above * mu * (1 + NORM_TOL)
+        num = spectral_norm_diff(sample_op, est, seed=seed, start=start, stop_above=stop_above)
     elif model_kind == "sbm":
         num = _frobenius_sbm(sample_op, est)
     else:
@@ -287,6 +295,15 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
 
 @dataclass
 class TauRecord:
+    """One grid point of a tau_scan.
+
+    dkest is the full-precision statistic wherever the point could still
+    be the argmin when the scan reached it.  Elsewhere, with a spectral
+    numerator, it is a certified lower bound from a coarse norm solve:
+    within the coarse tolerance of the statistic, and above the scan's
+    minimum DKest.  It is inf when the fitted gap vanished.
+    """
+
     tau: float
     dkest: float = np.nan
     gn_modularity: float = np.nan
@@ -367,9 +384,19 @@ def tau_scan(
     points before it.  The first grid point is exactly a lone call; later
     eigenvectors and DKest norms agree with lone calls to the solvers'
     tolerances, so k-means gives the same canonical labels unless a node
-    lies within that distance of a cluster boundary.  When DKest is
-    infinite at every grid point, "dkest" is left out of the chosen
-    values.  workers is accepted and ignored; it stays only until the
+    lies within that distance of a cluster boundary.
+
+    Each DKest call gets the smallest DKest recorded so far as above, so a
+    spectral numerator is solved only as precisely as the choice needs.
+    A Ritz value never exceeds the norm, so a coarse estimate over mu_K is
+    a lower bound on the statistic; once it exceeds the running minimum m
+    by more than the full solve's tolerance (m * (1 + NORM_TOL)), the
+    grid point cannot be the argmin and its coarse value is recorded.
+    Every other point is solved to NORM_TOL as in a lone call.  So the
+    running minimum is always a full-precision value, every lower bound
+    lies above the final minimum, and the chosen tau is the argmin of
+    full-precision values.  When DKest is infinite at every grid point,
+    "dkest" is left out of the chosen values.  workers is accepted and ignored; it stays only until the
     benchmark stops passing it (ROADMAP item 1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
@@ -383,6 +410,7 @@ def tau_scan(
 
     records = []
     eig_start, norm_start = StartVector(), StartVector()
+    best = np.inf  # smallest DKest so far
     for tau in grid:
         start = time.perf_counter()
         rec = TauRecord(tau=float(tau))
@@ -397,9 +425,11 @@ def tau_scan(
                     norm_kind=norm_kind,
                     seed=seed,
                     start=norm_start,
+                    above=best if best < np.inf else None,
                 )
             except DegenerateModelError:
                 rec.dkest = np.inf
+            best = min(best, rec.dkest)
         if "gn" in criteria:
             rec.gn_modularity = modularity(g, part)
         if truth is not None:

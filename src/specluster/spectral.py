@@ -9,7 +9,10 @@ and the spectral norm of a difference, run scipy's eigsh (ARPACK's
 implicitly restarted Lanczos) on a LinearOperator around that matvec, and
 each checks the pairs it returns with explicit residuals.  A StartVector
 carries the direction one solve found into the start of the next, so a
-sequence of nearby operators (a tau grid) needs fewer matvecs.
+sequence of nearby operators (a tau grid) needs fewer matvecs.  A norm
+estimate is a Ritz value and so never above the norm; spectral_norm_diff's
+stop_above returns a coarse estimate once it proves the norm exceeds a
+threshold.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,8 @@ from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
 from .util import rng_from
 
 DENSE_FALLBACK = 512
+NORM_TOL = 1e-6  # relative residual tolerance of a spectral_norm_diff estimate
+COARSE_NORM_TOL = 1e-3  # first-stage tolerance when a caller passes stop_above
 
 
 class RegularizedLaplacian:
@@ -161,7 +166,25 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     return EigenBasis(values=vals, vectors=vecs, residuals=res)
 
 
-def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0, start=None):
+def _checked_norm_ritz(lin, mv, tol, v0, rng):
+    """eigsh's largest-magnitude Ritz pair, its residual checked against tol."""
+    try:
+        vals, vecs = eigsh(lin, 1, which="LM", tol=tol, v0=v0, rng=rng)
+    except ArpackNoConvergence as exc:
+        estimate = float(np.max(np.abs(exc.eigenvalues))) if exc.eigenvalues.size else None
+        raise ConvergenceError(f"ARPACK norm estimate did not reach tol={tol}", estimate=estimate) from None
+    estimate = float(abs(vals[0]))
+    vec = vecs[:, 0]
+    resid = np.linalg.norm(mv(vec) - vals[0] * vec)
+    if resid > tol * max(estimate, 1e-300):
+        raise ConvergenceError(
+            f"norm estimate residual {resid:.3g} exceeds tol={tol} times the estimate",
+            estimate=estimate,
+        )
+    return estimate, vec
+
+
+def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators (any object with apply
@@ -169,11 +192,22 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0, start=None):
     largest-magnitude Ritz pair from a start vector drawn from seed, and
     one explicit matvec then checks that pair's residual against tol times
     the estimate.  That shows the estimate is within that distance of *an*
-    eigenvalue of the difference, not that it is the extreme one.
+    eigenvalue of the difference, not that it is the extreme one.  It is
+    never above the norm, though: every Ritz value of a symmetric operator
+    lies between its extreme eigenvalues, so the estimate is a certified
+    lower bound at any tol.
+
+    stop_above=None solves to tol directly.  Otherwise the solve first runs
+    to COARSE_NORM_TOL, with that tolerance's residual check, and returns
+    the coarse estimate, a lower bound on the norm, if it already exceeds
+    stop_above; if it does not, or if the coarse stage fails, a solve to
+    tol follows, started from the coarse Ritz direction as start carries
+    it.  A caller that only needs to know whether the norm exceeds a
+    threshold, and its value where it does not, passes the threshold.
 
     start, a StartVector, warm-starts the solve: its direction is added to
     the random start, and after a checked estimate it holds the Ritz
-    vector found.  Deterministic given seed and start.
+    vector found.  Deterministic given seed, start and stop_above.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
@@ -188,18 +222,14 @@ def spectral_norm_diff(op_a, op_b, tol=1e-6, seed=0, start=None):
     if np.linalg.norm(mv(v0)) < 1e-300:
         return 0.0
     lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
-    try:
-        vals, vecs = eigsh(lin, 1, which="LM", tol=tol, v0=v0, rng=rng)
-    except ArpackNoConvergence as exc:
-        estimate = float(np.max(np.abs(exc.eigenvalues))) if exc.eigenvalues.size else None
-        raise ConvergenceError(f"ARPACK norm estimate did not reach tol={tol}", estimate=estimate) from None
-    estimate = float(abs(vals[0]))
-    vec = vecs[:, 0]
-    resid = np.linalg.norm(mv(vec) - vals[0] * vec)
-    if resid > tol * max(estimate, 1e-300):
-        raise ConvergenceError(
-            f"norm estimate residual {resid:.3g} exceeds tol={tol} times the estimate",
-            estimate=estimate,
-        )
-    start.direction = vec
+    if stop_above is not None:
+        try:
+            estimate, start.direction = _checked_norm_ritz(lin, mv, COARSE_NORM_TOL, v0, rng)
+        except ConvergenceError:
+            pass
+        else:
+            if estimate > stop_above:
+                return estimate
+        v0 = start.draw(rng, n)
+    estimate, start.direction = _checked_norm_ritz(lin, mv, tol, v0, rng)
     return estimate

@@ -132,6 +132,16 @@ def test_generate_rejects_nan_theta(tmp_path, capsys):
     assert not (tmp_path / "g.txt").exists()
 
 
+def test_generate_names_a_malformed_theta_file(tmp_path, capsys):
+    (tmp_path / "theta.txt").write_text("abc\n")
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("n = 40\nk = 2\nsizes = 20,20\nb = 0.9,0.05,0.05,0.9\ntheta_file = theta.txt\n")
+    assert main(["generate", str(cfg), "--out", str(tmp_path / "g.txt")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: theta_file {tmp_path / 'theta.txt'}: " in err
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "specluster" in capsys.readouterr().out

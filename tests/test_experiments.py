@@ -128,6 +128,17 @@ def test_bad_config_value_names_the_file(tmp_path, line):
         sp.parse_experiment_config(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("tau_grid = 1:x:4", "tau grid spec '1:x:4'"), ("replicates = 0", "need at least one replicate")],
+)
+def test_invalid_config_value_names_the_file(tmp_path, line, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 60\nk = 2\nw = 1,1\nbeta = 5\nlambda = 12\ntau_grid = 1:600:4\n" + line + "\n")
+    with pytest.raises(sp.ConfigError, match=f"exp.cfg: {message}"):
+        sp.parse_experiment_config(path)
+
+
 def test_run_experiment_shape_and_determinism(tmp_path):
     cfg = small_config(tmp_path, replicates=2)
     out1 = tmp_path / "run1.csv"

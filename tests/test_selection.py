@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specluster as sp
-from conftest import two_cliques
+from conftest import two_block_benchmark_model, two_cliques
 from specluster import selection
 from specluster.blockmodel import PopulationLaplacian
 from specluster.graph import build_graph
@@ -378,14 +378,93 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
     scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7)
     warm_applies, applies[0] = applies[0], 0
+    chosen = scan.record_at(scan.chosen["dkest"]).dkest
+    lone = []
     for i, rec in enumerate(scan.records):
         part = real_rsc(g, k, rec.tau, seed=7)
         cold = dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
+        lone.append(cold)
         assert np.array_equal(labels[i], part.labels)
         if i == 0:
             assert rec.dkest == cold  # nothing to carry yet: the lone call, bitwise
-        assert rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
+        # full precision, or a coarse lower bound that certifies a losing tau
+        full = rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
+        assert full or chosen * (1 + 1e-6) < rec.dkest <= cold * (1 + 1e-12)
+    assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
+    assert scan.chosen["dkest"] == grid[int(np.argmin(lone))]
     assert warm_applies < applies[0]
+
+
+def fitted_pair(model_kind, tau):
+    """Sample Laplacian and a fitted one (plain or degree-corrected) at
+    n=600, above DENSE_FALLBACK, for a partition from the pipeline."""
+    model = sp.BlockModel.from_sizes([300, 300], [[0.04, 0.01], [0.01, 0.02]])
+    g = sp.sample(model, 3)
+    part = sp.regularized_spectral_clustering(g, 2, 5.0, seed=0)
+    bhat, counts = estimate_block_matrix(g, part)
+    if model_kind == "sbm":
+        fitted = PopulationLaplacian(sp.BlockModel(part.labels, bhat), tau)
+    else:
+        fitted = _EstimatedDSBMLaplacian(g, part, counts, tau)
+    return RegularizedLaplacian(g, tau), fitted
+
+
+@pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
+@pytest.mark.parametrize("tau", [1.0, 30.0, 600.0])
+def test_norm_stop_above_certifies_a_lower_bound(monkeypatch, model_kind, tau):
+    sample_op, fitted = fitted_pair(model_kind, tau)
+    assert sample_op.shape[0] > DENSE_FALLBACK
+    exact = np.linalg.norm(sample_op.to_dense() - fitted.to_dense(), 2)
+    applies = [0]
+    real_apply = RegularizedLaplacian.apply
+
+    def counting(self, x):
+        applies[0] += 1
+        return real_apply(self, x)
+
+    monkeypatch.setattr(RegularizedLaplacian, "apply", counting)
+    lone = spectral_norm_diff(sample_op, fitted)
+    lone_applies, applies[0] = applies[0], 0
+    # stop_above=None is the plain call, bitwise
+    assert spectral_norm_diff(sample_op, fitted, stop_above=None) == lone
+    applies[0] = 0
+    # any threshold below the norm: the coarse estimate, fewer matvecs,
+    # and never above the norm (a Ritz value lies inside the spectrum)
+    coarse = spectral_norm_diff(sample_op, fitted, stop_above=0.0)
+    assert 0.0 < coarse <= exact * (1 + 1e-12)
+    assert applies[0] < lone_applies
+    # a threshold the norm cannot reach: the full-precision solve
+    full = spectral_norm_diff(sample_op, fitted, stop_above=1e300)
+    assert full == pytest.approx(lone, rel=1e-10, abs=0)
+    assert full <= exact * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("case", ["karate-sbm", "karate-dsbm", "criterion-5"])
+def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
+    if case == "criterion-5":
+        g = sp.sample(two_block_benchmark_model(), 0)
+        grid, model_kind = np.geomspace(1.0, g.n, 20), "sbm"
+    else:
+        g = sp.load_edge_list(_DATA / "karate_edges.txt")
+        grid, model_kind = sp.default_tau_grid(g), case.split("-")[1]
+    bounds = []
+    real_norm = selection.spectral_norm_diff
+
+    def spy(*args, stop_above=None, **kwargs):
+        bounds.append(stop_above)
+        return real_norm(*args, stop_above=stop_above, **kwargs)
+
+    monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
+    # every norm after the first is solved against the smallest DKest so far
+    assert bounds[0] is None and all(b is not None for b in bounds[1:])
+    lone = [
+        dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, tau, seed=0), tau, model_kind=model_kind)
+        for tau in scan.grid
+    ]
+    assert scan.chosen["dkest"] == scan.grid[int(np.argmin(lone))]
+    chosen = scan.record_at(scan.chosen["dkest"]).dkest
+    assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
 
 
 def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
