@@ -43,7 +43,8 @@ def load_partition(path, n=None):
     """Partition file: one integer label per line, line i = cluster of node i.
 
     Text after '#' is a comment.  A line that is not an integer label, or
-    whose label is outside int64, raises a SpeclusterError naming the line.
+    whose label is outside int64, raises a SpeclusterError naming the line;
+    a file with no label raises one naming the file.
     """
     labels = []
     with open(path) as fh:
@@ -58,6 +59,8 @@ def load_partition(path, n=None):
             if not _INT64_MIN <= label <= _INT64_MAX:
                 raise SpeclusterError(f"{path}:{lineno}: label outside int64: {field!r}")
             labels.append(label)
+    if not labels:
+        raise SpeclusterError(f"{path}: no labels")
     labels = np.array(labels, dtype=np.int64)
     if n is not None and labels.size != n:
         raise SpeclusterError(f"partition has {labels.size} labels, expected {n}")
@@ -133,7 +136,16 @@ def _assign(xt, xx, centers):
     return labels, assigned
 
 
-def _lloyd(x, xt, xx, k, rng, max_iter):
+def _label_key(labels, k):
+    """labels as bytes, for exact comparison: packed bits that name a K = 2
+    labeling and its complement alike, else the labels in the narrowest
+    unsigned type that holds k - 1 (one byte per node up to K = 256)."""
+    if k == 2:
+        return np.packbits(labels != labels[0]).tobytes()
+    return labels.astype(np.min_scalar_type(k - 1)).tobytes()
+
+
+def _lloyd(x, xt, xx, k, rng, max_iter, seen):
     """One k-means++-seeded Lloyd run.
 
     Returns the final labels and a bound: the summed squared distances of
@@ -141,6 +153,18 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
     max_iter, repaired an empty cluster at its last step or met a
     non-finite distance.  A finite bound is the objective of the labels up
     to rounding, since that step's centers are their means.
+
+    seen is shared by the runs of one kmeans call.  It maps the labels
+    (_label_key) of every step without an empty cluster of each earlier
+    run that ended at a fixed point with a finite bound, directly or by the
+    merge below, to the number of steps left from there to that end.  A
+    run whose labels, after the step's descent check, equal such an entry
+    stops and returns labels None, provided step + steps left < max_iter,
+    so that it too would have converged within max_iter: from equal labels
+    it can only retrace the earlier run, up to the rounding noted below, to
+    the same final labels (their complement for K = 2).  Steps that
+    repaired an empty cluster are not keyed, since the repair depends on
+    the centers, not only on the labels.
 
     The per-cluster counts and coordinate sums change only by the points
     that moved; they are recomputed in full on the first step and after an
@@ -153,7 +177,8 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
     prev_labels = None
     prev_obj = np.inf
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    path = []  # (step, key) of every keyed step
+    for step in range(max_iter):
         labels, assigned = _assign(xt, xx, centers)
         full = prev_labels is None
         if full:
@@ -184,7 +209,17 @@ def _lloyd(x, xt, xx, k, rng, max_iter):
                     f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
                 )
             if not full and not moved.size:
-                return labels, obj if np.isfinite(obj) else -np.inf
+                if not np.isfinite(obj):
+                    return labels, -np.inf
+                seen.update((lab, step - i) for i, lab in path)
+                return labels, obj
+            key = _label_key(labels, k)
+            left = seen.get(key)
+            if left is not None and step + left < max_iter:
+                # this run would end where the earlier one did, step + left
+                seen.update((lab, step + left - i) for i, lab in path)
+                return None, -np.inf
+            path.append((step, key))
         if full:
             sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt], axis=1)
         else:
@@ -204,12 +239,23 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
 
     Deterministic given seed; ties between restarts resolve to the lowest
     restart index.  Returns the partition and its objective value.  Points
-    must be finite.
+    must be finite; k, restarts and max_iter must be at least 1.
 
     Each Lloyd step updates the cluster sums from the points that moved
-    only (see _lloyd).  The exact objective (kmeans_objective) is computed
-    only for restarts that can win.  A restart whose labels equal the best
-    so far cannot beat it under strict <.  Nor can one that converged with
+    only (see _lloyd).  A restart stops as soon as its labels equal labels
+    that an earlier converged restart passed through, if it would converge
+    within max_iter; from there it could only retrace that restart to the
+    same final labels, which were already scored or excluded, and equal
+    labels have a bitwise-equal kmeans_objective, which cannot win under
+    strict <.  For K = 2 the labels are matched up to complement, whose
+    objective is also bitwise equal (see below).  For K >= 3 they are not
+    matched up to a permutation: kmeans_objective adds the per-cluster
+    terms in cluster order, so a permuted labeling can differ in the last
+    bits and win.
+
+    The exact objective (kmeans_objective) is computed only for restarts
+    that can win.  A restart whose labels equal the best so far cannot
+    beat it under strict <.  Nor can one that converged with
     summed squared distances more than 1e-10 * sum(|x|^2) above the best
     objective: the rounding error of those sums is about
     4 (d + 3 + log2 n) u sum(|x|^2), u the unit roundoff, orders of
@@ -218,6 +264,9 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     same two per-cluster terms in the other order, a bitwise-equal sum.
     Every other restart is scored.
     """
+    for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
+        if value < 1:
+            raise SpeclusterError(f"k-means needs {name} >= 1, got {value}")
     x = np.asarray(points, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -230,11 +279,14 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     xx = (x * x).sum(axis=1)
     margin = 1e-10 * float(xx.sum())
     children = seed_sequence(seed).spawn(restarts)
+    seen = {}
     best_labels = None
     best_obj = np.inf
     for r in range(restarts):
         rng = np.random.default_rng(children[r])
-        labels, bound = _lloyd(x, xt, xx, k, rng, max_iter)
+        labels, bound = _lloyd(x, xt, xx, k, rng, max_iter, seen)
+        if labels is None:
+            continue  # retraced an earlier restart
         if best_labels is not None and (
             bound > best_obj + margin
             or np.array_equal(labels, best_labels)

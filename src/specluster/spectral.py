@@ -128,6 +128,15 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     Every returned pair is checked explicitly: any residual above tol
     raises ConvergenceError.  Deterministic given seed and start.
 
+    The gate is absolute and bounds residuals only.  It does not bound the
+    error of the vectors: by Davis-Kahan the angle between the returned
+    and the true top-K subspace is bounded only by about residual / gap,
+    gap = lambda_K - lambda_{K+1}, so when the gap is small next to tol a
+    pair that passes can be far from exact.  On a two-block n=100k graph
+    at tau = 1e5 the gap was 1.5e-6; a solve that passed with residual
+    7e-9 returned a vector about 1e-3 rad off, and k-means placed 17 nodes
+    differently.
+
     start, a StartVector, warm-starts the Lanczos path: its direction is
     added to the random start, and after a successful solve it holds the
     sum of the K returned (sign-fixed) vectors.  The dense path ignores it.

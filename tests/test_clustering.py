@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -42,16 +43,17 @@ def brute_force_kmeans_minimum(points, k):
     return float(best.min())
 
 
-def reference_kmeans(points, k, restarts=20, max_iter=100, seed=0):
+def reference_kmeans(points, k, restarts=20, max_iter=100, seed=0, steps=None):
     """Lloyd with masked cluster means, row-wise argmin and the full
-    objective every iteration, on kmeans's seeding and seed streams."""
+    objective every iteration, on kmeans's seeding and seed streams.
+    steps, a list, gets the number of Lloyd steps of each restart."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     best_labels, best_obj = None, np.inf
     for child in seed_sequence(seed).spawn(restarts):
         centers = clustering._kmeanspp_init(x, k, np.random.default_rng(child))
         prev_labels, prev_obj = None, np.inf
-        for _ in range(max_iter):
+        for step in range(max_iter):
             d2 = (
                 (x * x).sum(axis=1)[:, None]
                 - 2.0 * (x @ centers.T)
@@ -73,6 +75,8 @@ def reference_kmeans(points, k, restarts=20, max_iter=100, seed=0):
             if prev_labels is not None and np.array_equal(labels, prev_labels):
                 break
             prev_labels, prev_obj = labels, obj
+        if steps is not None:
+            steps.append(step + 1)
         if obj < best_obj:
             best_labels, best_obj = labels, obj
     return best_labels, best_obj
@@ -121,6 +125,58 @@ def assert_matches_reference(points, k, seed, restarts=20, max_iter=100):
     ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, max_iter=max_iter, seed=seed)
     assert np.array_equal(part.labels, ref_labels)
     assert obj == ref_obj  # bitwise: same arithmetic in the same order
+
+
+def restart_outcomes(points, k, **kwargs):
+    """kmeans(points, k, **kwargs) with _lloyd wrapped.  Returns the result
+    and, per restart, the labels it returned (None once it merged) and the
+    labels it returns when run alone, with no earlier restart seen."""
+    runs = []
+    real_lloyd = clustering._lloyd
+
+    def recording(x, xt, xx, k, rng, max_iter, seen):
+        alone = real_lloyd(x, xt, xx, k, copy.deepcopy(rng), max_iter, {})[0]
+        out = real_lloyd(x, xt, xx, k, rng, max_iter, seen)
+        runs.append((out[0], alone))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_lloyd", recording)
+        result = kmeans(points, k, **kwargs)
+    return result, runs
+
+
+def merge_kinds(runs, k):
+    """Per merged restart, "exact" if run alone it ends in labels an earlier
+    restart ends in alone, else "complement" (asserted, K = 2 only).  A
+    restart that did not merge must return what it returns alone."""
+    kinds = []
+    for r, (labels, alone) in enumerate(runs):
+        if labels is not None:
+            assert np.array_equal(labels, alone)
+            continue
+        earlier = [a for _, a in runs[:r]]
+        if any(np.array_equal(alone, a) for a in earlier):
+            kinds.append("exact")
+        else:
+            assert k == 2 and any(np.array_equal(1 - alone, a) for a in earlier)
+            kinds.append("complement")
+    return kinds
+
+
+def assign_calls(call):
+    """Lloyd steps taken by call(): its calls to _assign."""
+    calls = []
+    real_assign = clustering._assign
+
+    def counting(*args):
+        calls.append(None)
+        return real_assign(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_assign", counting)
+        call()
+    return len(calls)
 
 
 def test_kmeans_separated_clusters():
@@ -261,7 +317,7 @@ def test_kmeans_matches_reference_with_many_moves():
         assert_matches_reference(vectors, 3, seed=i)
 
 
-@pytest.mark.parametrize("max_iter", [1, 2])
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
 def test_kmeans_matches_reference_when_restarts_stop_early(max_iter):
     inputs = [(v, 3) for v in dcsbm_embeddings((10.0,))]
     repeated = np.repeat(np.array([[0.0], [1.0], [2.0]]), 5, axis=0)
@@ -298,30 +354,90 @@ def test_kmeans_scores_only_restarts_that_can_win(monkeypatch, rng):
 
 
 def test_kmeans_two_clusters_skips_the_complement_of_the_best(monkeypatch, rng):
-    calls, runs = [], []
-    real_objective, real_lloyd = clustering.kmeans_objective, clustering._lloyd
+    calls = []
+    real_objective = clustering.kmeans_objective
 
     def counting(points, labels, k):
         calls.append(labels)
         return real_objective(points, labels, k)
 
-    def recording(*args):
-        out = real_lloyd(*args)
-        runs.append(out[0])
-        return out
-
     monkeypatch.setattr(clustering, "kmeans_objective", counting)
-    monkeypatch.setattr(clustering, "_lloyd", recording)
     blobs = np.repeat([[0.0, 0.0], [6.0, 0.0]], 40, axis=0) + 0.5 * rng.standard_normal((80, 2))
-    part, obj = kmeans(blobs, 2, seed=4)
-    # every restart ends in the same partition, under both labelings
+    (part, obj), outcomes = restart_outcomes(blobs, 2, seed=4)
+    # run alone, every restart ends in the same partition, under both
+    # labelings; all but the first merge, one of them through the complement
+    runs = [alone for _, alone in outcomes]
     assert {tuple(lab.tolist()) for lab in runs} == {tuple(runs[0]), tuple(1 - runs[0])}
+    assert merge_kinds(outcomes, 2).count("complement") >= 1
     assert len(calls) == 1
     monkeypatch.undo()
     ref_labels, ref_obj = reference_kmeans(blobs, 2, seed=4)
     assert np.array_equal(part.labels, ref_labels)
     assert obj == ref_obj
     assert clustering.kmeans_objective(blobs, 1 - ref_labels, 2) == ref_obj
+
+
+@pytest.mark.parametrize("k, kind", [(2, "complement"), (3, "exact")])
+def test_kmeans_merged_restarts_match_reference(k, kind):
+    # restarts that reach labels an earlier restart passed through stop
+    # there; the result stays bitwise the reference's, in fewer steps
+    vectors = dcsbm_embeddings((10.0,))[0][:, :k]
+    (part, obj), runs = restart_outcomes(vectors, k, seed=0)
+    assert kind in merge_kinds(runs, k)
+    ref_steps = []
+    ref_labels, ref_obj = reference_kmeans(vectors, k, seed=0, steps=ref_steps)
+    assert np.array_equal(part.labels, ref_labels)
+    assert obj == ref_obj
+    assert assign_calls(lambda: kmeans(vectors, k, seed=0)) < sum(ref_steps)
+
+
+def test_kmeans_merges_nothing_on_repair_inputs():
+    # k=4 on three distinct rows and k=3 on identical points repair an empty
+    # cluster up to the last step, so no restart ends with a finite bound,
+    # none is remembered and none merges; k=3 on the three rows converges
+    # without a repair, and restarts merge
+    repeated = np.repeat(np.array([[0.0], [1.0], [2.0]]), 5, axis=0)
+    cases = [(repeated, 4, 20, False), (np.zeros((6, 2)), 3, 2, False), (repeated, 3, 20, True)]
+    for points, k, restarts, merges in cases:
+        (part, obj), runs = restart_outcomes(points, k, restarts=restarts, seed=0)
+        assert bool(merge_kinds(runs, k)) == merges
+        ref_labels, ref_obj = reference_kmeans(points, k, restarts=restarts, seed=0)
+        assert np.array_equal(part.labels, ref_labels)
+        assert obj == ref_obj
+
+
+def test_lloyd_merges_only_when_it_would_converge_within_max_iter():
+    x = dcsbm_embeddings((10.0,))[0]
+    xt, xx = np.ascontiguousarray(x.T), (x * x).sum(axis=1)
+    children = seed_sequence(0).spawn(20)
+
+    def run(r, max_iter, seen):
+        return clustering._lloyd(x, xt, xx, 3, np.random.default_rng(children[r]), max_iter, seen)
+
+    seen = {}
+    for r in range(20):
+        before = dict(seen)
+        if run(r, 100, seen)[0] is None:
+            break
+    alone_labels, alone_bound = run(r, 100, {})
+    assert np.isfinite(alone_bound)
+    end = assign_calls(lambda: run(r, 100, {})) - 1  # run alone, it converges at this step
+    assert end >= 2
+    assert run(r, end + 1, dict(before))[0] is None
+    # one step fewer and it would stop at max_iter: it runs on, unscored
+    # labels and all, and what it passed through is not remembered
+    last = dict(before)
+    labels, bound = run(r, end, last)
+    assert bound == -np.inf
+    assert np.array_equal(labels, run(r, end, {})[0])
+    assert last == before
+
+
+@pytest.mark.parametrize("name", ["k", "restarts", "max_iter"])
+def test_kmeans_rejects_counts_below_one(name):
+    pts = np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(sp.SpeclusterError, match=f"{name} >= 1"):
+        kmeans(pts, **{"k": 2, name: 0})
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -439,6 +555,14 @@ def test_partition_file_bad_line_names_it(tmp_path, line):
     path.write_text(f"# labels\n0\n{line}\n1\n")
     with pytest.raises(sp.SpeclusterError, match=r"labels.txt:3: "):
         sp.load_partition(path)
+
+
+def test_partition_file_without_labels_names_it(tmp_path):
+    path = tmp_path / "labels.txt"
+    for text in ("", "\n\n", "# labels\n  # none yet\n\n"):
+        path.write_text(text)
+        with pytest.raises(sp.SpeclusterError, match=r"labels.txt: no labels"):
+            sp.load_partition(path)
 
 
 def test_partition_file_that_crashed_loadtxt(tmp_path):
