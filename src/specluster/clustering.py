@@ -119,15 +119,17 @@ def _assign(xt, xx, centers):
 
     xt holds the points as columns and xx their squared norms.  Distances
     form one (K, n) array; a running minimum with strict < sends ties to the
-    lowest center index, as argmin does.
+    lowest center index, as argmin does.  For K = 2 that minimum is one
+    comparison of the two rows.
     """
-    # |x|^2 - 2 c.x + |c|^2 built in place: IEEE addition commutes and
-    # negation is exact, so each entry equals that expression bitwise
-    d2 = centers @ xt
-    d2 *= -2.0
+    # |x|^2 - 2 c.x + |c|^2 built in place: IEEE addition commutes, and
+    # scaling by -2 is exact, so each entry equals that expression bitwise
+    d2 = (centers * -2.0) @ xt
     d2 += xx
     d2 += (centers * centers).sum(axis=1)[:, None]
     np.maximum(d2, 0.0, out=d2)
+    if centers.shape[0] == 2:
+        return (d2[1] < d2[0]).astype(np.int64), np.minimum(d2[0], d2[1])
     labels = np.zeros(xt.shape[1], dtype=np.int64)
     assigned = d2[0].copy()
     for c in range(1, centers.shape[0]):
@@ -184,7 +186,7 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
         if full:
             counts = np.bincount(labels, minlength=k)
         else:
-            moved = np.flatnonzero(labels != prev_labels)
+            moved = np.nonzero(labels != prev_labels)[0]
             gained, lost = labels[moved], prev_labels[moved]
             np.add.at(counts, gained, 1)
             np.subtract.at(counts, lost, 1)
@@ -225,9 +227,9 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
         else:
             # one 1-D ufunc.at per coordinate: numpy's 2-D ufunc.at is
             # several times slower once a few hundred points move
-            for col, total in zip(xt, sums.T):
-                np.subtract.at(total, lost, col[moved])
-                np.add.at(total, gained, col[moved])
+            for col, total in zip(xt[:, moved], sums.T):
+                np.subtract.at(total, lost, col)
+                np.add.at(total, gained, col)
         centers = sums / counts[:, None]
         prev_labels = labels
         prev_obj = obj

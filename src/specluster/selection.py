@@ -261,8 +261,9 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
     coarse norm estimate shows the statistic exceeds above * (1 + NORM_TOL),
     that coarse value is returned: a certified lower bound on the
     statistic, within the coarse tolerance of it.  Otherwise the result is
-    the full-precision one.  The Frobenius numerator ignores start and
-    above.
+    the full-precision one, and with above=None and no start it is what
+    tau_scan records at its pivot, bitwise.  The Frobenius numerator
+    ignores start and above.
     """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
@@ -298,10 +299,13 @@ class TauRecord:
     """One grid point of a tau_scan.
 
     dkest is the full-precision statistic wherever the point could still
-    be the argmin when the scan reached it.  Elsewhere, with a spectral
-    numerator, it is a certified lower bound from a coarse norm solve:
-    within the coarse tolerance of the statistic, and above the scan's
-    minimum DKest.  It is inf when the fitted gap vanished.
+    be the argmin when the scan's DKest walk (outward from the pivot, see
+    tau_scan) reached it; at the pivot it is exactly a lone
+    dkest_statistic call.  Elsewhere, with a spectral numerator, it is a
+    certified lower bound from a coarse norm solve: within the coarse
+    tolerance of the statistic, and above the scan's minimum DKest.  It is
+    inf when the fitted gap vanished.  seconds covers the point's
+    clustering, scores and DKest, which run at different times.
     """
 
     tau: float
@@ -362,6 +366,14 @@ def default_tau_grid(g, points=20):
     return grid
 
 
+def _pivot_index(grid, mean_degree):
+    """Index of the ascending grid point nearest mean_degree on a log
+    scale: the first of ties, or 0 when no log distance is finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.abs(np.log(grid) - np.log(mean_degree))
+    return int(np.argmin(np.where(np.isfinite(dist), dist, np.inf)))
+
+
 def tau_scan(
     g,
     k,
@@ -375,29 +387,43 @@ def tau_scan(
 ):
     """Run the clustering pipeline at every tau and evaluate the selectors.
 
-    Grid points run one after another in ascending order, and one
-    clustering seed is shared across them so per-tau differences reflect
-    tau alone.  The scan carries two spectral.StartVector chains, one for
-    the embedding eigensolve and one for the DKest norm: each solve starts
-    from its seeded random vector plus the direction the previous grid
-    point found.  That start is the only way a record depends on the grid
-    points before it.  The first grid point is exactly a lone call; later
-    eigenvectors and DKest norms agree with lone calls to the solvers'
-    tolerances, so k-means gives the same canonical labels unless a node
-    lies within that distance of a cluster boundary.
+    Grid points are clustered one after another in ascending order, and
+    one clustering seed is shared across them so per-tau differences
+    reflect tau alone.  The embedding eigensolve carries a
+    spectral.StartVector along that ascending pass: each solve starts from
+    its seeded random vector plus the direction the previous grid point
+    found.  Eigenvectors agree with lone calls to the solver's tolerance,
+    so k-means gives the same canonical labels unless a node lies within
+    that distance of a cluster boundary.
 
-    Each DKest call gets the smallest DKest recorded so far as above, so a
-    spectral numerator is solved only as precisely as the choice needs.
-    A Ritz value never exceeds the norm, so a coarse estimate over mu_K is
-    a lower bound on the statistic; once it exceeds the running minimum m
-    by more than the full solve's tolerance (m * (1 + NORM_TOL)), the
-    grid point cannot be the argmin and its coarse value is recorded.
-    Every other point is solved to NORM_TOL as in a lone call.  So the
-    running minimum is always a full-precision value, every lower bound
-    lies above the final minimum, and the chosen tau is the argmin of
-    full-precision values.  When DKest is infinite at every grid point,
-    "dkest" is left out of the chosen values.  workers is accepted and ignored; it stays only until the
-    benchmark stops passing it (ROADMAP item 1).
+    DKest is evaluated in another order, outward from the pivot: the grid
+    point nearest the graph's mean degree on a log scale (the regularizer
+    Qin & Rohe 2013 recommend; ties go to the lower tau, and the first
+    point is the pivot when no log distance is finite).  The pivot comes
+    first, then the points below it in descending order, then the points
+    above it in ascending order; the partitions below the pivot wait until
+    it is reached.  The DKest norm carries its own StartVector along that
+    walk, and the upward walk starts again from the pivot's direction.
+    The pivot's DKest is exactly a lone call; any other record depends on
+    the grid points evaluated before it only through the two start
+    vectors and the running minimum below.
+
+    Each DKest call after the pivot's gets the smallest DKest recorded so
+    far as above, so a spectral numerator is solved only as precisely as
+    the choice needs.  A Ritz value never exceeds the norm, so a coarse
+    estimate over mu_K is a lower bound on the statistic; once it exceeds
+    the running minimum m by more than the full solve's tolerance
+    (m * (1 + NORM_TOL)), the grid point cannot be the argmin and its
+    coarse value is recorded.  Every other point is solved to NORM_TOL as
+    in a lone call.  So the running minimum is always a full-precision
+    value, every lower bound lies above the final minimum, and the chosen
+    tau is the argmin of full-precision values.  DKest usually falls from
+    tau = 1 to a minimum near the mean degree, so starting there leaves
+    few points to solve in full.  When DKest is infinite at every grid
+    point, "dkest" is left out of the chosen values.  A record's seconds
+    cover its clustering, scores and DKest.  workers is accepted and
+    ignored; it stays only until the benchmark stops passing it (ROADMAP
+    item 1).
     """
     grid = np.sort(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
@@ -408,28 +434,34 @@ def tau_scan(
     if "oracle" in criteria and truth is None:
         raise SpeclusterError("oracle criterion needs a reference partition")
 
+    def fill_dkest(rec, part, norm_start, best):
+        """Record DKest at rec given the smallest DKest so far; return the new smallest."""
+        start = time.perf_counter()
+        try:
+            rec.dkest = dkest_statistic(
+                g,
+                part,
+                rec.tau,
+                model_kind=model_kind,
+                norm_kind=norm_kind,
+                seed=seed,
+                start=norm_start,
+                above=best if best < np.inf else None,
+            )
+        except DegenerateModelError:
+            rec.dkest = np.inf
+        rec.seconds += time.perf_counter() - start
+        return min(best, rec.dkest)
+
     records = []
+    pivot = _pivot_index(grid, g.mean_degree)
+    pending = []  # partitions below the pivot, waiting for its DKest
     eig_start, norm_start = StartVector(), StartVector()
     best = np.inf  # smallest DKest so far
-    for tau in grid:
+    for i, tau in enumerate(grid):
         start = time.perf_counter()
         rec = TauRecord(tau=float(tau))
         part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
-        if "dkest" in criteria:
-            try:
-                rec.dkest = dkest_statistic(
-                    g,
-                    part,
-                    tau,
-                    model_kind=model_kind,
-                    norm_kind=norm_kind,
-                    seed=seed,
-                    start=norm_start,
-                    above=best if best < np.inf else None,
-                )
-            except DegenerateModelError:
-                rec.dkest = np.inf
-            best = min(best, rec.dkest)
         if "gn" in criteria:
             rec.gn_modularity = modularity(g, part)
         if truth is not None:
@@ -437,6 +469,18 @@ def tau_scan(
             rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
         rec.seconds = time.perf_counter() - start
         records.append(rec)
+        if "dkest" not in criteria:
+            continue
+        if i < pivot:
+            pending.append(part)
+            continue
+        best = fill_dkest(rec, part, norm_start, best)
+        if i == pivot:
+            direction = norm_start.direction
+            upward = StartVector(None if direction is None else direction.copy())
+            for j in range(pivot - 1, -1, -1):
+                best = fill_dkest(records[j], pending[j], norm_start, best)
+            norm_start = upward
 
     chosen = {}
     if "dkest" in criteria:

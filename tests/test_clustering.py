@@ -270,6 +270,52 @@ def test_assign_ties_go_to_lowest_index():
     assert assigned.tolist() == [1.0, 1.0]
 
 
+def running_minimum_assign(xt, xx, centers):
+    """Distances scaled by -2 after the product, then a running minimum
+    over the centers with strict <; also returns the unclamped distances."""
+    raw = centers @ xt
+    raw *= -2.0
+    raw += xx
+    raw += (centers * centers).sum(axis=1)[:, None]
+    d2 = np.maximum(raw, 0.0)
+    labels = np.zeros(xt.shape[1], dtype=np.int64)
+    assigned = d2[0].copy()
+    for c in range(1, centers.shape[0]):
+        np.putmask(labels, d2[c] < assigned, c)
+        np.minimum(assigned, d2[c], out=assigned)
+    return labels, assigned, raw
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_assign_matches_running_minimum_reference(k):
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((k, 3)) * 7.0
+    centers[1, 0] = -centers[0, 0]
+    centers[1, 1:] = centers[0, 1:]
+    x = np.vstack(
+        [
+            rng.standard_normal((200, 3)) * 7.0,
+            # on a center up to 1e-9: distances that round below zero
+            centers[rng.integers(k, size=100)] + 1e-9 * rng.standard_normal((100, 3)),
+            # first coordinate 0: exactly as far from center 0 as from center 1
+            np.column_stack([np.zeros(50), rng.standard_normal((50, 2))]),
+        ]
+    )
+    xt = np.ascontiguousarray(x.T)
+    xx = (x * x).sum(axis=1)
+    want_labels, want_assigned, raw = running_minimum_assign(xt, xx, centers)
+    assert (raw < 0).any()
+    ties = raw[0] == raw[1]
+    assert ties.sum() >= 50
+    if k == 2:
+        assert not want_labels[ties].any()  # a tie goes to center 0
+    labels, assigned = clustering._assign(xt, xx, centers)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(assigned, want_assigned)
+    assert (assigned >= 0).all()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kmeans_rejects_non_finite_points(bad):
     pts = np.random.default_rng(0).standard_normal((10, 2))

@@ -354,6 +354,85 @@ def warm_chain_graphs():
     return [(sp.sample(sbm, 2), 2, "sbm"), (sp.sample(dsbm, 2), 3, "dsbm")]
 
 
+def dkest_order(grid, mean_degree):
+    """Indices of an ascending grid in the order tau_scan evaluates DKest:
+    the point nearest mean_degree on a log scale (the first of ties, else
+    the first point), the points below it descending, then those above."""
+    pivot, nearest = 0, np.inf
+    for i, tau in enumerate(grid):
+        if tau > 0 and mean_degree > 0 and abs(np.log(tau / mean_degree)) < nearest:
+            pivot, nearest = i, abs(np.log(tau / mean_degree))
+    return [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, len(grid))]
+
+
+def test_pivot_is_the_nearest_grid_point_on_a_log_scale():
+    assert selection._pivot_index(np.array([0.0, 1.0, 4.0]), 2.0) == 1  # a tie: the lower tau
+    assert selection._pivot_index(np.array([0.0, 1.0, 3.0]), 2.0) == 2
+    assert selection._pivot_index(np.array([0.0, 5.0]), 0.0) == 0  # no finite distance
+    assert selection._pivot_index(np.array([0.0]), 3.0) == 0
+
+
+_KARATE_GRIDS = {
+    "default-grid": None,  # default_tau_grid: tau = 0, then 1 .. 10 n
+    "one-point": [3.0],
+    "pivot-first": np.geomspace(10.0, 340.0, 5),  # all above the mean degree 4.59
+    "pivot-last": np.geomspace(0.1, 3.0, 5),  # all below it
+}
+
+
+@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
+@pytest.mark.parametrize("case", list(_KARATE_GRIDS))
+def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kind):
+    g = sp.load_edge_list(_DATA / "karate_edges.txt")
+    truth = sp.load_partition(_DATA / "karate_labels.txt", n=g.n)
+    grid = _KARATE_GRIDS[case]
+    grid = sp.default_tau_grid(g) if grid is None else grid
+    calls = []
+    real_norm = selection.spectral_norm_diff
+
+    def spy(sample_op, fitted, stop_above=None, start=None, **kwargs):
+        given = None if start.direction is None else start.direction.copy()
+        out = real_norm(sample_op, fitted, stop_above=stop_above, start=start, **kwargs)
+        calls.append((sample_op.tau, stop_above, given, start.direction))
+        return out
+
+    monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    scan = sp.tau_scan(
+        g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, norm_kind=norm_kind, seed=0
+    )
+    monkeypatch.undo()
+    order = dkest_order(scan.grid, g.mean_degree)
+    pivot = order[0]
+    if case == "pivot-first":
+        assert pivot == 0
+    if case == "pivot-last":
+        assert pivot == len(grid) - 1
+    if norm_kind == "spectral":
+        # one norm call per grid point, in DKest's order; only the pivot's has no threshold
+        taus, bounds, given, found = zip(*calls)
+        assert list(taus) == [scan.grid[i] for i in order]
+        assert bounds[0] is None and all(bound is not None for bound in bounds[1:])
+        # each start carries the previous call's direction, except that the
+        # walk up from the pivot (call pivot + 1) starts from the pivot's
+        assert given[0] is None
+        for j in range(1, len(calls)):
+            assert np.array_equal(given[j], found[0] if j == pivot + 1 else found[j - 1])
+    else:
+        assert not calls
+    chosen = scan.record_at(scan.chosen["dkest"]).dkest
+    for i, rec in enumerate(scan.records):
+        part = sp.regularized_spectral_clustering(g, 2, rec.tau, seed=0)
+        assert rec.gn_modularity == selection.modularity(g, part)
+        assert rec.nmi == sp.nmi(part, truth)
+        assert rec.misclassified_fraction == sp.clustering_error(part, truth).misclassified_fraction
+        lone = dkest_statistic(g, part, rec.tau, norm_kind=norm_kind)
+        if norm_kind == "frobenius" or i == pivot:
+            assert rec.dkest == lone
+        else:
+            full = rec.dkest == pytest.approx(lone, rel=1e-10, abs=0)
+            assert full or chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("case", [0, 1])
 def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     g, k, model_kind = warm_chain_graphs()[case]
@@ -379,14 +458,15 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7)
     warm_applies, applies[0] = applies[0], 0
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
+    pivot = dkest_order(scan.grid, g.mean_degree)[0]
     lone = []
     for i, rec in enumerate(scan.records):
         part = real_rsc(g, k, rec.tau, seed=7)
         cold = dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
         lone.append(cold)
         assert np.array_equal(labels[i], part.labels)
-        if i == 0:
-            assert rec.dkest == cold  # nothing to carry yet: the lone call, bitwise
+        if i == pivot:
+            assert rec.dkest == cold  # DKest's first point: the lone call, bitwise
         # full precision, or a coarse lower bound that certifies a losing tau
         full = rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
         assert full or chosen * (1 + 1e-6) < rec.dkest <= cold * (1 + 1e-12)

@@ -6,8 +6,12 @@ import pytest
 import specluster as sp
 from specluster.blockmodel import PopulationLaplacian
 from specluster.graph import build_graph
+from scipy.sparse.linalg import LinearOperator
+
+from specluster import spectral
 from specluster.spectral import (
     DENSE_FALLBACK,
+    NORM_TOL,
     RegularizedLaplacian,
     spectral_norm_diff,
     top_eigenpairs,
@@ -255,6 +259,24 @@ def test_rank_one_operator_above_dense_fallback():
     assert np.all(basis.residuals <= 1e-8)
     # the restart directions come from seed, so the answer repeats bitwise
     assert np.array_equal(top_eigenpairs(a, 3).vectors, basis.vectors)
+
+
+def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
+    # the certificate is one-sided: a start orthogonal to the top
+    # eigenvector of a diagonal operator keeps the whole Krylov space
+    # orthogonal to it, and the residual check then accepts the second
+    # eigenvalue, which is a lower bound on the norm and not the norm
+    n = DENSE_FALLBACK + 88
+    diag = np.concatenate([[2.0, 1.0], np.linspace(-0.5, 0.5, n - 2)])
+    mv = lambda x: diag * x
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    v0[0] = 0.0
+    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
+    estimate, vec = spectral._checked_norm_ritz(lin, mv, NORM_TOL, v0, rng)
+    assert np.linalg.norm(mv(vec) - estimate * vec) <= NORM_TOL * estimate
+    assert estimate == pytest.approx(1.0, rel=NORM_TOL)
+    assert estimate < np.linalg.norm(np.diag(diag), 2) == 2.0
 
 
 def test_frobenius_dominates_spectral(rng):
