@@ -83,6 +83,15 @@ def kmeans_objective(points, labels, k):
     return total
 
 
+def _weighted_index(rng, p):
+    """One index drawn with probabilities p: what rng.choice(p.size, p=p)
+    computes (the same index and generator state), without its two
+    validation passes over p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp_init(x, k, rng):
     """k-means++ seeding: k rows of x, each drawn with probability
     proportional to its squared distance to the nearest row drawn so far.
@@ -108,7 +117,7 @@ def _kmeanspp_init(x, k, rng):
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _weighted_index(rng, d2 / total)
         centers[c] = x[idx]
         np.minimum(d2, sqdist(centers[c]), out=d2)
     return centers

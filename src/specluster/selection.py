@@ -11,18 +11,21 @@ modularity-maximizing and oracle (NMI-maximizing) selectors are computed
 on the same scan for comparison.
 
 The rebuilt Laplacian is never formed densely: its action is evaluated
-through the cluster structure and its nonzero spectrum through a K-by-K
-(or (K+1)-by-(K+1)) reduction.  The plain fit is exactly the population
-Laplacian of the fitted BlockModel, so blockmodel.PopulationLaplacian and
-blockmodel.eigen_gap serve it.  The degree-corrected fit keeps its own
-operator: it normalizes by the sample degrees, applies tau/n J as a
-rank-one term and clamps hub pairs whose fitted probability exceeds 1,
-none of which a plain block operator does, and sharing one class would
-make it branch on which fit it serves.
+through the cluster structure and its nonzero spectrum through a small
+dense reduction (K-by-K for the plain fit, (K+1+h)-by-(K+1+h) for the
+degree-corrected fit with h hub nodes in clamped pairs).  The plain fit
+is exactly the population Laplacian of the fitted BlockModel, so
+blockmodel.PopulationLaplacian and blockmodel.eigen_gap serve it.  The
+degree-corrected fit keeps its own operator: it normalizes by the sample
+degrees, applies tau/n J as a rank-one term and clamps hub pairs whose
+fitted probability exceeds 1, none of which a plain block operator does,
+and sharing one class would make it branch on which fit it serves.
 
-The spectral numerator, and mu_K of a degree-corrected fit with clamped
-pairs, come from spectral's eigsh-based solvers; each answer is checked by
-an explicit residual.
+The spectral numerator comes from spectral's eigsh-based solver, its
+answer checked by an explicit residual.  mu_K never needs an eigensolver
+unless a degree-corrected fit clamps pairs on so many hub nodes that its
+reduction would exceed DENSE_FALLBACK columns; only then does it run the
+checked Krylov solver too.
 """
 
 import time
@@ -35,7 +38,7 @@ from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import clustering_error, modularity, nmi
-from .spectral import NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
+from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
 from .util import fmt, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
@@ -119,7 +122,9 @@ class _EstimatedDSBMLaplacian:
     make the fitted probability matrix reproduce every observed degree
     exactly, so the sample degree matrix is reused as the normalizer.
     Entries pushed above 1 by hub pairs are clamped to 1 and tracked as a
-    sparse correction.
+    sparse correction: apply subtracts it as a sparse matrix, and mu_k
+    treats the nodes it touches (the hubs) as extra columns of the
+    factored reduction.
     """
 
     def __init__(self, g, part, counts, tau):
@@ -166,34 +171,59 @@ class _EstimatedDSBMLaplacian:
         return self.inv_sqrt_deg * v
 
     def mu_k(self, seed=0):
-        if self._excess is None:
-            # factored (K+1)-dimensional reduction: nonzero eigenvalues of
-            # U M U' equal those of S^{1/2} M S^{1/2} with S = U'U
-            a2 = self.inv_sqrt_deg**2
-            s = np.zeros((self.k + 1, self.k + 1))
-            diag = np.bincount(self.labels, weights=a2 * self.theta**2, minlength=self.k)
-            cross = np.bincount(self.labels, weights=a2 * self.theta, minlength=self.k)
-            s[np.diag_indices(self.k)] = diag
-            s[: self.k, self.k] = cross
-            s[self.k, : self.k] = cross
-            s[self.k, self.k] = a2.sum()
-            m = np.zeros_like(s)
-            m[: self.k, : self.k] = self.counts
-            m[self.k, self.k] = self.tau / self.n
-            # the block columns a theta are tiny next to the all-a column, so
-            # S's square root loses digits unless S has unit diagonal: use
-            # D S D and D^{-1} M D^{-1} with D = diag(S)^{-1/2}, leaving a
-            # zero diagonal entry (a cluster with theta = 0) unscaled
-            scale = np.sqrt(np.diag(s))
-            scale[scale == 0] = 1.0
-            s /= np.outer(scale, scale)
-            m *= np.outer(scale, scale)
-            vals, vecs = np.linalg.eigh(s)
-            root = vecs @ (np.sqrt(np.clip(vals, 0, None))[:, None] * vecs.T)
-            eigs = np.linalg.eigvalsh(root @ m @ root)
-            return float(np.sort(eigs)[::-1][self.k - 1])
-        basis = top_eigenpairs(self, self.k, tol=1e-9, seed=seed)
-        return float(basis.values[self.k - 1])
+        """K-th largest eigenvalue of the fitted Laplacian, zeros included.
+
+        The fit factors as W G W' with W = diag(a) [theta-weighted block
+        indicators | 1 | e_h for each hub h] (a = 1/sqrt(d + tau), the hubs
+        being the nodes of clamped pairs) and G = blockdiag(counts, tau/n,
+        -E_HH), E_HH the clamped excesses among the hubs.  Its nonzero
+        eigenvalues are those of S^{1/2} G S^{1/2} with S = W'W, a
+        (K+1+h)-dimensional problem solved densely.  Only when K+1+h
+        exceeds DENSE_FALLBACK does the Krylov solver (top_eigenpairs,
+        tol=1e-9, from seed) run instead.
+        """
+        ci, cj, excess = self._clamp_triplets
+        hubs, pos = np.unique(np.concatenate([ci, cj]), return_inverse=True)
+        k, h = self.k, hubs.size
+        r = k + 1 + h
+        if r > DENSE_FALLBACK:
+            basis = top_eigenpairs(self, k, tol=1e-9, seed=seed)
+            return float(basis.values[k - 1])
+        a2 = self.inv_sqrt_deg**2
+        s = np.zeros((r, r))
+        diag = np.bincount(self.labels, weights=a2 * self.theta**2, minlength=k)
+        cross = np.bincount(self.labels, weights=a2 * self.theta, minlength=k)
+        s[np.diag_indices(k)] = diag
+        s[:k, k] = cross
+        s[k, :k] = cross
+        s[k, k] = a2.sum()
+        m = np.zeros_like(s)
+        m[:k, :k] = self.counts
+        m[k, k] = self.tau / self.n
+        if h:
+            cols = np.arange(k + 1, r)
+            hub_a2, hub_blocks = a2[hubs], self.labels[hubs]
+            s[hub_blocks, cols] = hub_a2 * self.theta[hubs]
+            s[cols, hub_blocks] = s[hub_blocks, cols]
+            s[k, cols] = hub_a2
+            s[cols, k] = hub_a2
+            s[cols, cols] = hub_a2
+            pi, pj = k + 1 + pos[: ci.size], k + 1 + pos[ci.size :]
+            m[pi, pj] = -excess
+            m[pj, pi] = -excess
+        # the block columns a theta are tiny next to the all-a column, so
+        # S's square root loses digits unless S has unit diagonal: use
+        # D S D and D^{-1} G D^{-1} with D = diag(S)^{-1/2}, leaving a
+        # zero diagonal entry (a cluster with theta = 0) unscaled
+        scale = np.sqrt(np.diag(s))
+        scale[scale == 0] = 1.0
+        s /= np.outer(scale, scale)
+        m *= np.outer(scale, scale)
+        vals, vecs = np.linalg.eigh(s)
+        root = vecs @ (np.sqrt(np.clip(vals, 0, None))[:, None] * vecs.T)
+        eigs = np.linalg.eigvalsh(root @ m @ root)
+        # W has rank at most K+1+h, so every other eigenvalue is zero
+        return float(np.sort(np.append(eigs, 0.0))[::-1][k - 1])
 
     def to_dense(self):
         p = self.theta[:, None] * self.counts[self.labels][:, self.labels] * self.theta[None, :]

@@ -106,7 +106,8 @@ def sequential_sqdist(diff):
 
 
 class RecordingRng:
-    """A Generator that keeps every probability vector passed to choice."""
+    """A Generator that keeps every probability vector passed to choice,
+    or to clustering._weighted_index once record_weighted_index is on."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -115,9 +116,22 @@ class RecordingRng:
     def integers(self, n):
         return self.rng.integers(n)
 
+    def random(self):
+        return self.rng.random()
+
     def choice(self, n, p):
         self.p.append(p.copy())
         return self.rng.choice(n, p=p)
+
+
+def record_weighted_index(monkeypatch):
+    draw = clustering._weighted_index
+
+    def recording(rng, p):
+        rng.p.append(p.copy())
+        return draw(rng, p)
+
+    monkeypatch.setattr(clustering, "_weighted_index", recording)
 
 
 def assert_matches_reference(points, k, seed, restarts=20, max_iter=100):
@@ -487,7 +501,8 @@ def test_kmeans_rejects_counts_below_one(name):
 
 
 @pytest.mark.parametrize("k", range(2, 8))
-def test_kmeanspp_init_matches_row_sum_below_d8(k):
+def test_kmeanspp_init_matches_row_sum_below_d8(monkeypatch, k):
+    record_weighted_index(monkeypatch)
     for seed in range(4):
         x = np.random.default_rng(seed).standard_normal((300, k)) * np.linspace(0.5, 3.0, k)
         got_rng, ref_rng = RecordingRng(seed), RecordingRng(seed)
@@ -497,9 +512,10 @@ def test_kmeanspp_init_matches_row_sum_below_d8(k):
 
 
 @pytest.mark.parametrize("k", [8, 9, 12])
-def test_kmeanspp_init_sums_coordinates_in_order_from_d8(k):
+def test_kmeanspp_init_sums_coordinates_in_order_from_d8(monkeypatch, k):
     # numpy's row sum turns pairwise at d = 8; the init keeps summing one
     # coordinate after the other, so its probabilities can move in the last bits
+    record_weighted_index(monkeypatch)
     for seed in range(4):
         x = np.random.default_rng(seed).standard_normal((300, k)) * np.linspace(0.5, 3.0, k)
         got_rng, seq_rng, row_rng = RecordingRng(seed), RecordingRng(seed), RecordingRng(seed)
@@ -511,6 +527,27 @@ def test_kmeanspp_init_sums_coordinates_in_order_from_d8(k):
         assert np.array_equal(centers, reference_kmeanspp_init(x, k, row_rng))
         for a, b in zip(got_rng.p, row_rng.p, strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+
+
+def test_weighted_index_is_rng_choice():
+    # the same index and the same generator state as one rng.choice draw,
+    # also where the weights have zeros or a single positive entry
+    gen = np.random.default_rng(100)
+    with_zeros = gen.random(50)
+    with_zeros[::3] = 0.0
+    single = np.zeros(9)
+    single[6] = 2.5
+    mostly_zero = gen.random(3000)
+    mostly_zero[:2990] = 0.0
+    squared_norms = (gen.standard_normal((400, 3)) ** 2).sum(axis=1)
+    for seed in range(250):
+        for w in (with_zeros, single, mostly_zero, squared_norms):
+            p = w / w.sum()
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = clustering._weighted_index(got_rng, p)
+            assert idx == ref_rng.choice(p.size, p=p)
+            assert p[idx] > 0
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_kmeans_all_identical_points_keeps_k_clusters():

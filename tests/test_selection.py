@@ -6,7 +6,7 @@ import pytest
 
 import specluster as sp
 from conftest import two_block_benchmark_model, two_cliques
-from specluster import selection
+from specluster import selection, spectral
 from specluster.blockmodel import PopulationLaplacian
 from specluster.graph import build_graph
 from specluster.selection import _EstimatedDSBMLaplacian, dkest_statistic, estimate_block_matrix
@@ -154,15 +154,16 @@ def test_dsbm_clamping_matches_dense(rng):
         assert est.mu_k() == pytest.approx(vals[1], abs=1e-8)
 
 
-def dcsbm_model(n, k=3):
-    """Degree-corrected k-block model with in/out ratio 6, mean degree 15
-    and Pareto(2.5) quantile thetas, capped so every probability is <= 1."""
-    c = 15.0 / (n * 8.0 / 3.0)
+def dcsbm_model(n, k=3, alpha=2.5, degree=15.0):
+    """Degree-corrected k-block model with in/out ratio 6, mean degree
+    about degree and Pareto(alpha) quantile thetas, capped so every
+    probability is <= 1."""
+    c = degree / (n * 8.0 / 3.0)
     b = np.full((k, k), c)
     np.fill_diagonal(b, 6.0 * c)
     base = sp.BlockModel.from_sizes([n // k] * k, b)
     m = n // k
-    quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 2.5)
+    quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / alpha)
     theta = np.tile(quantiles / quantiles.mean(), k)
     np.minimum(theta, np.sqrt(1.0 / b.max()), out=theta)
     return sp.DegreeCorrectedModel(base=base, theta=theta)
@@ -193,6 +194,110 @@ def test_dsbm_mu_k_with_a_cluster_of_isolated_nodes():
         assert np.all(est.theta[8:] == 0)
         vals = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1]
         assert est.mu_k() == pytest.approx(vals[2], abs=1e-12)
+
+
+def dense_mu_k(est):
+    return np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][est.k - 1]
+
+
+def hub_nodes(est):
+    ci, cj, _ = est._clamp_triplets
+    return np.unique(np.concatenate([ci, cj]))
+
+
+def unclamped_reduction(est):
+    """mu_k's (K+1)-dimensional reduction as written for fits without
+    clamped pairs, before clamped fits shared it."""
+    a2 = est.inv_sqrt_deg**2
+    s = np.zeros((est.k + 1, est.k + 1))
+    diag = np.bincount(est.labels, weights=a2 * est.theta**2, minlength=est.k)
+    cross = np.bincount(est.labels, weights=a2 * est.theta, minlength=est.k)
+    s[np.diag_indices(est.k)] = diag
+    s[: est.k, est.k] = cross
+    s[est.k, : est.k] = cross
+    s[est.k, est.k] = a2.sum()
+    m = np.zeros_like(s)
+    m[: est.k, : est.k] = est.counts
+    m[est.k, est.k] = est.tau / est.n
+    scale = np.sqrt(np.diag(s))
+    scale[scale == 0] = 1.0
+    s /= np.outer(scale, scale)
+    m *= np.outer(scale, scale)
+    vals, vecs = np.linalg.eigh(s)
+    root = vecs @ (np.sqrt(np.clip(vals, 0, None))[:, None] * vecs.T)
+    eigs = np.linalg.eigvalsh(root @ m @ root)
+    return float(np.sort(eigs)[::-1][est.k - 1])
+
+
+def star_with_isolated_cluster():
+    """Cluster 0 is one hub joined to all of cluster 1 (29 nodes, a few of
+    them also on short paths); cluster 2 holds five isolated nodes, so its
+    theta is all zero."""
+    edges = [(0, j) for j in range(1, 30)] + [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]
+    g = build_graph(35, edges)
+    return g, sp.Partition(np.repeat([0, 1, 2], [1, 29, 5]), 3)
+
+
+def relabeled(part, perm):
+    return sp.Partition(np.asarray(perm)[part.labels], part.k)
+
+
+def check_reduction(g, part, perm):
+    """Fits at tau 0.5, 5, 50 and n whose mu_k matches dense eigvalsh and
+    is unchanged when the clusters are renamed by perm."""
+    other = relabeled(part, perm)
+    _, counts = estimate_block_matrix(g, part)
+    _, other_counts = estimate_block_matrix(g, other)
+    fits = []
+    for tau in (0.5, 5.0, 50.0, float(g.n)):
+        est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+        mu = est.mu_k()
+        assert mu == pytest.approx(dense_mu_k(est), rel=1e-12)
+        assert _EstimatedDSBMLaplacian(g, other, other_counts, tau).mu_k() == pytest.approx(mu, rel=1e-13)
+        fits.append(est)
+    return fits
+
+
+@pytest.mark.parametrize(
+    ("n", "alpha", "degree", "seed"),
+    [(900, 1.5, 40.0, 0), (1200, 1.2, 15.0, 1), (1500, 1.2, 40.0, 1)],
+)
+def test_dsbm_mu_k_reduction_matches_dense_with_clamped_hubs(n, alpha, degree, seed):
+    # heavy-tailed thetas: 70-230 clamped pairs on 25-45 hubs, some on the diagonal
+    model = dcsbm_model(n, alpha=alpha, degree=degree)
+    g = sp.sample(model, seed)
+    for est in check_reduction(g, sp.Partition(model.base.membership, 3), [2, 0, 1]):
+        ci, cj, _ = est._clamp_triplets
+        assert hub_nodes(est).size >= 10 and np.any(ci == cj)
+
+
+def test_dsbm_mu_k_reduction_with_diagonal_clamps():
+    part = sp.Partition((np.arange(40) >= 30).astype(int), 2)
+    for est in check_reduction(hub_graph(), part, [1, 0]):
+        ci, cj, _ = est._clamp_triplets
+        assert np.any(ci == cj)
+
+
+def test_dsbm_mu_k_reduction_with_a_single_hub_cluster_and_a_zero_theta_cluster():
+    g, part = star_with_isolated_cluster()
+    for est in check_reduction(g, part, [1, 2, 0]):
+        ci, _, _ = est._clamp_triplets
+        assert ci.size and np.all(ci == 0) and np.all(est.theta[30:] == 0)
+
+
+def test_dsbm_mu_k_without_clamps_is_the_unclamped_reduction():
+    fits = []
+    model = dcsbm_model(3000)
+    for seed in (0, 1, 3):
+        fits.append((sp.sample(model, seed), sp.Partition(model.base.membership, 3)))
+    fits.append(sample_two_block(seed=5))
+    fits.append((build_graph(12, two_cliques(4).edges), sp.Partition(np.repeat([0, 1, 2], 4), 3)))
+    for g, part in fits:
+        _, counts = estimate_block_matrix(g, part)
+        for tau in (0.5, 3.67, 49.5, float(g.n)):
+            est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+            assert est.clamped_entries == 0
+            assert est.mu_k() == unclamped_reduction(est)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +343,22 @@ def test_dkest_frobenius_matches_dense_with_clamps(rng):
     assert got == pytest.approx(np.sqrt((diff * diff).sum()) / mu, rel=1e-10)
 
 
-def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
-    # n=600 with a hub joined to every odd node: the degree-corrected fit
-    # clamps pairs, so mu_k takes the Krylov path of top_eigenpairs
+def hub_joined_graph():
+    """n=600 two-block graph plus a hub joined to every odd node; the
+    degree-corrected fit clamps 53 pairs on 53 hub nodes."""
     n = 600
     model = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.03, 0.006], [0.006, 0.03]])
     edges = {tuple(sorted(map(int, e))) for e in sp.sample(model, 1).edges}
     edges |= {(0, j) for j in range(1, n, 2)}
-    g = build_graph(n, sorted(edges))
+    return build_graph(n, sorted(edges)), sp.Partition(model.membership, 2)
+
+
+def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
+    # n=600 with a hub joined to every odd node: the degree-corrected fit
+    # clamps pairs on 53 hubs, so mu_k takes the closed-form reduction
+    # (K+1+h = 56 columns, below DENSE_FALLBACK); the numerators run eigsh
+    g, part = hub_joined_graph()
     assert g.n > DENSE_FALLBACK
-    part = sp.Partition(model.membership, 2)
     bhat, counts = estimate_block_matrix(g, part)
     for tau in (0.5, 60.0):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
@@ -259,6 +370,47 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
             diff = sample_op.to_dense() - fitted.to_dense()
             exact = np.max(np.abs(np.linalg.eigvalsh(diff)))
             assert spectral_norm_diff(sample_op, fitted) == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
+def test_dsbm_dkest_runs_no_eigensolver_for_mu_k(monkeypatch, norm_kind):
+    # above DENSE_FALLBACK nodes a Krylov mu_k would call eigsh(which="LA");
+    # the spectral numerator's calls are which="LM"
+    g, part = hub_joined_graph()
+    real_eigsh = spectral.eigsh
+
+    def norm_only(*args, which, **kwargs):
+        if norm_kind == "frobenius" or which != "LM":
+            raise AssertionError(f"eigsh called with which={which!r}")
+        return real_eigsh(*args, which=which, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", norm_only)
+    for tau in (0.5, 60.0):
+        got = dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind=norm_kind)
+        assert np.isfinite(got) and got > 0
+
+
+def test_dsbm_mu_k_falls_back_to_krylov_beyond_dense_fallback(monkeypatch):
+    g, part = hub_joined_graph()
+    _, counts = estimate_block_matrix(g, part)
+    calls = []
+    real = selection.top_eigenpairs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "top_eigenpairs", spy)
+    for tau in (0.5, 60.0):
+        est = _EstimatedDSBMLaplacian(g, part, counts, tau)
+        columns = est.k + 1 + hub_nodes(est).size
+        monkeypatch.setattr(selection, "DENSE_FALLBACK", columns)
+        reduced = est.mu_k()
+        assert not calls
+        monkeypatch.setattr(selection, "DENSE_FALLBACK", columns - 1)
+        assert est.mu_k() == pytest.approx(reduced, rel=1e-9)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def four_cycle():
