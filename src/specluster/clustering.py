@@ -123,47 +123,66 @@ def _kmeanspp_init(x, k, rng):
     return centers
 
 
-def _assign(xt, xx, centers):
-    """Nearest center of every point and its squared distance.
+def _assign(xt, centers):
+    """Nearest center of every point, and e_min, its |c|^2 - 2 c.x.
 
-    xt holds the points as columns and xx their squared norms.  Distances
-    form one (K, n) array; a running minimum with strict < sends ties to the
-    lowest center index, as argmin does.  For K = 2 that minimum is one
-    comparison of the two rows.
+    xt holds the points as columns.  e = |c|^2 - 2 c.x forms one (K, n)
+    array; it differs from the squared distance by |x|^2 alone, so adding
+    |x|^2 (or clamping the sum at 0) would change no nearest center in
+    exact arithmetic, and a label can differ from the argmin of the
+    computed distances only for a point within rounding of two centers.  A
+    running minimum with strict < sends ties to the lowest center index,
+    as argmin does; its first step is one comparison of two rows.  Labels
+    are in the narrowest unsigned type that holds K - 1: one byte per
+    point up to K = 256, where they are that comparison's bools.
     """
-    # |x|^2 - 2 c.x + |c|^2 built in place: IEEE addition commutes, and
-    # scaling by -2 is exact, so each entry equals that expression bitwise
+    k = centers.shape[0]
+    # scaling by -2 is exact, so each entry equals -2 c.x + |c|^2 bitwise
+    e = (centers * -2.0) @ xt
+    e += (centers * centers).sum(axis=1)[:, None]
+    if k == 1:
+        return np.zeros(xt.shape[1], dtype=np.uint8), e[0]
+    closer = e[1] < e[0]
+    dtype = np.min_scalar_type(k - 1)
+    labels = closer.view(np.uint8) if dtype == np.uint8 else closer.astype(dtype)
+    e_min = np.minimum(e[0], e[1])
+    for c in range(2, k):
+        # every label so far is below c: the maximum sets c exactly where
+        # center c is strictly closer, a cheaper putmask
+        np.maximum(labels, (e[c] < e_min) * labels.dtype.type(c), out=labels)
+        np.minimum(e_min, e[c], out=e_min)
+    return labels, e_min
+
+
+def _nearest_sqdist(xt, xx, centers):
+    """Squared distance of every point to its nearest center, as
+    |x|^2 - 2 c.x + |c|^2 clamped at 0 (xx holds the |x|^2)."""
     d2 = (centers * -2.0) @ xt
     d2 += xx
     d2 += (centers * centers).sum(axis=1)[:, None]
     np.maximum(d2, 0.0, out=d2)
-    if centers.shape[0] == 2:
-        return (d2[1] < d2[0]).astype(np.int64), np.minimum(d2[0], d2[1])
-    labels = np.zeros(xt.shape[1], dtype=np.int64)
-    assigned = d2[0].copy()
-    for c in range(1, centers.shape[0]):
-        np.putmask(labels, d2[c] < assigned, c)
-        np.minimum(assigned, d2[c], out=assigned)
-    return labels, assigned
+    return d2.min(axis=0)
 
 
 def _label_key(labels, k):
     """labels as bytes, for exact comparison: packed bits that name a K = 2
-    labeling and its complement alike, else the labels in the narrowest
-    unsigned type that holds k - 1 (one byte per node up to K = 256)."""
+    labeling and its complement alike, else the labels themselves (one
+    byte per node up to K = 256, see _assign)."""
     if k == 2:
         return np.packbits(labels != labels[0]).tobytes()
-    return labels.astype(np.min_scalar_type(k - 1)).tobytes()
+    return labels.tobytes()
 
 
 def _lloyd(x, xt, xx, k, rng, max_iter, seen):
     """One k-means++-seeded Lloyd run.
 
-    Returns the final labels and a bound: the summed squared distances of
-    the step at which no point moved, or -inf when the run stopped at
-    max_iter, repaired an empty cluster at its last step or met a
-    non-finite distance.  A finite bound is the objective of the labels up
-    to rounding, since that step's centers are their means.
+    Returns the final labels, in _assign's narrow type, and a bound: the
+    step objective sum(e_min) + sum(|x|^2) (the summed squared distances
+    to the nearest centers) of the step at which no point moved, or -inf
+    when the run stopped at max_iter, repaired an empty cluster at its last
+    step or met a non-finite distance.  A finite bound is the objective of
+    the labels up to rounding, since that step's centers are their means.
+    The descent check compares the same step objective across steps.
 
     seen is shared by the runs of one kmeans call.  It maps the labels
     (_label_key) of every step without an empty cluster of each earlier
@@ -184,23 +203,24 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
     within rounding of two centers.
     """
     centers = _kmeanspp_init(x, k, rng)
-    n = xt.shape[1]
+    d = x.shape[1]
+    sum_xx = float(xx.sum())
     prev_labels = None
     prev_obj = np.inf
-    labels = np.zeros(n, dtype=np.int64)
     path = []  # (step, key) of every keyed step
     for step in range(max_iter):
-        labels, assigned = _assign(xt, xx, centers)
+        labels, e_min = _assign(xt, centers)
         full = prev_labels is None
         if full:
             counts = np.bincount(labels, minlength=k)
         else:
             moved = np.nonzero(labels != prev_labels)[0]
             gained, lost = labels[moved], prev_labels[moved]
-            np.add.at(counts, gained, 1)
-            np.subtract.at(counts, lost, 1)
+            counts += np.bincount(gained, minlength=k) - np.bincount(lost, minlength=k)
         if not counts.all():
-            # reseed each empty center at the point farthest from its own center
+            # reseed each empty center at the point farthest from its own
+            # center, by the clamped squared distances
+            assigned = _nearest_sqdist(xt, xx, centers)
             for c in np.flatnonzero(counts == 0):
                 cand = int(np.argmax(assigned))
                 labels[cand] = c
@@ -214,7 +234,7 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
         else:
             # objective of the new labels against the centers they were
             # assigned to: Lloyd never increases it
-            obj = float(assigned.sum())
+            obj = float(e_min.sum()) + sum_xx
             if obj > prev_obj + 1e-9 * max(1.0, prev_obj):
                 raise ConvergenceError(
                     f"k-means objective increased across a Lloyd iteration ({prev_obj!r} -> {obj!r})"
@@ -234,11 +254,15 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
         if full:
             sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in xt], axis=1)
         else:
-            # one 1-D ufunc.at per coordinate: numpy's 2-D ufunc.at is
-            # several times slower once a few hundred points move
-            for col, total in zip(xt[:, moved], sums.T):
-                np.subtract.at(total, lost, col)
-                np.add.at(total, gained, col)
+            # one 1-D ufunc.at on the flat (K, d) sums: every sum gets the
+            # lost points' coordinates subtracted, then the gained points'
+            # added, each in the order of moved.  Indices are intp, since
+            # ufunc.at is much slower on narrow ones, and numpy's 2-D
+            # ufunc.at is several times slower still.
+            owners = np.concatenate([lost, gained]).astype(np.intp)
+            cells = (owners[:, None] * d + np.arange(d)).ravel()
+            moved_x = x[moved]
+            np.add.at(sums.reshape(-1), cells, np.concatenate([-moved_x, moved_x]).ravel())
         centers = sums / counts[:, None]
         prev_labels = labels
         prev_obj = obj
@@ -252,10 +276,13 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     restart index.  Returns the partition and its objective value.  Points
     must be finite; k, restarts and max_iter must be at least 1.
 
-    Each Lloyd step updates the cluster sums from the points that moved
-    only (see _lloyd).  A restart stops as soon as its labels equal labels
-    that an earlier converged restart passed through, if it would converge
-    within max_iter; from there it could only retrace that restart to the
+    Each Lloyd step finds the nearest centers from |c|^2 - 2 c.x alone,
+    with labels in one byte per point up to K = 256 (see _assign), and
+    updates the cluster sums from the points that moved only (see _lloyd).
+    The labels are widened to int64 once, for the returned partition.  A
+    restart stops as soon as its labels equal labels that an earlier
+    converged restart passed through, if it would converge within
+    max_iter; from there it could only retrace that restart to the
     same final labels, which were already scored or excluded, and equal
     labels have a bitwise-equal kmeans_objective, which cannot win under
     strict <.  For K = 2 the labels are matched up to complement, whose
@@ -266,11 +293,16 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
 
     The exact objective (kmeans_objective) is computed only for restarts
     that can win.  A restart whose labels equal the best so far cannot
-    beat it under strict <.  Nor can one that converged with
-    summed squared distances more than 1e-10 * sum(|x|^2) above the best
-    objective: the rounding error of those sums is about
-    4 (d + 3 + log2 n) u sum(|x|^2), u the unit roundoff, orders of
-    magnitude inside that margin.  For K = 2, neither can a restart whose
+    beat it under strict <.  Nor can one that converged with a step
+    objective sum(e_min) + sum(|x|^2) (see _lloyd) more than
+    1e-10 * sum(|x|^2) above the best objective.  Each e_min entry carries
+    a rounding error of about (d + 1) u (|x|^2 + 2 |c|^2), u the unit
+    roundoff, and the two sums add about log2(n) u times the sum of their
+    terms' magnitudes each.  At the converged step the centers are the
+    means of their clusters, so sum(|c|^2) over the points is at most
+    sum(|x|^2), and the whole error is at most about
+    3 (d + 2 + 2 log2 n) u sum(|x|^2): orders of magnitude inside that
+    margin.  For K = 2, neither can a restart whose
     labels are the complement of the best's: kmeans_objective adds the
     same two per-cluster terms in the other order, a bitwise-equal sum.
     Every other restart is scored.
@@ -308,7 +340,7 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
         if obj < best_obj:
             best_obj = obj
             best_labels = labels
-    return Partition(labels=best_labels, k=k), float(best_obj)
+    return Partition(labels=best_labels.astype(np.int64), k=k), float(best_obj)
 
 
 def regularized_spectral_clustering(g, k, tau, seed=0, start=None):

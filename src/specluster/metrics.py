@@ -30,8 +30,8 @@ def _contingency(est, truth):
     mask = truth.labels >= 0
     if not np.any(mask):
         raise SpeclusterError("reference partition labels no nodes")
-    o = np.zeros((truth.k, est.k), dtype=np.int64)
-    np.add.at(o, (truth.labels[mask], est.labels[mask]), 1)
+    cells = truth.labels[mask] * est.k + est.labels[mask]
+    o = np.bincount(cells, minlength=truth.k * est.k).reshape(truth.k, est.k)
     return o, mask
 
 

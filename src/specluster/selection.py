@@ -30,6 +30,7 @@ checked Krylov solver too.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -122,9 +123,9 @@ class _EstimatedDSBMLaplacian:
     make the fitted probability matrix reproduce every observed degree
     exactly, so the sample degree matrix is reused as the normalizer.
     Entries pushed above 1 by hub pairs are clamped to 1 and tracked as a
-    sparse correction: apply subtracts it as a sparse matrix, and mu_k
-    treats the nodes it touches (the hubs) as extra columns of the
-    factored reduction.
+    sparse correction: apply subtracts it as a sparse matrix, built on the
+    first apply, and mu_k treats the nodes it touches (the hubs) as extra
+    columns of the factored reduction.
     """
 
     def __init__(self, g, part, counts, tau):
@@ -146,15 +147,21 @@ class _EstimatedDSBMLaplacian:
         self.shape = (g.n, g.n)
         ci, cj, excess = _clamped_pairs(labels, theta, counts, k)
         self.clamped_entries = int(ci.size)
-        if ci.size:
-            offdiag = ci != cj
-            rows = np.concatenate([ci, cj[offdiag]])
-            cols = np.concatenate([cj, ci[offdiag]])
-            vals = np.concatenate([excess, excess[offdiag]])
-            self._excess = sparse.coo_array((vals, (rows, cols)), shape=self.shape).tocsr()
-        else:
-            self._excess = None
         self._clamp_triplets = (ci, cj, excess)
+
+    @cached_property
+    def _excess(self):
+        """The clamped excesses as a symmetric CSR matrix (None without
+        clamps).  Only apply reads it; mu_k and the Frobenius numerator
+        read _clamp_triplets."""
+        ci, cj, excess = self._clamp_triplets
+        if not ci.size:
+            return None
+        offdiag = ci != cj
+        rows = np.concatenate([ci, cj[offdiag]])
+        cols = np.concatenate([cj, ci[offdiag]])
+        vals = np.concatenate([excess, excess[offdiag]])
+        return sparse.coo_array((vals, (rows, cols)), shape=self.shape).tocsr()
 
     def fitted_probability(self, i, j):
         """Clamped fitted edge probability for node arrays i, j."""

@@ -262,9 +262,9 @@ def test_lloyd_objective_increase_raises(monkeypatch):
     real_assign = clustering._assign
     calls = iter(range(1, 1000))
 
-    def growing(xt, xx, centers):
-        labels, assigned = real_assign(xt, xx, centers)
-        return labels, assigned + next(calls)
+    def growing(xt, centers):
+        labels, e_min = real_assign(xt, centers)
+        return labels, e_min + next(calls)
 
     monkeypatch.setattr(clustering, "_assign", growing)
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
@@ -274,30 +274,27 @@ def test_lloyd_objective_increase_raises(monkeypatch):
 
 def test_assign_ties_go_to_lowest_index():
     xt = np.array([[0.0, 2.0]])
-    xx = (xt * xt).sum(axis=0)
-    labels, assigned = clustering._assign(xt[:, :1], xx[:1], np.array([[-1.0], [1.0]]))
+    labels, e_min = clustering._assign(xt[:, :1], np.array([[-1.0], [1.0]]))
     assert labels.tolist() == [0]
-    assert assigned.tolist() == [1.0]
-    # distances 9, 1, 1 from 0.0 and 1, 9, 1 from 2.0
-    labels, assigned = clustering._assign(xt, xx, np.array([[3.0], [-1.0], [1.0]]))
+    assert e_min.tolist() == [1.0]
+    # distances 9, 1, 1 from 0.0 and 1, 9, 1 from 2.0 (e = distance - |x|^2)
+    labels, e_min = clustering._assign(xt, np.array([[3.0], [-1.0], [1.0]]))
     assert labels.tolist() == [1, 0]
-    assert assigned.tolist() == [1.0, 1.0]
+    assert e_min.tolist() == [1.0, -3.0]
 
 
-def running_minimum_assign(xt, xx, centers):
-    """Distances scaled by -2 after the product, then a running minimum
-    over the centers with strict <; also returns the unclamped distances."""
-    raw = centers @ xt
-    raw *= -2.0
-    raw += xx
-    raw += (centers * centers).sum(axis=1)[:, None]
-    d2 = np.maximum(raw, 0.0)
+def running_minimum_assign(xt, centers):
+    """e = -2 c.x + |c|^2, with the -2 applied after the product, then a
+    running minimum over the centers with strict <; also returns e."""
+    e = centers @ xt
+    e *= -2.0
+    e += (centers * centers).sum(axis=1)[:, None]
     labels = np.zeros(xt.shape[1], dtype=np.int64)
-    assigned = d2[0].copy()
+    e_min = e[0].copy()
     for c in range(1, centers.shape[0]):
-        np.putmask(labels, d2[c] < assigned, c)
-        np.minimum(assigned, d2[c], out=assigned)
-    return labels, assigned, raw
+        np.putmask(labels, e[c] < e_min, c)
+        np.minimum(e_min, e[c], out=e_min)
+    return labels, e_min, e
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -317,17 +314,16 @@ def test_assign_matches_running_minimum_reference(k):
     )
     xt = np.ascontiguousarray(x.T)
     xx = (x * x).sum(axis=1)
-    want_labels, want_assigned, raw = running_minimum_assign(xt, xx, centers)
-    assert (raw < 0).any()
-    ties = raw[0] == raw[1]
+    want_labels, want_e_min, e = running_minimum_assign(xt, centers)
+    assert (e + xx < 0).any()
+    ties = e[0] == e[1]
     assert ties.sum() >= 50
     if k == 2:
         assert not want_labels[ties].any()  # a tie goes to center 0
-    labels, assigned = clustering._assign(xt, xx, centers)
-    assert labels.dtype == np.int64
+    labels, e_min = clustering._assign(xt, centers)
+    assert labels.dtype == np.uint8
     assert np.array_equal(labels, want_labels)
-    assert np.array_equal(assigned, want_assigned)
-    assert (assigned >= 0).all()
+    assert np.array_equal(e_min, want_e_min)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -344,6 +340,26 @@ def test_kmeans_matches_reference_on_sbm_embeddings():
     for tau in (1.0, 20.0, 400.0):
         vectors = top_eigenpairs(RegularizedLaplacian(g, tau), 3, seed=0).vectors
         assert_matches_reference(vectors, 3, seed=int(tau))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_kmeans_matches_reference_beyond_three_clusters(k):
+    model = sp.BlockModel.from_sizes([80] * k, np.full((k, k), 0.02) + np.diag(np.full(k, 0.1)))
+    g = sp.sample(model, k)
+    for tau in (2.0, 50.0):
+        vectors = top_eigenpairs(RegularizedLaplacian(g, tau), k, seed=0).vectors
+        assert_matches_reference(vectors, k, seed=int(tau))
+
+
+def test_kmeans_past_256_clusters_returns_int64_labels(rng):
+    # K - 1 = 256 does not fit in one byte: the Lloyd steps run on uint16
+    points = rng.standard_normal((300, 2))
+    part, obj = kmeans(points, 257, restarts=3, seed=0)
+    assert part.labels.dtype == np.int64
+    assert part.labels.max() == 256
+    ref_labels, ref_obj = reference_kmeans(points, 257, restarts=3, seed=0)
+    assert np.array_equal(part.labels, ref_labels)
+    assert obj == ref_obj
 
 
 def test_kmeans_matches_reference_with_empty_cluster_repair():

@@ -154,6 +154,28 @@ def test_dsbm_clamping_matches_dense(rng):
         assert est.mu_k() == pytest.approx(vals[1], abs=1e-8)
 
 
+def test_dsbm_clamped_fit_builds_its_sparse_excess_on_first_apply(monkeypatch, rng):
+    built = []
+    real_coo = selection.sparse.coo_array
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real_coo(*args, **kwargs)
+
+    monkeypatch.setattr(selection.sparse, "coo_array", counting)
+    g = hub_graph()
+    part = sp.Partition((np.arange(40) >= 30).astype(int), 2)
+    _, counts = estimate_block_matrix(g, part)
+    est = _EstimatedDSBMLaplacian(g, part, counts, 0.5)
+    assert est.clamped_entries > 0
+    est.mu_k()
+    assert not built
+    x = rng.standard_normal(g.n)
+    for _ in range(2):
+        assert np.linalg.norm(est.apply(x) - est.to_dense() @ x) < 1e-12
+    assert len(built) == 1
+
+
 def dcsbm_model(n, k=3, alpha=2.5, degree=15.0):
     """Degree-corrected k-block model with in/out ratio 6, mean degree
     about degree and Pareto(alpha) quantile thetas, capped so every
