@@ -3,6 +3,7 @@ import pytest
 
 import specluster as sp
 from conftest import random_full_rank_model, strong_weak_benchmark_params, two_block_benchmark_model
+from specluster import blockmodel
 from specluster.blockmodel import DENSE_CAP, PopulationLaplacian, edge_probabilities, full_model
 
 
@@ -128,6 +129,70 @@ def test_degree_corrected_sampling_hub_heavy_moments():
     hub_sigma = np.sqrt(var[hubs].sum(axis=1) / n_draws)
     assert np.all(np.abs(hub_degrees.mean(axis=0) - p[hubs].sum(axis=1)) <= 4 * hub_sigma)
     assert np.array_equal(sp.sample(model, 7).edges, sp.sample(model, 7).edges)
+
+
+def reference_distinct_indices(rng, total, m):
+    """blockmodel._distinct_indices as written with np.unique."""
+    if m <= 0:
+        return np.empty(0, dtype=np.int64)
+    if m >= total:
+        return np.arange(total, dtype=np.int64)
+    if m > total // 2:
+        return rng.permutation(total)[:m].astype(np.int64)
+    out = np.unique(rng.integers(0, total, size=m))
+    while out.size < m:
+        extra = rng.integers(0, total, size=2 * (m - out.size) + 8)
+        out = np.unique(np.concatenate([out, extra]))
+    if out.size > m:
+        out = out[rng.permutation(out.size)[:m]]
+    return out
+
+
+def first_draw_collides(seed, total, m):
+    return np.unique(np.random.default_rng(seed).integers(0, total, size=m)).size < m
+
+
+@pytest.mark.parametrize(
+    "total, m",
+    [
+        (50, 0),
+        (50, 1),
+        (50, 50),
+        (50, 60),
+        (50, 26),  # m > total // 2: a permutation prefix
+        (1000, 400),  # many collisions: the top-up loop runs
+        (10**6, 5000),  # a few collisions
+        (2**33 + 5, 3000),  # indices above 2**32
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_indices_matches_np_unique_reference(total, m, seed):
+    if (total, m) in ((1000, 400), (10**6, 5000)):
+        assert first_draw_collides(seed, total, m)
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    out = blockmodel._distinct_indices(rng, total, m)
+    ref = reference_distinct_indices(ref_rng, total, m)
+    assert out.dtype == ref.dtype == np.int64
+    assert np.array_equal(out, ref)
+    assert np.unique(out).size == out.size == min(max(m, 0), total)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sorted_distinct_matches_np_unique(rng):
+    for size in (0, 1, 2, 7, 1000):
+        a = rng.integers(0, 10, size=size)
+        assert np.array_equal(blockmodel._sorted_distinct(a), np.unique(a))
+
+
+def test_sample_matches_the_np_unique_reference(monkeypatch):
+    models = [hub_heavy_model(), sp.BlockModel.from_sizes([300, 200], [[0.05, 0.01], [0.01, 0.08]])]
+    new = [sp.sample(model, seed) for model in models for seed in range(3)]
+    monkeypatch.setattr(blockmodel, "_distinct_indices", reference_distinct_indices)
+    old = [sp.sample(model, seed) for model in models for seed in range(3)]
+    for g_new, g_old in zip(new, old):
+        assert np.array_equal(g_new.edges, g_old.edges)
+        assert np.array_equal(g_new.adjacency.indices, g_old.adjacency.indices)
 
 
 # ---------------------------------------------------------------------------
