@@ -18,6 +18,8 @@ from scipy import sparse
 from .errors import EdgeListParseError, SpeclusterError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Edge-list rows formatted per write: ~6 MB of Python ints and text.
+_SAVE_CHUNK_ROWS = 2**16
 # In reversed text: a line whose first non-blank character is not '#' but
 # that holds a '#'.  Reversed, the pattern starts at a literal '#', which
 # the regex engine skips to, where the forward pattern tests every line.
@@ -68,7 +70,12 @@ def build_graph(n, edges):
     edges, first = _canonical_pairs(n, edges)
     if not first.all():
         raise SpeclusterError("duplicate edge in edge list")
+    return _assemble(n, edges)
 
+
+def _assemble(n, edges):
+    """The Graph of canonical edges: (min, max) int64 rows, in
+    lexicographic order, with no self loop and no duplicate."""
     m = edges.shape[0]
     lo, hi = edges[:, 0], edges[:, 1]
     degrees = np.bincount(edges.ravel(), minlength=n)
@@ -136,7 +143,7 @@ def load_edge_list(path, n_hint=None):
             f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)",
             stacklevel=2,
         )
-    return build_graph(n, edges[first])
+    return _assemble(n, edges[first])
 
 
 def _parse_text(path):
@@ -187,9 +194,15 @@ def _parse_lines(path):
 
 
 def save_edge_list(g, path):
-    """Write the canonical (sorted) edge list; inverse of load_edge_list."""
+    """Write the canonical (sorted) edge list; inverse of load_edge_list.
+
+    Rows are formatted _SAVE_CHUNK_ROWS at a time, so the Python ints and
+    text held at once do not grow with the edge count.
+    """
     with open(path, "w") as fh:
-        fh.write(("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist()))
+        for start in range(0, g.num_edges, _SAVE_CHUNK_ROWS):
+            chunk = g.edges[start : start + _SAVE_CHUNK_ROWS]
+            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def degree_extremes(g):

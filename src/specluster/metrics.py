@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import maximum_bipartite_matching, min_weight_full_bipartite_matching
 
 from .errors import EmptyClusterError, SpeclusterError
 
@@ -53,8 +52,19 @@ def _bottleneck_cost(o, truth_sizes, est_sizes):
     return cost
 
 
+def _square_csr(data, indices, row_counts):
+    """k x k CSR from its column indices in row-major order and the number
+    of entries per row, without scanning a dense matrix for nonzeros."""
+    k = row_counts.size
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(row_counts, out=indptr[1:])
+    return sparse.csr_array((data, indices.astype(np.int32), indptr), shape=(k, k))
+
+
 def _perfect_matching(mask):
-    match = maximum_bipartite_matching(sparse.csr_matrix(mask), perm_type="column")
+    cols = np.nonzero(mask)[1]
+    graph = _square_csr(np.ones(cols.size), cols, np.count_nonzero(mask, axis=1))
+    match = maximum_bipartite_matching(graph, perm_type="column")
     if np.all(match >= 0):
         return match
     return None
@@ -88,6 +98,13 @@ def clustering_error(est, truth):
     unlabeled nodes count against an estimated cluster only as intruders.
     A size mismatch in cluster counts is handled by padding the smaller
     side with empty clusters.  The permutation search is exact.
+
+    The misclassified share comes from the agreement-maximizing matching,
+    solved exactly by csgraph's LAPJVsp (min_weight_full_bipartite_matching)
+    on agree + 1.  csgraph reads a zero entry as a missing edge, so the
+    + 1 keeps every pair of clusters an edge; it adds k to every full
+    matching, so the optimal matching and its integer agreement are those
+    of agree itself.
     """
     if est.n != truth.n:
         raise SpeclusterError("partitions cover different node counts")
@@ -105,7 +122,10 @@ def clustering_error(est, truth):
     k = cost.shape[0]
     agree = np.zeros((k, k), dtype=np.int64)
     agree[: o.shape[0], : o.shape[1]] = o
-    rows, cols = linear_sum_assignment(agree, maximize=True)
+    weights = _square_csr(
+        (agree + 1).ravel().astype(np.float64), np.tile(np.arange(k), k), np.full(k, k)
+    )
+    rows, cols = min_weight_full_bipartite_matching(weights, maximize=True)
     labeled = int(truth_sizes.sum())
     frac = 1.0 - agree[rows, cols].sum() / labeled
     return ErrorReport(

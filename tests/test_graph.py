@@ -116,6 +116,28 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(g.edges, g2.edges)
 
 
+def _one_shot_save(g, path):
+    """The edge-list writer as first written: the whole list formatted at
+    once; the oracle for the chunked writer."""
+    with open(path, "w") as fh:
+        fh.write(("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist()))
+
+
+def test_chunked_save_writes_the_one_shot_bytes(tmp_path):
+    chunk = graph._SAVE_CHUNK_ROWS
+    n = 700  # 244,650 node pairs, more than 3 * chunk + 7
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    rng = np.random.default_rng(7)
+    for m in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        pick = np.sort(rng.choice(len(pairs), size=m, replace=False))
+        g = build_graph(n, pairs[pick])
+        sp.save_edge_list(g, tmp_path / "chunked.txt")
+        _one_shot_save(g, tmp_path / "one_shot.txt")
+        got = (tmp_path / "chunked.txt").read_bytes()
+        assert got == (tmp_path / "one_shot.txt").read_bytes()
+        assert got.count(b"\n") == m
+
+
 def _lexsorted_canonical(edges):
     lo, hi = edges.min(axis=1), edges.max(axis=1)
     order = np.lexsort((hi, lo))
@@ -310,7 +332,13 @@ def _outcome(load, path, n_hint):
             g = load(path, n_hint=n_hint)
         except sp.SpeclusterError as err:
             return type(err), str(err), getattr(err, "line_number", None)
-    return g.n, g.edges.tolist(), [str(w.message) for w in caught]
+    return g.n, *_graph_arrays(g), [str(w.message) for w in caught]
+
+
+def _graph_arrays(g):
+    """Every array of a Graph, with its dtype, for a bitwise comparison."""
+    arrays = (g.edges, g.adjacency.indptr, g.adjacency.indices, g.adjacency.data, g.degrees)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def test_load_matches_line_by_line_reference(tmp_path):
@@ -324,3 +352,20 @@ def test_load_matches_line_by_line_reference(tmp_path):
         assert _outcome(sp.load_edge_list, path, n_hint) == expected, path.read_bytes()
         loaded += isinstance(expected[0], int)
     assert 600 <= loaded <= 1400  # both outcomes are exercised
+
+
+def test_load_assembles_the_graph_build_graph_gives(tmp_path):
+    # load_edge_list canonicalizes once and assembles the CSR itself; the
+    # graph must be bitwise the one build_graph makes of the same edges
+    rng = np.random.default_rng(19)
+    path = tmp_path / "edges.txt"
+    for trial in range(30):
+        n = int(rng.integers(2, 400))
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 3000)), 2))
+        lines = [f"{a} {b}" for a, b in pairs]  # loops and duplicates included
+        for at in rng.integers(0, len(lines), size=5):
+            lines.insert(int(at), "# comment")
+        path.write_text("\n".join(lines) + "\n")
+        n_hint = [None, 1, n + int(rng.integers(0, 50))][trial % 3]
+        expected = _outcome(reference_load_edge_list, path, n_hint)
+        assert _outcome(sp.load_edge_list, path, n_hint) == expected
