@@ -34,6 +34,7 @@ for rec in scan.records:
         f"{rec.tau:>9.2f} {rec.dkest:>9.4f} {rec.gn_modularity:>11.4f}"
         f" {rec.nmi:>7.4f} {rec.misclassified_fraction:>7.4f}"
     )
+print("(a dkest above the chosen minimum may be a certified lower bound, not the full value)")
 print("\nchosen tau per selector:", {k: round(v, 2) for k, v in scan.chosen.items()})
 for name, tau in sorted(scan.chosen.items()):
     rec = scan.record_at(tau)

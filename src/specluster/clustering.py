@@ -119,7 +119,8 @@ def _kmeanspp_init(x, k, rng):
         else:
             idx = _weighted_index(rng, d2 / total)
         centers[c] = x[idx]
-        np.minimum(d2, sqdist(centers[c]), out=d2)
+        if c < k - 1:  # nothing reads the distances after the last center
+            np.minimum(d2, sqdist(centers[c]), out=d2)
     return centers
 
 

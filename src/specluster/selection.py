@@ -22,7 +22,8 @@ fitted probability exceeds 1, none of which a plain block operator does,
 and sharing one class would make it branch on which fit it serves.
 
 The spectral numerator comes from spectral's eigsh-based solver, its
-answer checked by an explicit residual.  mu_K never needs an eigensolver
+answer checked by an explicit residual, except at grid points a short
+Lanczos lower bound shows cannot be chosen.  mu_K never needs an eigensolver
 unless a degree-corrected fit clamps pairs on so many hub nodes that its
 reduction would exceed DENSE_FALLBACK columns; only then does it run the
 checked Krylov solver too.
@@ -294,13 +295,13 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
     as a Ritz value it is never above the norm.  start, a
     spectral.StartVector, warm-starts that estimate.
 
-    above, when given, is a DKest value the caller already holds.  If a
-    coarse norm estimate shows the statistic exceeds above * (1 + NORM_TOL),
-    that coarse value is returned: a certified lower bound on the
-    statistic, within the coarse tolerance of it.  Otherwise the result is
-    the full-precision one, and with above=None and no start it is what
-    tau_scan records at its pivot, bitwise.  The Frobenius numerator
-    ignores start and above.
+    above, when given, is a DKest value the caller already holds.  If
+    spectral_norm_diff's short Lanczos run (stop_above) shows the statistic
+    exceeds above * (1 + NORM_TOL), that bound over mu_K is returned: a
+    certified lower bound on the statistic, not a value within any stated
+    tolerance of it.  Otherwise the result is the full-precision one, and
+    with above=None and no start it is what tau_scan records at its pivot,
+    bitwise.  The Frobenius numerator ignores start and above.
     """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
@@ -339,9 +340,9 @@ class TauRecord:
     be the argmin when the scan's DKest walk (outward from the pivot, see
     tau_scan) reached it; at the pivot it is exactly a lone
     dkest_statistic call.  Elsewhere, with a spectral numerator, it is a
-    certified lower bound from a coarse norm solve: within the coarse
-    tolerance of the statistic, and above the scan's minimum DKest.  It is
-    inf when the fitted gap vanished.  seconds covers the point's
+    certified lower bound from a short Lanczos run on the norm: above the
+    scan's minimum DKest, and not within a stated tolerance of the
+    statistic.  It is inf when the fitted gap vanished.  seconds covers the point's
     clustering, scores and DKest, which run at different times.
     """
 
@@ -447,12 +448,13 @@ def tau_scan(
 
     Each DKest call after the pivot's gets the smallest DKest recorded so
     far as above, so a spectral numerator is solved only as precisely as
-    the choice needs.  A Ritz value never exceeds the norm, so a coarse
-    estimate over mu_K is a lower bound on the statistic; once it exceeds
+    the choice needs.  A Ritz value never exceeds the norm, so the largest
+    |Ritz value| of a Lanczos run of at most spectral.LANCZOS_MAX_STEPS
+    steps, over mu_K, is a lower bound on the statistic; once it exceeds
     the running minimum m by more than the full solve's tolerance
-    (m * (1 + NORM_TOL)), the grid point cannot be the argmin and its
-    coarse value is recorded.  Every other point is solved to NORM_TOL as
-    in a lone call.  So the running minimum is always a full-precision
+    (m * (1 + NORM_TOL)), the grid point cannot be the argmin and that
+    bound is recorded.  Every other point is solved to NORM_TOL by ARPACK
+    as in a lone call.  So the running minimum is always a full-precision
     value, every lower bound lies above the final minimum, and the chosen
     tau is the argmin of full-precision values.  DKest usually falls from
     tau = 1 to a minimum near the mean degree, so starting there leaves

@@ -10,9 +10,11 @@ implicitly restarted Lanczos) on a LinearOperator around that matvec, and
 each checks the pairs it returns with explicit residuals.  A StartVector
 carries the direction one solve found into the start of the next, so a
 sequence of nearby operators (a tau grid) needs fewer matvecs.  A norm
-estimate is a Ritz value and so never above the norm; spectral_norm_diff's
-stop_above returns a coarse estimate once it proves the norm exceeds a
-threshold.
+estimate is a Ritz value and so never above the norm.  spectral_norm_diff's
+stop_above uses that through the one hand-written Krylov loop here: a short
+Lanczos run of at most LANCZOS_MAX_STEPS steps, with full
+reorthogonalization, whose only job is to prove the norm exceeds a
+threshold; where it cannot, ARPACK solves to the full tolerance.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,8 @@ from .util import rng_from
 
 DENSE_FALLBACK = 512
 NORM_TOL = 1e-6  # relative residual tolerance of a spectral_norm_diff estimate
-COARSE_NORM_TOL = 1e-3  # first-stage tolerance when a caller passes stop_above
+LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values may settle stop_above
+LANCZOS_MAX_STEPS = 20  # Lanczos steps before stop_above falls back to ARPACK
 
 
 class RegularizedLaplacian:
@@ -66,10 +69,13 @@ class RegularizedLaplacian:
 class StartVector:
     """Direction carried from one Krylov solve to the next.
 
-    direction is None until a solve stores the direction it found.  A
-    solve given this holder starts from its seeded random vector plus
-    direction scaled to that vector's norm, which keeps a random component
-    along every eigenvector.
+    direction is None until a solve stores the direction it found.  An
+    ARPACK solve given this holder starts from its seeded random vector
+    plus direction scaled to that vector's norm, which keeps a random
+    component along every eigenvector.  spectral_norm_diff's lower-bound
+    Lanczos run starts from direction alone, which needs no random
+    component: its Ritz values bound the norm from below whatever the
+    start.
     """
 
     direction: np.ndarray | None = None
@@ -193,6 +199,43 @@ def _checked_norm_ritz(lin, mv, tol, v0, rng):
     return estimate, vec
 
 
+def _lanczos_lower_bound(mv, q, stop_above):
+    """A Ritz pair of mv whose |value| exceeds stop_above, or None.
+
+    Plain Lanczos from q with full reorthogonalization (two classical
+    Gram-Schmidt passes per step), for at most LANCZOS_MAX_STEPS steps and
+    never more than n.  From step LANCZOS_FIRST_CHECK on, and at the last
+    step, the tridiagonal projection is solved densely; the first time its
+    largest |Ritz value| exceeds stop_above, that value and its Ritz vector
+    are returned.  Every Ritz value of a symmetric operator lies between
+    its extreme eigenvalues, so the value is a certified lower bound on the
+    norm.  Earlier steps are not checked: there the Ritz values are still
+    far below the norm and would record a loose bound.  Uses one matvec
+    per step.
+    """
+    steps = min(LANCZOS_MAX_STEPS, q.size)
+    basis = np.empty((steps, q.size))
+    basis[0] = q / np.linalg.norm(q)
+    tri = np.zeros((steps, steps))
+    for j in range(steps):
+        w = mv(basis[j])
+        tri[j, j] = basis[j] @ w
+        for _ in range(2):
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        beta = np.linalg.norm(w)
+        last = j + 1 == steps or beta == 0  # beta = 0: an invariant subspace, exact Ritz values
+        if j + 1 >= LANCZOS_FIRST_CHECK or last:
+            vals, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
+            top = int(np.argmax(np.abs(vals)))
+            if abs(vals[top]) > stop_above:
+                return float(abs(vals[top])), basis[: j + 1].T @ vecs[:, top]
+        if last:
+            break
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        basis[j + 1] = w / beta
+    return None
+
+
 def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
@@ -206,17 +249,21 @@ def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=
     lies between its extreme eigenvalues, so the estimate is a certified
     lower bound at any tol.
 
-    stop_above=None solves to tol directly.  Otherwise the solve first runs
-    to COARSE_NORM_TOL, with that tolerance's residual check, and returns
-    the coarse estimate, a lower bound on the norm, if it already exceeds
-    stop_above; if it does not, or if the coarse stage fails, a solve to
-    tol follows, started from the coarse Ritz direction as start carries
-    it.  A caller that only needs to know whether the norm exceeds a
-    threshold, and its value where it does not, passes the threshold.
+    stop_above=None solves to tol directly.  Otherwise a short Lanczos run
+    (_lanczos_lower_bound, at most LANCZOS_MAX_STEPS matvecs) starts from
+    start's direction, or from the seeded draw when start has none, and
+    returns its largest |Ritz value| at the first step from
+    LANCZOS_FIRST_CHECK on where that exceeds stop_above: a certified lower
+    bound on the norm, with no residual check.  If no step does, ARPACK
+    solves to tol from the draw already made, so the result is bitwise
+    that of the call without stop_above.  A caller that only needs to know
+    whether the norm exceeds a threshold, and its value where it does not,
+    passes the threshold.
 
-    start, a StartVector, warm-starts the solve: its direction is added to
-    the random start, and after a checked estimate it holds the Ritz
-    vector found.  Deterministic given seed, start and stop_above.
+    start, a StartVector, warm-starts the solve: ARPACK starts from the
+    random draw plus its direction, the Lanczos run from its direction
+    alone, and after a certified bound or a checked estimate it holds the
+    Ritz vector found.  Deterministic given seed, start and stop_above.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
@@ -230,15 +277,11 @@ def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=
     v0 = start.draw(rng, n)
     if np.linalg.norm(mv(v0)) < 1e-300:
         return 0.0
-    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     if stop_above is not None:
-        try:
-            estimate, start.direction = _checked_norm_ritz(lin, mv, COARSE_NORM_TOL, v0, rng)
-        except ConvergenceError:
-            pass
-        else:
-            if estimate > stop_above:
-                return estimate
-        v0 = start.draw(rng, n)
+        bound = _lanczos_lower_bound(mv, v0 if start.direction is None else start.direction, stop_above)
+        if bound is not None:
+            estimate, start.direction = bound
+            return estimate
+    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     estimate, start.direction = _checked_norm_ritz(lin, mv, tol, v0, rng)
     return estimate

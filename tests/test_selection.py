@@ -651,7 +651,7 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
         assert np.array_equal(labels[i], part.labels)
         if i == pivot:
             assert rec.dkest == cold  # DKest's first point: the lone call, bitwise
-        # full precision, or a coarse lower bound that certifies a losing tau
+        # full precision, or a Lanczos lower bound that certifies a losing tau
         full = rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
         assert full or chosen * (1 + 1e-6) < rec.dkest <= cold * (1 + 1e-12)
     assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
@@ -692,15 +692,57 @@ def test_norm_stop_above_certifies_a_lower_bound(monkeypatch, model_kind, tau):
     # stop_above=None is the plain call, bitwise
     assert spectral_norm_diff(sample_op, fitted, stop_above=None) == lone
     applies[0] = 0
-    # any threshold below the norm: the coarse estimate, fewer matvecs,
-    # and never above the norm (a Ritz value lies inside the spectrum)
-    coarse = spectral_norm_diff(sample_op, fitted, stop_above=0.0)
-    assert 0.0 < coarse <= exact * (1 + 1e-12)
-    assert applies[0] < lone_applies
-    # a threshold the norm cannot reach: the full-precision solve
+    # any threshold below the norm: the Lanczos bound, from at most its
+    # step cap plus the zero check in matvecs, and never above the norm (a
+    # Ritz value lies inside the spectrum)
+    bound = spectral_norm_diff(sample_op, fitted, stop_above=0.0)
+    assert 0.0 < bound <= exact * (1 + 1e-12)
+    assert applies[0] <= spectral.LANCZOS_MAX_STEPS + 1 < lone_applies
+    # a threshold the norm cannot reach: ARPACK from the lone call's draw, bitwise
     full = spectral_norm_diff(sample_op, fitted, stop_above=1e300)
-    assert full == pytest.approx(lone, rel=1e-10, abs=0)
-    assert full <= exact * (1 + 1e-12)
+    assert full == lone
+
+
+_CERTIFICATE_SEEDS = {12: range(10), 300: range(6), 1000: range(1)}  # n: graph seeds
+
+
+@pytest.mark.parametrize("n", list(_CERTIFICATE_SEEDS))
+@pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
+def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
+    # every stop_above result, certified or not, is a Ritz value and so at
+    # most the dense 2-norm: plain and degree-corrected fits, tau from 1 to
+    # n, cold starts and starts warmed along the tau grid, and n = 12 below
+    # the Lanczos step cap
+    arpack = [0]
+    real_ritz = spectral._checked_norm_ritz
+
+    def counting(*args):
+        arpack[0] += 1
+        return real_ritz(*args)
+
+    monkeypatch.setattr(spectral, "_checked_norm_ritz", counting)
+    b = np.minimum(np.array([[3.0, 1.0], [1.0, 2.0]]) * 6.0 / n, 1.0)
+    for graph_seed in _CERTIFICATE_SEEDS[n]:
+        g = sp.sample(sp.BlockModel.from_sizes([n // 2, n - n // 2], b), graph_seed)
+        part = sp.regularized_spectral_clustering(g, 2, 5.0, seed=0)
+        bhat, counts = estimate_block_matrix(g, part)
+        warm = spectral.StartVector()
+        for tau in np.geomspace(1.0, n, 5):
+            sample_op = RegularizedLaplacian(g, tau)
+            if model_kind == "sbm":
+                fitted = PopulationLaplacian(sp.BlockModel(part.labels, bhat), tau)
+            else:
+                fitted = _EstimatedDSBMLaplacian(g, part, counts, tau)
+            exact = np.linalg.norm(sample_op.to_dense() - fitted.to_dense(), 2)
+            for start in (None, warm):
+                for frac in (0.0, 0.9, 0.999):
+                    before = arpack[0]
+                    got = spectral_norm_diff(
+                        sample_op, fitted, seed=graph_seed, start=start, stop_above=frac * exact
+                    )
+                    assert frac * exact < got <= exact * (1 + 1e-12)
+                    if frac == 0.0:
+                        assert arpack[0] == before  # the Lanczos bound settled it
 
 
 @pytest.mark.parametrize("case", ["karate-sbm", "karate-dsbm", "criterion-5"])
@@ -729,6 +771,48 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
     assert scan.chosen["dkest"] == scan.grid[int(np.argmin(lone))]
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
     assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
+
+
+def test_scan_runs_arpack_only_at_the_pivot_and_where_the_bound_fails(monkeypatch):
+    # criterion 5's graph: each norm call after the pivot's runs the Lanczos
+    # bound first, and ARPACK only when that bound did not clear stop_above
+    g = sp.sample(two_block_benchmark_model(), 0)
+    grid = np.geomspace(1.0, g.n, 20)
+    calls = []  # per norm call: the stages it ran, in order
+    real_norm = selection.spectral_norm_diff
+    real_bound, real_ritz = spectral._lanczos_lower_bound, spectral._checked_norm_ritz
+
+    def norm_spy(*args, **kwargs):
+        calls.append([])
+        return real_norm(*args, **kwargs)
+
+    def bound_spy(*args):
+        out = real_bound(*args)
+        calls[-1].append("certified" if out is not None else "uncertified")
+        return out
+
+    def ritz_spy(*args):
+        calls[-1].append("arpack")
+        return real_ritz(*args)
+
+    monkeypatch.setattr(selection, "spectral_norm_diff", norm_spy)
+    monkeypatch.setattr(spectral, "_lanczos_lower_bound", bound_spy)
+    monkeypatch.setattr(spectral, "_checked_norm_ritz", ritz_spy)
+    scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), seed=0)
+    monkeypatch.undo()
+    order = dkest_order(scan.grid, g.mean_degree)
+    assert calls[0] == ["arpack"]
+    assert all(c in (["certified"], ["uncertified", "arpack"]) for c in calls[1:])
+    certified = [i for i, c in zip(order, calls) if c == ["certified"]]
+    assert len(certified) >= len(grid) // 2
+    chosen = scan.record_at(scan.chosen["dkest"]).dkest
+    for i, rec in enumerate(scan.records):
+        lone = dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, rec.tau, seed=0), rec.tau)
+        if i in certified:
+            assert chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
+            assert rec.dkest >= 0.98 * lone
+        else:
+            assert rec.dkest == pytest.approx(lone, rel=1e-10, abs=0)
 
 
 def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):

@@ -261,6 +261,22 @@ def test_rank_one_operator_above_dense_fallback():
     assert np.array_equal(top_eigenpairs(a, 3).vectors, basis.vectors)
 
 
+@pytest.mark.parametrize("n", [4, 12, DENSE_FALLBACK + 88])
+def test_lanczos_bound_survives_breakdown_on_a_rank_one_difference(n):
+    # a rank-one operator's Krylov space is invariant after two steps; the
+    # later basis vectors are orthogonalized rounding noise, and the bound
+    # is still at most the norm.  n = 4 is below the first check, so the
+    # run checks at its last step.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(n)
+        a = np.outer(u, u) * (1.0 if seed % 2 else -1.0)
+        exact = np.linalg.norm(a, 2)
+        for stop_above in (0.0, 0.5 * exact):
+            got = spectral_norm_diff(a, np.zeros((n, n)), seed=seed, stop_above=stop_above)
+            assert stop_above < got <= exact * (1 + 1e-12)
+
+
 def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
     # the certificate is one-sided: a start orthogonal to the top
     # eigenvector of a diagonal operator keeps the whole Krylov space
