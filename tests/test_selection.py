@@ -701,6 +701,7 @@ def test_norm_stop_above_certifies_a_lower_bound(monkeypatch, model_kind, tau):
     # a threshold the norm cannot reach: ARPACK from the lone call's draw, bitwise
     full = spectral_norm_diff(sample_op, fitted, stop_above=1e300)
     assert full == lone
+    assert lone <= exact * (1 + 1e-12)
 
 
 _CERTIFICATE_SEEDS = {12: range(10), 300: range(6), 1000: range(1)}  # n: graph seeds
@@ -754,16 +755,37 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         g = sp.load_edge_list(_DATA / "karate_edges.txt")
         grid, model_kind = sp.default_tau_grid(g), case.split("-")[1]
     bounds = []
+    stages = []  # per norm call: the stages it ran, in order
     real_norm = selection.spectral_norm_diff
+    real_bound, real_ritz = spectral._lanczos_lower_bound, spectral._checked_norm_ritz
 
     def spy(*args, stop_above=None, **kwargs):
         bounds.append(stop_above)
+        stages.append([])
         return real_norm(*args, stop_above=stop_above, **kwargs)
 
+    def bound_spy(*args):
+        out = real_bound(*args)
+        stages[-1].append("certified" if out is not None else "uncertified")
+        return out
+
+    def ritz_spy(*args):
+        stages[-1].append("arpack")
+        return real_ritz(*args)
+
     monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    monkeypatch.setattr(spectral, "_lanczos_lower_bound", bound_spy)
+    monkeypatch.setattr(spectral, "_checked_norm_ritz", ritz_spy)
     scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
-    # every norm after the first is solved against the smallest DKest so far
+    monkeypatch.undo()
+    # every norm after the first is solved against the smallest DKest so far:
+    # the Lanczos bound first, and ARPACK only at the pivot or where the
+    # bound did not clear that threshold
     assert bounds[0] is None and all(b is not None for b in bounds[1:])
+    assert stages[0] == ["arpack"]
+    assert all(c in (["certified"], ["uncertified", "arpack"]) for c in stages[1:])
+    order = dkest_order(scan.grid, g.mean_degree)
+    certified = [i for i, c in zip(order, stages) if c == ["certified"]]
     lone = [
         dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, tau, seed=0), tau, model_kind=model_kind)
         for tau in scan.grid
@@ -771,48 +793,15 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
     assert scan.chosen["dkest"] == scan.grid[int(np.argmin(lone))]
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
     assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
-
-
-def test_scan_runs_arpack_only_at_the_pivot_and_where_the_bound_fails(monkeypatch):
-    # criterion 5's graph: each norm call after the pivot's runs the Lanczos
-    # bound first, and ARPACK only when that bound did not clear stop_above
-    g = sp.sample(two_block_benchmark_model(), 0)
-    grid = np.geomspace(1.0, g.n, 20)
-    calls = []  # per norm call: the stages it ran, in order
-    real_norm = selection.spectral_norm_diff
-    real_bound, real_ritz = spectral._lanczos_lower_bound, spectral._checked_norm_ritz
-
-    def norm_spy(*args, **kwargs):
-        calls.append([])
-        return real_norm(*args, **kwargs)
-
-    def bound_spy(*args):
-        out = real_bound(*args)
-        calls[-1].append("certified" if out is not None else "uncertified")
-        return out
-
-    def ritz_spy(*args):
-        calls[-1].append("arpack")
-        return real_ritz(*args)
-
-    monkeypatch.setattr(selection, "spectral_norm_diff", norm_spy)
-    monkeypatch.setattr(spectral, "_lanczos_lower_bound", bound_spy)
-    monkeypatch.setattr(spectral, "_checked_norm_ritz", ritz_spy)
-    scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), seed=0)
-    monkeypatch.undo()
-    order = dkest_order(scan.grid, g.mean_degree)
-    assert calls[0] == ["arpack"]
-    assert all(c in (["certified"], ["uncertified", "arpack"]) for c in calls[1:])
-    certified = [i for i, c in zip(order, calls) if c == ["certified"]]
-    assert len(certified) >= len(grid) // 2
-    chosen = scan.record_at(scan.chosen["dkest"]).dkest
     for i, rec in enumerate(scan.records):
-        lone = dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, rec.tau, seed=0), rec.tau)
         if i in certified:
-            assert chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
-            assert rec.dkest >= 0.98 * lone
+            assert chosen * (1 + 1e-6) < rec.dkest <= lone[i] * (1 + 1e-12)
         else:
-            assert rec.dkest == pytest.approx(lone, rel=1e-10, abs=0)
+            assert rec.dkest == pytest.approx(lone[i], rel=1e-10, abs=0)
+    if case == "criterion-5":
+        # most losing points are settled by the bound, and tightly
+        assert len(certified) >= len(grid) // 2
+        assert all(scan.records[i].dkest >= 0.98 * lone[i] for i in certified)
 
 
 def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from specluster.spectral import (
     DENSE_FALLBACK,
     NORM_TOL,
     RegularizedLaplacian,
+    StartVector,
     spectral_norm_diff,
     top_eigenpairs,
 )
@@ -275,6 +276,27 @@ def test_lanczos_bound_survives_breakdown_on_a_rank_one_difference(n):
         for stop_above in (0.0, 0.5 * exact):
             got = spectral_norm_diff(a, np.zeros((n, n)), seed=seed, stop_above=stop_above)
             assert stop_above < got <= exact * (1 + 1e-12)
+    # an exact breakdown: started on the top eigenvector of a diagonal
+    # operator, the first reorthogonalized w is exactly 0, and the run
+    # checks and stops after one Lanczos matvec with the exact eigenvalue
+    diag = np.concatenate([[-3.0], np.linspace(-1.0, 1.0, n - 1)])
+    op = _CountingDiagonal(diag)
+    top = np.zeros(n)
+    top[0] = 1.0
+    start = StartVector(direction=top)
+    got = spectral_norm_diff(op, np.zeros((n, n)), start=start, stop_above=1.0)
+    assert got == 3.0
+    assert op.applies == 2  # the zero check, then one Lanczos step
+    assert np.array_equal(np.abs(start.direction), top)
+
+
+class _CountingDiagonal:
+    def __init__(self, diag):
+        self.diag, self.shape, self.applies = diag, (diag.size, diag.size), 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.diag * x
 
 
 def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
