@@ -21,12 +21,12 @@ degrees, applies tau/n J as a rank-one term and clamps hub pairs whose
 fitted probability exceeds 1, none of which a plain block operator does,
 and sharing one class would make it branch on which fit it serves.
 
-The spectral numerator comes from spectral's eigsh-based solver, its
-answer checked by an explicit residual, except at grid points a short
-Lanczos lower bound shows cannot be chosen.  mu_K never needs an eigensolver
+The spectral numerator comes from spectral_norm_diff's Lanczos run, solved
+to its residual estimate except at grid points where the same run shows,
+early, that the point cannot be chosen.  mu_K never needs an eigensolver
 unless a degree-corrected fit clamps pairs on so many hub nodes that its
 reduction would exceed DENSE_FALLBACK columns; only then does it run the
-checked Krylov solver too.
+checked Krylov eigensolver.
 """
 
 import time
@@ -288,15 +288,15 @@ def _frobenius_dsbm(sample_op, est):
 def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, start=None, above=None):
     """Estimated perturbation-to-gap ratio for a fitted partition at tau.
 
-    The spectral numerator is spectral_norm_diff's ARPACK estimate at its
-    default tol (NORM_TOL): the returned Ritz pair's residual is checked to
-    be at most 1e-6 times the estimate, which places the estimate near an
-    eigenvalue of the difference but does not prove it is the extreme one;
-    as a Ritz value it is never above the norm.  start, a
+    The spectral numerator is spectral_norm_diff's Lanczos estimate at its
+    default tol (NORM_TOL): its Ritz pair's residual, estimated from the
+    tridiagonal, is at most 1e-6 times the estimate, which places the
+    estimate near an eigenvalue of the difference but does not prove it is
+    the extreme one; as a Ritz value it is never above the norm.  start, a
     spectral.StartVector, warm-starts that estimate.
 
     above, when given, is a DKest value the caller already holds.  If
-    spectral_norm_diff's short Lanczos run (stop_above) shows the statistic
+    spectral_norm_diff's Lanczos run (stop_above) shows the statistic
     exceeds above * (1 + NORM_TOL), that bound over mu_K is returned: a
     certified lower bound on the statistic, not a value within any stated
     tolerance of it.  Otherwise the result is the full-precision one, and
@@ -339,8 +339,8 @@ class TauRecord:
     dkest is the full-precision statistic wherever the point could still
     be the argmin when the scan's DKest walk (outward from the pivot, see
     tau_scan) reached it; at the pivot it is exactly a lone
-    dkest_statistic call.  Elsewhere, with a spectral numerator, it is a
-    certified lower bound from a short Lanczos run on the norm: above the
+    dkest_statistic call.  Elsewhere, with a spectral numerator, it may be
+    a certified lower bound from a Lanczos run stopped early: above the
     scan's minimum DKest, and not within a stated tolerance of the
     statistic.  It is inf when the fitted gap vanished.  seconds covers the point's
     clustering, scores and DKest, which run at different times.
@@ -448,13 +448,14 @@ def tau_scan(
 
     Each DKest call after the pivot's gets the smallest DKest recorded so
     far as above, so a spectral numerator is solved only as precisely as
-    the choice needs.  A Ritz value never exceeds the norm, so the largest
-    |Ritz value| of a Lanczos run of at most spectral.LANCZOS_MAX_STEPS
-    steps, over mu_K, is a lower bound on the statistic; once it exceeds
-    the running minimum m by more than the full solve's tolerance
-    (m * (1 + NORM_TOL)), the grid point cannot be the argmin and that
-    bound is recorded.  Every other point is solved to NORM_TOL by ARPACK
-    as in a lone call.  So the running minimum is always a full-precision
+    the choice needs: one norm call, one Lanczos run, per grid point.  A
+    Ritz value never exceeds the norm, so the run's largest |Ritz value|
+    over mu_K is a lower bound on the statistic; once it exceeds the
+    running minimum m by more than the solve's tolerance
+    (m * (1 + NORM_TOL)), the grid point cannot be the argmin, the run
+    stops and that bound is recorded.  Every other run goes on until its
+    residual estimate passes NORM_TOL, bitwise as a call without a
+    threshold.  So the running minimum is always a full-precision
     value, every lower bound lies above the final minimum, and the chosen
     tau is the argmin of full-precision values.  DKest usually falls from
     tau = 1 to a minimum near the mean degree, so starting there leaves

@@ -4,31 +4,31 @@ The regularized adjacency A + tau J (J = all-ones / n) is dense if
 materialized, so the operator keeps A sparse and applies the tau term as a
 rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
 
-Both Krylov computations, the top-K eigenpairs above DENSE_FALLBACK nodes
-and the spectral norm of a difference, run scipy's eigsh (ARPACK's
-implicitly restarted Lanczos) on a LinearOperator around that matvec, and
-each checks the pairs it returns with explicit residuals.  A StartVector
-carries the direction one solve found into the start of the next, so a
-sequence of nearby operators (a tau grid) needs fewer matvecs.  A norm
-estimate is a Ritz value and so never above the norm.  spectral_norm_diff's
-stop_above uses that through the one hand-written Krylov loop here: a short
-Lanczos run of at most LANCZOS_MAX_STEPS steps, with full
-reorthogonalization, whose only job is to prove the norm exceeds a
-threshold; where it cannot, ARPACK solves to the full tolerance.
+The top-K eigenpairs above DENSE_FALLBACK nodes come from scipy's eigsh
+(ARPACK's implicitly restarted Lanczos) on a LinearOperator around that
+matvec, each pair checked by an explicit residual.  The spectral norm of a
+difference comes from one hand-written Lanczos run: it reorthogonalizes
+its first LANCZOS_MAX_STEPS steps, continues as the three-term recurrence,
+and stops on ARPACK's residual estimate read from its tridiagonal, or, with
+stop_above, as soon as a Ritz value proves the norm exceeds a threshold.
+A Ritz value is never above the norm.  A StartVector carries the direction
+one solve found into the start of the next, so a sequence of nearby
+operators (a tau grid) needs fewer matvecs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
 from .util import rng_from
 
 DENSE_FALLBACK = 512
-NORM_TOL = 1e-6  # relative residual tolerance of a spectral_norm_diff estimate
-LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values may settle stop_above
-LANCZOS_MAX_STEPS = 20  # Lanczos steps before stop_above falls back to ARPACK
+NORM_TOL = 1e-6  # spectral_norm_diff stops once its Ritz residual estimate is at most this times the value
+LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after the basis
+LANCZOS_MAX_STEPS = 20  # Lanczos steps that keep and reorthogonalize against their basis
 
 
 class RegularizedLaplacian:
@@ -69,13 +69,10 @@ class RegularizedLaplacian:
 class StartVector:
     """Direction carried from one Krylov solve to the next.
 
-    direction is None until a solve stores the direction it found.  An
-    ARPACK solve given this holder starts from its seeded random vector
-    plus direction scaled to that vector's norm, which keeps a random
-    component along every eigenvector.  spectral_norm_diff's lower-bound
-    Lanczos run starts from direction alone, which needs no random
-    component: its Ritz values bound the norm from below whatever the
-    start.
+    direction is None until a solve stores the direction it found.  Every
+    solve given this holder (the eigensolve and the norm's Lanczos run)
+    starts from its seeded random vector plus direction scaled to that
+    vector's norm, which keeps a random component along every eigenvector.
     """
 
     direction: np.ndarray | None = None
@@ -181,107 +178,95 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     return EigenBasis(values=vals, vectors=vecs, residuals=res)
 
 
-def _checked_norm_ritz(lin, mv, tol, v0, rng):
-    """eigsh's largest-magnitude Ritz pair, its residual checked against tol."""
-    try:
-        vals, vecs = eigsh(lin, 1, which="LM", tol=tol, v0=v0, rng=rng)
-    except ArpackNoConvergence as exc:
-        estimate = float(np.max(np.abs(exc.eigenvalues))) if exc.eigenvalues.size else None
-        raise ConvergenceError(f"ARPACK norm estimate did not reach tol={tol}", estimate=estimate) from None
-    estimate = float(abs(vals[0]))
-    vec = vecs[:, 0]
-    resid = np.linalg.norm(mv(vec) - vals[0] * vec)
-    if resid > tol * max(estimate, 1e-300):
-        raise ConvergenceError(
-            f"norm estimate residual {resid:.3g} exceeds tol={tol} times the estimate",
-            estimate=estimate,
-        )
-    return estimate, vec
+def _lanczos_norm(mv, v0, tol, stop_above):
+    """The largest |Ritz value| of one Lanczos run on mv from v0, and a Ritz vector.
 
-
-def _lanczos_lower_bound(mv, q, stop_above):
-    """A Ritz pair of mv whose |value| exceeds stop_above, or None.
-
-    Plain Lanczos from q with full reorthogonalization (two classical
-    Gram-Schmidt passes per step), for at most LANCZOS_MAX_STEPS steps and
-    never more than n.  From step LANCZOS_FIRST_CHECK on, and at the last
-    step, the tridiagonal projection is solved densely; the first time its
-    largest |Ritz value| exceeds stop_above, that value and its Ritz vector
-    are returned.  Every Ritz value of a symmetric operator lies between
-    its extreme eigenvalues, so the value is a certified lower bound on the
-    norm.  Earlier steps are not checked: there the Ritz values are still
-    far below the norm and would record a loose bound.  Uses one matvec
-    per step.
+    The first LANCZOS_MAX_STEPS steps (never more than n) keep their basis
+    and reorthogonalize against it (two classical Gram-Schmidt passes); the
+    run then frees it and continues as the plain three-term recurrence on
+    three n-vectors.  From step LANCZOS_FIRST_CHECK on (every step while
+    the basis is kept, every LANCZOS_FIRST_CHECK steps after) the
+    tridiagonal gives theta, the largest |Ritz value|, and s, the last
+    entry of its eigenvector; earlier Ritz values are still far below the
+    norm and would record a loose bound.  theta is returned as a certified
+    lower bound once it exceeds stop_above, and as the value once
+    beta |s| <= tol theta (ARPACK's own residual estimate for the Ritz
+    pair).  A breakdown, beta at most 1e-12 times the largest |alpha| or
+    beta so far, or n kept steps leave an invariant Krylov space, whose
+    Ritz values are eigenvalues: the run stops there too, since rounding
+    noise normalized into a basis vector can push a Ritz value above the
+    norm.  Raises ConvergenceError after 10 n steps, eigsh's default cap.
+    The vector is the Ritz vector of the last checked step that kept its
+    basis.  Uses one matvec per step.
     """
-    steps = min(LANCZOS_MAX_STEPS, q.size)
-    basis = np.empty((steps, q.size))
-    basis[0] = q / np.linalg.norm(q)
-    tri = np.zeros((steps, steps))
-    for j in range(steps):
-        w = mv(basis[j])
-        tri[j, j] = basis[j] @ w
-        for _ in range(2):
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        beta = np.linalg.norm(w)
-        last = j + 1 == steps or beta == 0  # beta = 0: an invariant subspace, exact Ritz values
-        if j + 1 >= LANCZOS_FIRST_CHECK or last:
-            vals, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
-            top = int(np.argmax(np.abs(vals)))
-            if abs(vals[top]) > stop_above:
-                return float(abs(vals[top])), basis[: j + 1].T @ vecs[:, top]
-        if last:
-            break
-        tri[j, j + 1] = tri[j + 1, j] = beta
-        basis[j + 1] = w / beta
-    return None
+    n = v0.size
+    kept = min(LANCZOS_MAX_STEPS, n)
+    basis = np.empty((kept, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    alpha, beta, scale = [], [], 0.0
+    for j in range(10 * n):
+        if j < kept:
+            q = basis[j]
+            w = mv(q)
+            alpha.append(q @ w)
+            for _ in range(2):
+                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        else:
+            w = mv(q) - beta[-1] * q_prev
+            alpha.append(q @ w)
+            w -= alpha[-1] * q
+        b = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[-1]), b)
+        invariant = b <= 1e-12 * scale or j + 1 == kept == n
+        if invariant or j + 1 >= LANCZOS_FIRST_CHECK and (j < kept or (j + 1) % LANCZOS_FIRST_CHECK == 0):
+            ends = [eigh_tridiagonal(alpha, beta, select="i", select_range=(i, i)) for i in (0, j)]
+            vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
+            theta, y = abs(vals[0]), vecs[:, 0]
+            done = invariant or theta > stop_above or b * abs(y[-1]) <= tol * theta
+            if j < kept and (done or j + 1 == kept):
+                direction = basis[: j + 1].T @ y
+            if done:
+                return float(theta), direction
+        beta.append(b)
+        if j + 1 < kept:
+            basis[j + 1] = w / b
+        else:  # q may be a row of the basis: copy it, so the basis is freed
+            q_prev, q, basis = q.copy(), w / b, None
+    raise ConvergenceError(f"Lanczos norm estimate did not reach tol={tol} in {10 * n} steps", estimate=theta)
 
 
 def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators (any object with apply
-    and shape); the difference is only ever applied to vectors.  ARPACK (scipy eigsh) finds the
-    largest-magnitude Ritz pair from a start vector drawn from seed, and
-    one explicit matvec then checks that pair's residual against tol times
-    the estimate.  That shows the estimate is within that distance of *an*
-    eigenvalue of the difference, not that it is the extreme one.  It is
-    never above the norm, though: every Ritz value of a symmetric operator
-    lies between its extreme eigenvalues, so the estimate is a certified
-    lower bound at any tol.
+    and shape); the difference is only ever applied to vectors.  One
+    Lanczos run (_lanczos_norm) starts from start.draw(rng, n), the seeded
+    random draw plus start's direction, and stops once its largest |Ritz
+    value|'s residual estimate, read from the tridiagonal, is at most tol
+    times that value.  That places the value near *an* eigenvalue of the
+    difference, not provably the extreme one.  It is never above the norm,
+    though: in floating point Lanczos keeps its Ritz values inside the
+    spectrum up to O(u ||M||) (Paige 1980), so the value is a certified
+    lower bound at any tol.  A difference that is zero returns 0.0.
 
-    stop_above=None solves to tol directly.  Otherwise a short Lanczos run
-    (_lanczos_lower_bound, at most LANCZOS_MAX_STEPS matvecs) starts from
-    start's direction, or from the seeded draw when start has none, and
-    returns its largest |Ritz value| at the first step from
-    LANCZOS_FIRST_CHECK on where that exceeds stop_above: a certified lower
-    bound on the norm, with no residual check.  If no step does, ARPACK
-    solves to tol from the draw already made, so the result is bitwise
-    that of the call without stop_above.  A caller that only needs to know
-    whether the norm exceeds a threshold, and its value where it does not,
-    passes the threshold.
+    stop_above, when given, also stops the run at the first check where
+    the largest |Ritz value| exceeds it, and returns that value: a
+    certified lower bound on the norm, not within tol of it.  A caller that
+    only needs to know whether the norm exceeds a threshold, and its value
+    where it does not, passes the threshold.  Where the run never exceeds
+    it, the result is bitwise that of the call without stop_above.
 
-    start, a StartVector, warm-starts the solve: ARPACK starts from the
-    random draw plus its direction, the Lanczos run from its direction
-    alone, and after a certified bound or a checked estimate it holds the
-    Ritz vector found.  Deterministic given seed, start and stop_above.
+    start, a StartVector, warm-starts the run, and afterwards holds the
+    Ritz vector of its last checked step with a kept basis.
+    Deterministic given seed, start and stop_above.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
     if n_a != n_b:
         raise SpeclusterError("operator dimensions differ")
-    n = n_a
     mv = lambda v: mv_a(v) - mv_b(v)
-    rng = rng_from(seed)
     if start is None:
         start = StartVector()
-    v0 = start.draw(rng, n)
-    if np.linalg.norm(mv(v0)) < 1e-300:
-        return 0.0
-    if stop_above is not None:
-        bound = _lanczos_lower_bound(mv, v0 if start.direction is None else start.direction, stop_above)
-        if bound is not None:
-            estimate, start.direction = bound
-            return estimate
-    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
-    estimate, start.direction = _checked_norm_ritz(lin, mv, tol, v0, rng)
+    v0 = start.draw(rng_from(seed), n_a)
+    estimate, start.direction = _lanczos_norm(mv, v0, tol, np.inf if stop_above is None else stop_above)
     return estimate

@@ -388,7 +388,7 @@ def hub_joined_graph():
 def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
     # n=600 with a hub joined to every odd node: the degree-corrected fit
     # clamps pairs on 53 hubs, so mu_k takes the closed-form reduction
-    # (K+1+h = 56 columns, below DENSE_FALLBACK); the numerators run eigsh
+    # (K+1+h = 56 columns, below DENSE_FALLBACK); the numerators run Lanczos
     g, part = hub_joined_graph()
     assert g.n > DENSE_FALLBACK
     bhat, counts = estimate_block_matrix(g, part)
@@ -406,17 +406,14 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
 
 @pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
 def test_dsbm_dkest_runs_no_eigensolver_for_mu_k(monkeypatch, norm_kind):
-    # above DENSE_FALLBACK nodes a Krylov mu_k would call eigsh(which="LA");
-    # the spectral numerator's calls are which="LM"
+    # above DENSE_FALLBACK nodes a Krylov mu_k would call eigsh; the
+    # spectral numerator runs its own Lanczos loop and calls none
     g, part = hub_joined_graph()
-    real_eigsh = spectral.eigsh
 
-    def norm_only(*args, which, **kwargs):
-        if norm_kind == "frobenius" or which != "LM":
-            raise AssertionError(f"eigsh called with which={which!r}")
-        return real_eigsh(*args, which=which, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called")
 
-    monkeypatch.setattr(spectral, "eigsh", norm_only)
+    monkeypatch.setattr(spectral, "eigsh", refuse)
     for tau in (0.5, 60.0):
         got = dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind=norm_kind)
         assert np.isfinite(got) and got > 0
@@ -692,13 +689,12 @@ def test_norm_stop_above_certifies_a_lower_bound(monkeypatch, model_kind, tau):
     # stop_above=None is the plain call, bitwise
     assert spectral_norm_diff(sample_op, fitted, stop_above=None) == lone
     applies[0] = 0
-    # any threshold below the norm: the Lanczos bound, from at most its
-    # step cap plus the zero check in matvecs, and never above the norm (a
-    # Ritz value lies inside the spectrum)
+    # a threshold of 0: the run stops at its first check, with a certified
+    # bound never above the norm (a Ritz value lies inside the spectrum)
     bound = spectral_norm_diff(sample_op, fitted, stop_above=0.0)
     assert 0.0 < bound <= exact * (1 + 1e-12)
-    assert applies[0] <= spectral.LANCZOS_MAX_STEPS + 1 < lone_applies
-    # a threshold the norm cannot reach: ARPACK from the lone call's draw, bitwise
+    assert applies[0] <= spectral.LANCZOS_FIRST_CHECK < lone_applies
+    # a threshold the norm cannot reach: the lone call's run, bitwise
     full = spectral_norm_diff(sample_op, fitted, stop_above=1e300)
     assert full == lone
     assert lone <= exact * (1 + 1e-12)
@@ -710,18 +706,19 @@ _CERTIFICATE_SEEDS = {12: range(10), 300: range(6), 1000: range(1)}  # n: graph 
 @pytest.mark.parametrize("n", list(_CERTIFICATE_SEEDS))
 @pytest.mark.parametrize("model_kind", ["sbm", "dsbm"])
 def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
-    # every stop_above result, certified or not, is a Ritz value and so at
-    # most the dense 2-norm: plain and degree-corrected fits, tau from 1 to
-    # n, cold starts and starts warmed along the tau grid, and n = 12 below
-    # the Lanczos step cap
-    arpack = [0]
-    real_ritz = spectral._checked_norm_ritz
+    # every result, certified or converged, is a Ritz value and so at most
+    # the dense 2-norm: plain and degree-corrected fits, tau from 1 to n,
+    # cold starts and starts warmed along the tau grid, and n = 12 below
+    # the kept-basis step count.  A threshold of 0 is settled at the first
+    # check; without a reachable threshold the run converges to the norm.
+    applies = [0]
+    real_apply = RegularizedLaplacian.apply
 
-    def counting(*args):
-        arpack[0] += 1
-        return real_ritz(*args)
+    def counting(self, x):
+        applies[0] += 1
+        return real_apply(self, x)
 
-    monkeypatch.setattr(spectral, "_checked_norm_ritz", counting)
+    monkeypatch.setattr(RegularizedLaplacian, "apply", counting)
     b = np.minimum(np.array([[3.0, 1.0], [1.0, 2.0]]) * 6.0 / n, 1.0)
     for graph_seed in _CERTIFICATE_SEEDS[n]:
         g = sp.sample(sp.BlockModel.from_sizes([n // 2, n - n // 2], b), graph_seed)
@@ -736,14 +733,17 @@ def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
                 fitted = _EstimatedDSBMLaplacian(g, part, counts, tau)
             exact = np.linalg.norm(sample_op.to_dense() - fitted.to_dense(), 2)
             for start in (None, warm):
-                for frac in (0.0, 0.9, 0.999):
-                    before = arpack[0]
+                for stop_above in (0.0, 0.9 * exact, 0.999 * exact, None, 1e300):
+                    applies[0] = 0
                     got = spectral_norm_diff(
-                        sample_op, fitted, seed=graph_seed, start=start, stop_above=frac * exact
+                        sample_op, fitted, seed=graph_seed, start=start, stop_above=stop_above
                     )
-                    assert frac * exact < got <= exact * (1 + 1e-12)
-                    if frac == 0.0:
-                        assert arpack[0] == before  # the Lanczos bound settled it
+                    if stop_above is None or stop_above == 1e300:
+                        assert exact * (1 - 1e-6) <= got <= exact * (1 + 1e-12)
+                    else:
+                        assert stop_above < got <= exact * (1 + 1e-12)
+                    if stop_above == 0.0:
+                        assert applies[0] <= spectral.LANCZOS_FIRST_CHECK
 
 
 @pytest.mark.parametrize("case", ["karate-sbm", "karate-dsbm", "criterion-5"])
@@ -755,37 +755,24 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         g = sp.load_edge_list(_DATA / "karate_edges.txt")
         grid, model_kind = sp.default_tau_grid(g), case.split("-")[1]
     bounds = []
-    stages = []  # per norm call: the stages it ran, in order
+    outcomes = []  # per norm call: its run stopped above the threshold, or converged
     real_norm = selection.spectral_norm_diff
-    real_bound, real_ritz = spectral._lanczos_lower_bound, spectral._checked_norm_ritz
 
     def spy(*args, stop_above=None, **kwargs):
+        out = real_norm(*args, stop_above=stop_above, **kwargs)
         bounds.append(stop_above)
-        stages.append([])
-        return real_norm(*args, stop_above=stop_above, **kwargs)
-
-    def bound_spy(*args):
-        out = real_bound(*args)
-        stages[-1].append("certified" if out is not None else "uncertified")
+        outcomes.append("certified" if stop_above is not None and out > stop_above else "converged")
         return out
 
-    def ritz_spy(*args):
-        stages[-1].append("arpack")
-        return real_ritz(*args)
-
     monkeypatch.setattr(selection, "spectral_norm_diff", spy)
-    monkeypatch.setattr(spectral, "_lanczos_lower_bound", bound_spy)
-    monkeypatch.setattr(spectral, "_checked_norm_ritz", ritz_spy)
     scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
     monkeypatch.undo()
-    # every norm after the first is solved against the smallest DKest so far:
-    # the Lanczos bound first, and ARPACK only at the pivot or where the
-    # bound did not clear that threshold
+    # every norm after the first is solved against the smallest DKest so far;
+    # the pivot's run has no threshold and converges
     assert bounds[0] is None and all(b is not None for b in bounds[1:])
-    assert stages[0] == ["arpack"]
-    assert all(c in (["certified"], ["uncertified", "arpack"]) for c in stages[1:])
+    assert outcomes[0] == "converged"
     order = dkest_order(scan.grid, g.mean_degree)
-    certified = [i for i, c in zip(order, stages) if c == ["certified"]]
+    certified = [i for i, c in zip(order, outcomes) if c == "certified"]
     lone = [
         dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, tau, seed=0), tau, model_kind=model_kind)
         for tau in scan.grid

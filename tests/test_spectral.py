@@ -6,14 +6,11 @@ import pytest
 import specluster as sp
 from specluster.blockmodel import PopulationLaplacian
 from specluster.graph import build_graph
-from scipy.sparse.linalg import LinearOperator
-
 from specluster import spectral
 from specluster.spectral import (
     DENSE_FALLBACK,
     NORM_TOL,
     RegularizedLaplacian,
-    StartVector,
     spectral_norm_diff,
     top_eigenpairs,
 )
@@ -248,12 +245,18 @@ def test_norm_memory_is_far_below_dense():
 
 
 def test_rank_one_operator_above_dense_fallback():
-    # a rank-one operator exhausts its Krylov space after two vectors, so
-    # ARPACK must restart from a fresh direction in both callers
+    # a rank-one operator exhausts its Krylov space after two vectors: the
+    # eigensolve's ARPACK must restart from a fresh direction, and the
+    # norm's Lanczos run stops at that breakdown (a residual of rounding
+    # noise normalized into a third basis vector once grew the
+    # tridiagonal's top eigenvalue to ~10, above the norm)
     n = DENSE_FALLBACK + 88
     a = np.zeros((n, n))
     a[0, 0] = 5.0
-    assert abs(spectral_norm_diff(a, np.zeros((n, n))) - 5.0) <= 1e-12
+    for seed in range(50):
+        for stop_above in (None, 0.0, 2.5, 4.9):
+            got = spectral_norm_diff(a, np.zeros((n, n)), seed=seed, stop_above=stop_above)
+            assert got == pytest.approx(5.0, rel=1e-12, abs=0)
     basis = top_eigenpairs(a, 3)
     assert np.allclose(basis.vectors.T @ basis.vectors, np.eye(3), atol=1e-12)
     assert np.allclose(basis.values, [5.0, 0.0, 0.0], atol=1e-12)
@@ -264,10 +267,9 @@ def test_rank_one_operator_above_dense_fallback():
 
 @pytest.mark.parametrize("n", [4, 12, DENSE_FALLBACK + 88])
 def test_lanczos_bound_survives_breakdown_on_a_rank_one_difference(n):
-    # a rank-one operator's Krylov space is invariant after two steps; the
-    # later basis vectors are orthogonalized rounding noise, and the bound
-    # is still at most the norm.  n = 4 is below the first check, so the
-    # run checks at its last step.
+    # a rank-one operator's Krylov space is invariant after two steps, so
+    # the run stops at that breakdown, before its first regular check,
+    # with a value at most the norm
     for seed in range(20):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n)
@@ -276,18 +278,13 @@ def test_lanczos_bound_survives_breakdown_on_a_rank_one_difference(n):
         for stop_above in (0.0, 0.5 * exact):
             got = spectral_norm_diff(a, np.zeros((n, n)), seed=seed, stop_above=stop_above)
             assert stop_above < got <= exact * (1 + 1e-12)
-    # an exact breakdown: started on the top eigenvector of a diagonal
-    # operator, the first reorthogonalized w is exactly 0, and the run
-    # checks and stops after one Lanczos matvec with the exact eigenvalue
-    diag = np.concatenate([[-3.0], np.linspace(-1.0, 1.0, n - 1)])
+    # three nonzeros: the draw's part off them and the three coordinates
+    # span an invariant space, so a lone call stops after four matvecs
+    diag = np.zeros(n)
+    diag[[0, n // 2, n - 1]] = [1.0, -4.0, 2.5]
     op = _CountingDiagonal(diag)
-    top = np.zeros(n)
-    top[0] = 1.0
-    start = StartVector(direction=top)
-    got = spectral_norm_diff(op, np.zeros((n, n)), start=start, stop_above=1.0)
-    assert got == 3.0
-    assert op.applies == 2  # the zero check, then one Lanczos step
-    assert np.array_equal(np.abs(start.direction), top)
+    assert spectral_norm_diff(op, np.zeros((n, n))) == pytest.approx(4.0, rel=1e-12, abs=0)
+    assert op.applies == 4
 
 
 class _CountingDiagonal:
@@ -302,17 +299,13 @@ class _CountingDiagonal:
 def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
     # the certificate is one-sided: a start orthogonal to the top
     # eigenvector of a diagonal operator keeps the whole Krylov space
-    # orthogonal to it, and the residual check then accepts the second
+    # orthogonal to it, and the residual test then accepts the second
     # eigenvalue, which is a lower bound on the norm and not the norm
     n = DENSE_FALLBACK + 88
     diag = np.concatenate([[2.0, 1.0], np.linspace(-0.5, 0.5, n - 2)])
-    mv = lambda x: diag * x
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(n)
     v0[0] = 0.0
-    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
-    estimate, vec = spectral._checked_norm_ritz(lin, mv, NORM_TOL, v0, rng)
-    assert np.linalg.norm(mv(vec) - estimate * vec) <= NORM_TOL * estimate
+    estimate, _ = spectral._lanczos_norm(lambda x: diag * x, v0, NORM_TOL, np.inf)
     assert estimate == pytest.approx(1.0, rel=NORM_TOL)
     assert estimate < np.linalg.norm(np.diag(diag), 2) == 2.0
 
