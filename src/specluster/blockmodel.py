@@ -267,6 +267,7 @@ def sample(model, seed):
         i, j = cand[:, 0], cand[:, 1]
         keep = rng.random(i.size) * pc[cell[i], cell[j]] < b[z[i], z[j]] * theta[i] * theta[j]
         edges = cand[keep]
+        del cand, i, j, keep  # 2-3x the kept edges: free them before the build
     else:
         edges = _block_pairs(model.membership, model.block_matrix, rng)
     return build_graph(model.n, edges)

@@ -18,8 +18,9 @@ from scipy import sparse
 from .errors import EdgeListParseError, SpeclusterError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Edge-list rows formatted per write: ~6 MB of Python ints and text.
-_SAVE_CHUNK_ROWS = 2**16
+# CSR entries read per edge-list write, so at most this many rows are
+# formatted at once: under 1 MB of Python ints and text.
+_SAVE_CHUNK_ROWS = 2**13
 # In reversed text: a line whose first non-blank character is not '#' but
 # that holds a '#'.  Reversed, the pattern starts at a literal '#', which
 # the regex engine skips to, where the forward pattern tests every line.
@@ -30,19 +31,25 @@ _REVERSED_FIELD_BEFORE_HASH = re.compile(r"#[^\n]*[^\s#][^\S\n]*(?:\n|\Z)")
 class Graph:
     """Simple undirected graph.
 
-    edges is an (m, 2) array with each pair stored once as (i, j), i < j, in
-    lexicographic order.  adjacency is symmetric CSR with sorted neighbor
-    lists and an all-zero diagonal.  degrees[i] counts stored neighbors.
+    adjacency is symmetric CSR with sorted neighbor lists and an all-zero
+    diagonal.  It is the only store of the edges: edges is computed from
+    its upper triangle.  degrees[i] counts stored neighbors.
     """
 
     n: int
-    edges: np.ndarray
     adjacency: sparse.csr_array
     degrees: np.ndarray
 
     @property
+    def edges(self):
+        """(m, 2) int64 array with each pair once as (i, j), i < j, in
+        lexicographic order: the upper triangle of adjacency, computed on
+        each access."""
+        return _upper_pairs(self.adjacency, 0, self.adjacency.nnz)
+
+    @property
     def num_edges(self):
-        return self.edges.shape[0]
+        return self.adjacency.nnz // 2
 
     @property
     def mean_degree(self):
@@ -91,7 +98,21 @@ def _assemble(n, edges):
     indices[np.arange(m) + np.repeat(upper_ptr[:-1], np.diff(below.indptr))] = below.indices
     indices[np.arange(m) + below.indptr[1:][lo]] = hi
     adj = sparse.csr_array((np.ones(2 * m), indices, indptr), shape=(n, n))
-    return Graph(n=n, edges=edges, adjacency=adj, degrees=degrees)
+    return Graph(n=n, adjacency=adj, degrees=degrees)
+
+
+def _upper_pairs(adj, start, stop):
+    """The (r, c) rows, r < c, of the CSR entries start:stop, in order, as
+    an int64 array of shape (pairs, 2)."""
+    indptr = adj.indptr
+    first = np.searchsorted(indptr, start, side="right") - 1
+    last = np.searchsorted(indptr, stop, side="left")
+    # each row's entries that fall inside start:stop
+    counts = np.diff(np.clip(indptr[first : last + 1], start, stop))
+    rows = np.repeat(np.arange(first, last, dtype=np.int64), counts)
+    cols = adj.indices[start:stop]
+    upper = cols > rows
+    return np.column_stack((rows[upper], cols[upper].astype(np.int64, copy=False)))
 
 
 def _canonical_pairs(n, edges):
@@ -196,12 +217,14 @@ def _parse_lines(path):
 def save_edge_list(g, path):
     """Write the canonical (sorted) edge list; inverse of load_edge_list.
 
-    Rows are formatted _SAVE_CHUNK_ROWS at a time, so the Python ints and
-    text held at once do not grow with the edge count.
+    Rows are read from the CSR _SAVE_CHUNK_ROWS entries at a time, so the
+    pairs, Python ints and text held at once do not grow with the edge
+    count.
     """
+    nnz = g.adjacency.nnz
     with open(path, "w") as fh:
-        for start in range(0, g.num_edges, _SAVE_CHUNK_ROWS):
-            chunk = g.edges[start : start + _SAVE_CHUNK_ROWS]
+        for start in range(0, nnz, _SAVE_CHUNK_ROWS):
+            chunk = _upper_pairs(g.adjacency, start, min(start + _SAVE_CHUNK_ROWS, nnz))
             fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 

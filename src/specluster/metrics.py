@@ -158,13 +158,25 @@ def nmi(est, truth):
     return float(np.clip(mi / denom, 0.0, 1.0))
 
 
+def block_counts(g, labels, k):
+    """(k, k) float64 counts of adjacency entries between clusters.
+
+    Entry (a, b) counts the stored entries from a node labelled a to one
+    labelled b: the edges between a and b when a != b, and twice the edges
+    inside a on the diagonal.  It is Z' A Z for the one-hot labels Z, whose
+    sums are integers below 2**53, so they are exact.
+    """
+    onehot = np.zeros((labels.size, k))
+    onehot[np.arange(labels.size), labels] = 1.0
+    return onehot.T @ (g.adjacency @ onehot)
+
+
 def modularity(g, part):
     """Girvan-Newman modularity sum_k [ e_k/m - (d_k / 2m)^2 ]."""
     m = g.num_edges
     if m < 1:
         raise SpeclusterError("modularity needs at least one edge")
     labels = part.labels
-    intra = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
-    e_k = np.bincount(labels[g.edges[:, 0]][intra], minlength=part.k)
     d_k = np.bincount(labels, weights=g.degrees, minlength=part.k)
+    e_k = np.diag(block_counts(g, labels, part.k)) / 2
     return float((e_k / m).sum() - ((d_k / (2 * m)) ** 2).sum())

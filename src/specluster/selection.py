@@ -39,7 +39,7 @@ from scipy import sparse
 from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
-from .metrics import clustering_error, modularity, nmi
+from .metrics import block_counts, clustering_error, modularity, nmi
 from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
 from .util import fmt, write_artifact_csv
 
@@ -59,9 +59,7 @@ def estimate_block_matrix(g, part):
     sizes = np.bincount(labels, minlength=k)
     if np.any(sizes == 0):
         raise EmptyClusterError(f"cluster {int(np.flatnonzero(sizes == 0)[0])} is empty")
-    pairs = labels[g.edges[:, 0]] * k + labels[g.edges[:, 1]]
-    counts = np.bincount(pairs, minlength=k * k).reshape(k, k)
-    counts = (counts + counts.T).astype(np.float64)  # integer counts: exact
+    counts = block_counts(g, labels, k)
     bhat = counts / np.outer(sizes, sizes)
     return bhat, counts
 
@@ -258,7 +256,7 @@ def _frobenius_sbm(sample_op, est):
     total = s_u2**2
     total -= 2.0 * float(cross @ gmat @ cross)
     total += float(mass @ (gmat * gmat) @ mass)
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    e0, e1 = g.edges.T
     bg = u[e0] * u[e1] - c[e0] * c[e1] * gmat[z[e0], z[e1]]
     aa = a[e0] * a[e1]
     total += float((2.0 * (2.0 * bg * aa + aa * aa)).sum())
@@ -278,7 +276,7 @@ def _frobenius_dsbm(sample_op, est):
         contrib = w2[ci] * w2[cj] * (1.0 - p_raw**2)
         off = ci != cj
         total += float(contrib.sum() + contrib[off].sum())
-    e0, e1 = g.edges[:, 0], g.edges[:, 1]
+    e0, e1 = g.edges.T
     aa = w2[e0] * w2[e1]
     p_e = est.fitted_probability(e0, e1)
     total += float((2.0 * aa * (1.0 - 2.0 * p_e)).sum())

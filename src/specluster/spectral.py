@@ -19,7 +19,7 @@ operators (a tau grid) needs fewer matvecs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
@@ -178,6 +178,26 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     return EigenBasis(values=vals, vectors=vecs, residuals=res)
 
 
+def _tridiagonal_eigenpair(d, e, i):
+    """The i-th smallest eigenvalue (as a length-1 array) and its unit
+    eigenvector (as a column) of the symmetric tridiagonal with diagonal d
+    and off-diagonal e.
+
+    Bitwise what scipy's eigh_tridiagonal(d, e, select="i",
+    select_range=(i, i)) returns: the same LAPACK bisection (dstebz) and
+    inverse iteration (dstein), without its input validation, which cost
+    most of its time on the short tridiagonals of a norm run.
+    """
+    if d.size == 1:
+        return d.copy(), np.ones((1, 1))
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
+    if info == 0:
+        v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"tridiagonal eigenpair {i} failed: LAPACK info {info}")
+    return w[:m], v
+
+
 def _lanczos_norm(mv, v0, tol, stop_above):
     """The largest |Ritz value| of one Lanczos run on mv from v0, and a Ritz vector.
 
@@ -219,7 +239,8 @@ def _lanczos_norm(mv, v0, tol, stop_above):
         scale = max(scale, abs(alpha[-1]), b)
         invariant = b <= 1e-12 * scale or j + 1 == kept == n
         if invariant or j + 1 >= LANCZOS_FIRST_CHECK and (j < kept or (j + 1) % LANCZOS_FIRST_CHECK == 0):
-            ends = [eigh_tridiagonal(alpha, beta, select="i", select_range=(i, i)) for i in (0, j)]
+            d, e = np.array(alpha), np.array(beta)
+            ends = [_tridiagonal_eigenpair(d, e, i) for i in (0, j)]
             vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
             theta, y = abs(vals[0]), vecs[:, 0]
             done = invariant or theta > stop_above or b * abs(y[-1]) <= tol * theta

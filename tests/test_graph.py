@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -123,19 +124,97 @@ def _one_shot_save(g, path):
         fh.write(("%d %d\n" * g.num_edges) % tuple(g.edges.ravel().tolist()))
 
 
+def _two_hub_graph(n):
+    """Node 0 joined to every node and node n // 2 to every other: both hub
+    rows span several save chunks, and the middle one mixes entries below
+    and above its diagonal."""
+    hub = n // 2
+    rest = np.delete(np.arange(n), [0, hub])
+    first = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+    second = np.column_stack([np.full(rest.size, hub), rest])
+    return build_graph(n, np.vstack([first, second]))
+
+
 def test_chunked_save_writes_the_one_shot_bytes(tmp_path):
+    # the writer reads chunk CSR entries (two per edge) at a time, so its
+    # boundaries fall at m = chunk / 2, mid-row, and inside hub rows
     chunk = graph._SAVE_CHUNK_ROWS
     n = 700  # 244,650 node pairs, more than 3 * chunk + 7
     pairs = np.column_stack(np.triu_indices(n, 1))
     rng = np.random.default_rng(7)
-    for m in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+    graphs = []
+    for m in (0, 1, chunk // 2 - 1, chunk // 2, chunk // 2 + 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
         pick = np.sort(rng.choice(len(pairs), size=m, replace=False))
-        g = build_graph(n, pairs[pick])
+        graphs.append(build_graph(n, pairs[pick]))
+    graphs += [_two_hub_graph(3 * chunk + 9), _two_hub_graph(chunk // 2 + 1)]
+    for g in graphs:
         sp.save_edge_list(g, tmp_path / "chunked.txt")
         _one_shot_save(g, tmp_path / "one_shot.txt")
         got = (tmp_path / "chunked.txt").read_bytes()
         assert got == (tmp_path / "one_shot.txt").read_bytes()
-        assert got.count(b"\n") == m
+        assert got.count(b"\n") == g.num_edges
+
+
+def test_save_peak_does_not_grow_with_the_edge_count(tmp_path):
+    pairs = np.column_stack(np.triu_indices(700, 1))
+    rng = np.random.default_rng(8)
+    sp.save_edge_list(build_graph(700, pairs[:10]), tmp_path / "warm.txt")
+    peaks = []
+    for m in (20_000, 200_000):
+        g = build_graph(700, pairs[np.sort(rng.choice(len(pairs), size=m, replace=False))])
+        tracemalloc.start()
+        try:
+            sp.save_edge_list(g, tmp_path / "e.txt")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def _retained_bytes(make):
+    """What make() returns and the bytes its allocations still hold."""
+    make()  # first calls may fill caches that later calls reuse
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return out, kept
+
+
+def test_a_graph_retains_its_csr_and_no_edge_array():
+    # CSR data and int64 indices are 16 bytes per entry, two entries per
+    # edge; indptr and degrees 16 bytes per node.  An (m, 2) int64 edge
+    # array beside them would be 16 bytes per edge more.
+    n = 6000
+    base = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.004, 0.001], [0.001, 0.002]])
+    theta = np.tile(np.linspace(0.2, 1.8, n // 2), 2)
+    pairs = np.column_stack(np.triu_indices(700, 1))[::3]
+    makers = [
+        lambda: build_graph(700, pairs),
+        lambda: sp.sample(base, 3),
+        lambda: sp.sample(sp.DegreeCorrectedModel(base=base, theta=theta), 3),
+    ]
+    for make in makers:
+        g, kept = _retained_bytes(make)
+        assert g.num_edges > 10_000
+        assert kept <= 32 * g.num_edges + 16 * g.n + 16384, (kept, g.num_edges, g.n)
+
+
+@pytest.mark.parametrize("n, draws", [(1, 0), (6, 0), (2, 1), (40, 60), (300, 5000), (9000, 20000)])
+def test_edges_are_the_canonical_pairs_read_from_the_csr(n, draws):
+    rng = np.random.default_rng(n + draws)
+    pairs = rng.integers(0, n, size=(draws, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    want, first = graph._canonical_pairs(n, pairs)
+    want = want[first]
+    g = build_graph(n, want[rng.permutation(len(want))][:, ::-1])
+    got = g.edges
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == (len(want), 2) == (g.num_edges, 2)
+    assert np.array_equal(got, want)
 
 
 def _lexsorted_canonical(edges):

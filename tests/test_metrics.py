@@ -11,10 +11,11 @@ from scipy import sparse
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import specluster as sp
-from conftest import complete_graph, two_cliques
+from conftest import complete_graph, path_graph, two_block_benchmark_model, two_cliques
 from specluster import metrics
 from specluster.graph import build_graph
-from specluster.metrics import _bottleneck_cost, _contingency, _minimize_matching, modularity
+from specluster.metrics import _bottleneck_cost, _contingency, _minimize_matching, block_counts, modularity
+from specluster.selection import estimate_block_matrix
 
 
 def exhaustive_bottleneck(est, truth):
@@ -240,6 +241,46 @@ def test_modularity_upper_bound(rng):
         d_k = np.bincount(labels, weights=g.degrees, minlength=k)
         k_pos = int((d_k > 0).sum())
         assert q <= 1 - 1.0 / k_pos + 1e-12
+
+
+def _edge_block_counts(g, labels, k):
+    """Block counts from the edge list, as first written: the oracle for
+    the CSR count."""
+    pairs = labels[g.edges[:, 0]] * k + labels[g.edges[:, 1]]
+    counts = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    return (counts + counts.T).astype(np.float64)
+
+
+def _edge_modularity(g, part):
+    """Modularity from the edge list, as first written: the oracle."""
+    m = g.num_edges
+    labels = part.labels
+    intra = labels[g.edges[:, 0]] == labels[g.edges[:, 1]]
+    e_k = np.bincount(labels[g.edges[:, 0]][intra], minlength=part.k)
+    d_k = np.bincount(labels, weights=g.degrees, minlength=part.k)
+    return float((e_k / m).sum() - ((d_k / (2 * m)) ** 2).sum())
+
+
+def test_block_counts_and_modularity_equal_the_edge_formulas(rng):
+    base = two_block_benchmark_model(600)
+    hubs = sp.DegreeCorrectedModel(base=base, theta=np.tile(np.geomspace(0.1, 4.0, 300), 2))
+    graphs = [sp.sample(base, 1), sp.sample(hubs, 2), two_cliques(5), path_graph(9), complete_graph(7)]
+    for g in graphs:
+        for trial in range(12):
+            k = int(rng.integers(1, 6))
+            labels = rng.integers(0, k, size=g.n)
+            if trial == 0:
+                # one node alone in the last cluster: a cluster with no intra edge
+                k = 3
+                labels = rng.integers(0, 2, size=g.n)
+                labels[int(rng.integers(g.n))] = 2
+            part = sp.Partition(labels, k)
+            want = _edge_block_counts(g, part.labels, k)
+            got = block_counts(g, part.labels, k)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            if np.all(np.bincount(labels, minlength=k) > 0):
+                assert np.array_equal(estimate_block_matrix(g, part)[1], want)
+            assert modularity(g, part) == _edge_modularity(g, part)
 
 
 def test_modularity_empty_graph_error():

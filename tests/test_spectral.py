@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import specluster as sp
 from specluster.blockmodel import PopulationLaplacian
@@ -222,6 +223,24 @@ def test_spectral_norm_diff_matches_dense(rng):
     b = (b + b.T) / 2
     exact = np.max(np.abs(np.linalg.eigvalsh(a - b)))
     assert spectral_norm_diff(a, b) == pytest.approx(exact, rel=1e-6)
+
+
+def test_tridiagonal_eigenpair_is_bitwise_eigh_tridiagonal():
+    rng = np.random.default_rng(60)
+    for size in range(1, 61):
+        for trial in range(6):
+            d = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4)
+            e = np.abs(rng.standard_normal(size - 1))
+            if trial == 1:
+                e[rng.random(size - 1) < 0.3] = 0.0  # split into blocks
+            if trial == 2:
+                d[:] = 0.0  # a zero difference: every Ritz value is 0
+                e[:] = 0.0
+            for i in (0, size - 1):
+                want = eigh_tridiagonal(d, e, select="i", select_range=(i, i))
+                got = spectral._tridiagonal_eigenpair(d, e, i)
+                for a, b in zip(got, want):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_spectral_norm_diff_dimension_mismatch():
