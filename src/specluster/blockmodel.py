@@ -23,7 +23,7 @@ from .errors import (
     SizeCapError,
     SpeclusterError,
 )
-from .graph import build_graph
+from .graph import _sorted_distinct, build_graph
 from .util import rng_from
 
 DENSE_CAP = 5000
@@ -134,21 +134,6 @@ def _decode_triangular(t, s):
     start = i * (2 * s - i - 1) // 2
     j = t - start + i + 1
     return i, j
-
-
-def _sorted_distinct(a):
-    """The distinct values of a, ascending: np.unique(a) by sorting.
-
-    np.unique without return_* flags goes through a hash table in numpy
-    >= 2.3 and then sorts its output anyway.  On 20k / 100k int64 draws
-    that took 3.8 / 29 ms, against 0.19 / 1.0 ms for this sort plus a
-    first-of-run mask (numpy 2.4.6, one core of a 2-core x86 box).
-    """
-    a = np.sort(a)
-    first = np.empty(a.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
 
 
 def _distinct_indices(rng, total, m):

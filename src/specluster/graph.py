@@ -61,9 +61,10 @@ class Graph:
 
 
 def build_graph(n, edges):
-    """Build a Graph from an array of node pairs.
+    """Build a Graph from an array of node pairs, in either orientation.
 
-    Pairs are canonicalized to (min, max) and sorted.  Self loops or
+    Each pair becomes the two int64 keys r * n + c and c * n + r; sorted,
+    they list the symmetric CSR's entries row by row.  Self loops or
     duplicate pairs are rejected; use load_edge_list for lenient ingestion.
     """
     n = operator.index(n)
@@ -74,31 +75,54 @@ def build_graph(n, edges):
         raise SpeclusterError(f"node index {edges.max()} out of range for n={n}")
     if np.any(edges[:, 0] == edges[:, 1]):
         raise SpeclusterError("self loop in edge list")
-    edges, first = _canonical_pairs(n, edges)
-    if not first.all():
+    keys = _sorted_distinct(_pair_keys(n, edges))
+    if keys.size < 2 * edges.shape[0]:
         raise SpeclusterError("duplicate edge in edge list")
-    return _assemble(n, edges)
+    return _csr_graph(n, keys)
 
 
-def _assemble(n, edges):
-    """The Graph of canonical edges: (min, max) int64 rows, in
-    lexicographic order, with no self loop and no duplicate."""
+def _pair_keys(n, edges):
+    """The 2m int64 keys r * n + c, then c * n + r, of the (m, 2) pairs.
+
+    A key keeps the lexicographic order of its (row, column) entry for
+    indices in [0, n), which needs n**2 < 2**63.
+    """
+    if n * n > _INT64_MAX:
+        raise SpeclusterError(f"n={n} is too large: pair keys need n**2 < 2**63")
     m = edges.shape[0]
-    lo, hi = edges[:, 0], edges[:, 1]
-    degrees = np.bincount(edges.ravel(), minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    # Row r lists its neighbors below r, then those above r.  The ones above
-    # are the edges (r, j) in their sorted order; the ones below are column
-    # r of the upper triangle, which the CSC conversion lists in order.
-    upper_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n), out=upper_ptr[1:])
-    below = sparse.csr_array((np.ones(m), hi, upper_ptr), shape=(n, n)).tocsc()
-    indices = np.empty(2 * m, dtype=np.int64)
-    indices[np.arange(m) + np.repeat(upper_ptr[:-1], np.diff(below.indptr))] = below.indices
-    indices[np.arange(m) + below.indptr[1:][lo]] = hi
-    adj = sparse.csr_array((np.ones(2 * m), indices, indptr), shape=(n, n))
-    return Graph(n=n, adjacency=adj, degrees=degrees)
+    r, c = edges[:, 0], edges[:, 1]
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(r, n, out=keys[:m])
+    keys[:m] += c
+    np.multiply(c, n, out=keys[m:])
+    keys[m:] += r
+    return keys
+
+
+def _sorted_distinct(a):
+    """The distinct values of a, ascending: np.unique(a) by sorting.
+
+    a is sorted in place, so it must be a temporary; when no value repeats
+    it is itself the result.  np.unique without return_* flags goes
+    through a hash table in numpy >= 2.3 and then sorts its output anyway.
+    On 20k / 100k int64 draws that took 3.8 / 29 ms, against 0.19 / 1.0 ms
+    for this sort plus a first-of-run mask (numpy 2.4.6, one core of a
+    2-core x86 box).
+    """
+    a.sort()
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a if first.all() else a[first]
+
+
+def _csr_graph(n, keys):
+    """The Graph whose adjacency entries are the sorted distinct pair keys
+    of a symmetric loopless edge set; keys becomes its CSR indices."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= n
+    adj = sparse.csr_array((np.ones(keys.size), keys, indptr), shape=(n, n))
+    return Graph(n=n, adjacency=adj, degrees=np.diff(indptr))
 
 
 def _upper_pairs(adj, start, stop):
@@ -115,22 +139,6 @@ def _upper_pairs(adj, start, stop):
     return np.column_stack((rows[upper], cols[upper].astype(np.int64, copy=False)))
 
 
-def _canonical_pairs(n, edges):
-    """The pairs as (min, max) rows in lexicographic order, and a mask of
-    the rows that differ from the row before them.
-
-    Each row is sorted as the one int64 key min * n + max, which keeps
-    lexicographic order for indices in [0, n) and needs n**2 < 2**63.
-    """
-    if n * n > _INT64_MAX:
-        raise SpeclusterError(f"n={n} is too large: pair keys need n**2 < 2**63")
-    keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.column_stack(np.divmod(keys, n)), first
-
-
 def load_edge_list(path, n_hint=None):
     """Read an edge-list file.
 
@@ -143,8 +151,10 @@ def load_edge_list(path, n_hint=None):
     loadtxt rejects, a negative index, no pairs at all) is parsed again
     line by line, which accepts whatever int() does and reports the first
     bad line; both parsers give the same graph, warning and error.
-    Duplicates are found by sorting pair keys, so the cost is
-    O(edges log edges).
+    Each pair's two directed keys (see build_graph) are sorted once; a
+    pair given t times leaves t - 1 copies of each key, which are the
+    t - 1 duplicates dropped, and the distinct keys are the CSR.  The
+    cost is O(edges log edges).
     """
     path = Path(path)
     pairs = _parse_text(path)
@@ -157,14 +167,14 @@ def load_edge_list(path, n_hint=None):
     n = int(pairs.max()) + 1
     if n_hint is not None:
         n = max(n, int(n_hint))
-    edges, first = _canonical_pairs(n, pairs[~loops])
-    n_dupes = first.size - int(first.sum())
+    keys = _sorted_distinct(_pair_keys(n, pairs[~loops]))
+    n_dupes = pairs.shape[0] - n_loops - keys.size // 2
     if n_dupes or n_loops:
         warnings.warn(
             f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)",
             stacklevel=2,
         )
-    return _assemble(n, edges[first])
+    return _csr_graph(n, keys)
 
 
 def _parse_text(path):

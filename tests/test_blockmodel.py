@@ -5,6 +5,7 @@ import specluster as sp
 from conftest import random_full_rank_model, strong_weak_benchmark_params, two_block_benchmark_model
 from specluster import blockmodel
 from specluster.blockmodel import DENSE_CAP, PopulationLaplacian, edge_probabilities, full_model
+from specluster.graph import _sorted_distinct
 
 
 def dense_top_eigvecs(model, tau, k):
@@ -182,7 +183,16 @@ def test_distinct_indices_matches_np_unique_reference(total, m, seed):
 def test_sorted_distinct_matches_np_unique(rng):
     for size in (0, 1, 2, 7, 1000):
         a = rng.integers(0, 10, size=size)
-        assert np.array_equal(blockmodel._sorted_distinct(a), np.unique(a))
+        assert np.array_equal(_sorted_distinct(a.copy()), np.unique(a))
+    # distinct input is sorted in place and comes back as the same object
+    for size in (0, 1, 1000):
+        a = rng.permutation(2**40 + np.arange(size) * 2**33)
+        want = np.unique(a)
+        got = _sorted_distinct(a)
+        assert got is a
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    a = rng.integers(2**32, 2**32 + 50, size=400)
+    assert np.array_equal(_sorted_distinct(a.copy()), np.unique(a))
 
 
 def test_sample_matches_the_np_unique_reference(monkeypatch):

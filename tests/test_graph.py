@@ -172,35 +172,41 @@ def test_save_peak_does_not_grow_with_the_edge_count(tmp_path):
 
 
 def _retained_bytes(make):
-    """What make() returns and the bytes its allocations still hold."""
+    """What make() returns, the bytes its allocations still hold and the
+    most they held at once."""
     make()  # first calls may fill caches that later calls reuse
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = make()
-        kept = tracemalloc.get_traced_memory()[0] - before
+        kept, peak = (b - before for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return out, kept
+    return out, kept, peak
 
 
 def test_a_graph_retains_its_csr_and_no_edge_array():
     # CSR data and int64 indices are 16 bytes per entry, two entries per
     # edge; indptr and degrees 16 bytes per node.  An (m, 2) int64 edge
-    # array beside them would be 16 bytes per edge more.
+    # array beside them would be 16 bytes per edge more.  The build sorts
+    # 16 bytes of pair keys per edge and turns them into the indices, so
+    # it peaks at the CSR; sample adds the 16 bytes per edge of the pairs
+    # it passes.  The degree-corrected thinning candidates peak higher.
     n = 6000
     base = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.004, 0.001], [0.001, 0.002]])
     theta = np.tile(np.linspace(0.2, 1.8, n // 2), 2)
     pairs = np.column_stack(np.triu_indices(700, 1))[::3]
     makers = [
-        lambda: build_graph(700, pairs),
-        lambda: sp.sample(base, 3),
-        lambda: sp.sample(sp.DegreeCorrectedModel(base=base, theta=theta), 3),
+        (lambda: build_graph(700, pairs), 40),
+        (lambda: sp.sample(base, 3), 56),
+        (lambda: sp.sample(sp.DegreeCorrectedModel(base=base, theta=theta), 3), None),
     ]
-    for make in makers:
-        g, kept = _retained_bytes(make)
+    for make, peak_per_edge in makers:
+        g, kept, peak = _retained_bytes(make)
         assert g.num_edges > 10_000
         assert kept <= 32 * g.num_edges + 16 * g.n + 16384, (kept, g.num_edges, g.n)
+        if peak_per_edge is not None:
+            assert peak <= peak_per_edge * g.num_edges + 16 * g.n + 16384, (peak, g.num_edges, g.n)
 
 
 @pytest.mark.parametrize("n, draws", [(1, 0), (6, 0), (2, 1), (40, 60), (300, 5000), (9000, 20000)])
@@ -208,8 +214,7 @@ def test_edges_are_the_canonical_pairs_read_from_the_csr(n, draws):
     rng = np.random.default_rng(n + draws)
     pairs = rng.integers(0, n, size=(draws, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    want, first = graph._canonical_pairs(n, pairs)
-    want = want[first]
+    want = np.unique(_lexsorted_canonical(pairs), axis=0)
     g = build_graph(n, want[rng.permutation(len(want))][:, ::-1])
     got = g.edges
     assert got.dtype == np.int64 and got.flags.c_contiguous
@@ -272,19 +277,23 @@ def test_build_graph_csr_matches_coo_construction(n, draws, spread):
 
 def test_pair_keys_sort_like_lexsort_at_large_n():
     # build_graph itself would allocate an n + 1 CSR index array (16 GiB),
-    # so the sort it uses is checked directly
+    # so the keys and the sort it uses are checked directly
     n = 2**31
     rng = np.random.default_rng(31)
     big = n - 1 - np.arange(4)
     pairs = np.column_stack([rng.integers(0, 50, 40), rng.integers(50, 100, 40)])
     pairs = np.vstack([pairs, [[big[0], big[1]], [0, big[2]], [big[3], 1], [big[1], big[0]]]])
     pairs = pairs[rng.permutation(len(pairs))]
-    edges, first = graph._canonical_pairs(n, pairs)
-    assert np.array_equal(edges, _lexsorted_canonical(pairs))
-    dup = np.zeros(len(edges), dtype=bool)
-    dup[1:] = np.all(edges[1:] == edges[:-1], axis=1)
-    assert np.array_equal(first, ~dup)
-    assert dup.sum() >= 1  # (big0, big1) appears twice
+    keys = graph._sorted_distinct(graph._pair_keys(n, pairs))
+    directed = np.vstack([pairs, pairs[:, ::-1]])
+    order = np.lexsort((directed[:, 1], directed[:, 0]))
+    want = directed[order]
+    dup = np.zeros(len(want), dtype=bool)
+    dup[1:] = np.all(want[1:] == want[:-1], axis=1)
+    assert np.array_equal(np.column_stack(np.divmod(keys, n)), want[~dup])
+    # (big1, big0) repeats (big0, big1): both of its keys are dropped once
+    assert dup.sum() >= 2
+    assert np.sum(keys == big[0] * n + big[1]) == np.sum(keys == big[1] * n + big[0]) == 1
 
 
 def test_build_graph_rejects_bad_edges():
