@@ -426,6 +426,12 @@ def merged_model(params):
     return BlockModel.from_sizes(sizes, b)
 
 
+def _equal_sizes(n, k):
+    """k block sizes summing to n, the first n mod k of them one larger."""
+    base, rem = divmod(n, k)
+    return np.array([base + (1 if i < rem else 0) for i in range(k)], dtype=np.int64)
+
+
 def full_model(params):
     """(K + K_w)-block simulation model using the explicit weak-weak matrix."""
     if params.weak_matrix is None:
@@ -433,9 +439,8 @@ def full_model(params):
     kw = np.asarray(params.weak_matrix, dtype=np.float64)
     k = params.num_strong
     nw_blocks = kw.shape[0]
-    base, rem = divmod(params.num_weak_nodes, nw_blocks)
-    weak_sizes = [base + (1 if i < rem else 0) for i in range(nw_blocks)]
-    if min(weak_sizes) == 0:
+    weak_sizes = _equal_sizes(params.num_weak_nodes, nw_blocks)
+    if weak_sizes.min() == 0:
         raise SpeclusterError("too few weak nodes for the weak block count")
     b = np.zeros((k + nw_blocks, k + nw_blocks))
     b[:k, :k] = params.q
@@ -443,7 +448,7 @@ def full_model(params):
     b[:k, k:] = params.b_sw
     b[k:, :k] = params.b_sw
     b[k:, k:] = kw
-    sizes = [params.strong_size] * k + weak_sizes
+    sizes = [params.strong_size] * k + list(weak_sizes)
     return BlockModel.from_sizes(sizes, b)
 
 

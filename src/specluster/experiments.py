@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmodel import BlockModel, _parse_kv_file, sample
+from .blockmodel import BlockModel, _equal_sizes, _parse_kv_file, sample
 from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
 from .selection import tau_scan
@@ -110,11 +110,6 @@ def parse_experiment_config(path):
         raise ConfigError(f"{path}: missing key {exc}") from None
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _equal_sizes(n, k):
-    base, rem = divmod(n, k)
-    return np.array([base + (1 if i < rem else 0) for i in range(k)], dtype=np.int64)
 
 
 def build_experiment_model(cfg):

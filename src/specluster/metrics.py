@@ -85,9 +85,7 @@ def _minimize_matching(cost):
         else:
             lo = mid + 1
     if best is None:
-        match = _perfect_matching(np.isfinite(cost) | ~np.isfinite(cost))
-        perm = tuple(int(v) for v in match) if match is not None else tuple(range(cost.shape[0]))
-        return np.inf, perm
+        return np.inf, tuple(range(cost.shape[0]))
     return float(best[0]), tuple(int(v) for v in best[1])
 
 

@@ -340,7 +340,9 @@ class TauRecord:
     dkest_statistic call.  Elsewhere, with a spectral numerator, it may be
     a certified lower bound from a Lanczos run stopped early: above the
     scan's minimum DKest, and not within a stated tolerance of the
-    statistic.  It is inf when the fitted gap vanished.  seconds covers the point's
+    statistic.  It depends on the points the walk reached earlier only
+    through the norm's one start vector and the running minimum.  It is
+    inf when the fitted gap vanished.  seconds covers the point's
     clustering, scores and DKest, which run at different times.
     """
 
@@ -437,12 +439,12 @@ def tau_scan(
     Qin & Rohe 2013 recommend; ties go to the lower tau, and the first
     point is the pivot when no log distance is finite).  The pivot comes
     first, then the points below it in descending order, then the points
-    above it in ascending order; the partitions below the pivot wait until
-    it is reached.  The DKest norm carries its own StartVector along that
-    walk, and the upward walk starts again from the pivot's direction.
-    The pivot's DKest is exactly a lone call; any other record depends on
-    the grid points evaluated before it only through the two start
-    vectors and the running minimum below.
+    above it in ascending order; the partitions below the pivot wait on a
+    stack until it is reached.  The DKest norm carries one StartVector
+    along that walk: each norm call starts from the direction the call
+    before it found.  The pivot's DKest is exactly a lone call; any other
+    record depends on the grid points evaluated before it only through
+    that one start vector and the running minimum below.
 
     Each DKest call after the pivot's gets the smallest DKest recorded so
     far as above, so a spectral numerator is solved only as precisely as
@@ -472,28 +474,9 @@ def tau_scan(
     if "oracle" in criteria and truth is None:
         raise SpeclusterError("oracle criterion needs a reference partition")
 
-    def fill_dkest(rec, part, norm_start, best):
-        """Record DKest at rec given the smallest DKest so far; return the new smallest."""
-        start = time.perf_counter()
-        try:
-            rec.dkest = dkest_statistic(
-                g,
-                part,
-                rec.tau,
-                model_kind=model_kind,
-                norm_kind=norm_kind,
-                seed=seed,
-                start=norm_start,
-                above=best if best < np.inf else None,
-            )
-        except DegenerateModelError:
-            rec.dkest = np.inf
-        rec.seconds += time.perf_counter() - start
-        return min(best, rec.dkest)
-
     records = []
     pivot = _pivot_index(grid, g.mean_degree)
-    pending = []  # partitions below the pivot, waiting for its DKest
+    waiting = []  # (record, partition) pairs whose DKest is not yet recorded
     eig_start, norm_start = StartVector(), StartVector()
     best = np.inf  # smallest DKest so far
     for i, tau in enumerate(grid):
@@ -507,18 +490,26 @@ def tau_scan(
             rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
         rec.seconds = time.perf_counter() - start
         records.append(rec)
-        if "dkest" not in criteria:
-            continue
-        if i < pivot:
-            pending.append(part)
-            continue
-        best = fill_dkest(rec, part, norm_start, best)
-        if i == pivot:
-            direction = norm_start.direction
-            upward = StartVector(None if direction is None else direction.copy())
-            for j in range(pivot - 1, -1, -1):
-                best = fill_dkest(records[j], pending[j], norm_start, best)
-            norm_start = upward
+        if "dkest" in criteria:
+            waiting.append((rec, part))
+        while i >= pivot and waiting:
+            rec, part = waiting.pop()
+            start = time.perf_counter()
+            try:
+                rec.dkest = dkest_statistic(
+                    g,
+                    part,
+                    rec.tau,
+                    model_kind=model_kind,
+                    norm_kind=norm_kind,
+                    seed=seed,
+                    start=norm_start,
+                    above=best if best < np.inf else None,
+                )
+            except DegenerateModelError:
+                rec.dkest = np.inf
+            rec.seconds += time.perf_counter() - start
+            best = min(best, rec.dkest)
 
     chosen = {}
     if "dkest" in criteria:

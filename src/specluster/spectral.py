@@ -7,13 +7,13 @@ rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
 The top-K eigenpairs above DENSE_FALLBACK nodes come from scipy's eigsh
 (ARPACK's implicitly restarted Lanczos) on a LinearOperator around that
 matvec, each pair checked by an explicit residual.  The spectral norm of a
-difference comes from one hand-written Lanczos run: it reorthogonalizes
-its first LANCZOS_MAX_STEPS steps, continues as the three-term recurrence,
-and stops on ARPACK's residual estimate read from its tridiagonal, or, with
-stop_above, as soon as a Ritz value proves the norm exceeds a threshold.
-A Ritz value is never above the norm.  A StartVector carries the direction
-one solve found into the start of the next, so a sequence of nearby
-operators (a tau grid) needs fewer matvecs.
+difference comes from one hand-written Lanczos run, the plain three-term
+recurrence, stopped on ARPACK's residual estimate read from its
+tridiagonal, or, with stop_above, as soon as a Ritz value proves the norm
+exceeds a threshold.  A Ritz value is never above the norm.  A
+StartVector carries the direction one solve found into the start of the
+next, so a sequence of nearby operators (a tau grid) needs fewer
+matvecs.
 """
 
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ from .util import rng_from
 
 DENSE_FALLBACK = 512
 NORM_TOL = 1e-6  # spectral_norm_diff stops once its Ritz residual estimate is at most this times the value
-LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after the basis
-LANCZOS_MAX_STEPS = 20  # Lanczos steps that keep and reorthogonalize against their basis
+LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after LANCZOS_MAX_STEPS
+LANCZOS_MAX_STEPS = 20  # Lanczos vectors a norm run stores, to form the Ritz vector it returns
 
 
 class RegularizedLaplacian:
@@ -198,43 +198,44 @@ def _tridiagonal_eigenpair(d, e, i):
     return w[:m], v
 
 
-def _lanczos_norm(mv, v0, tol, stop_above):
+def _lanczos_norm(mv, v0, stop_above):
     """The largest |Ritz value| of one Lanczos run on mv from v0, and a Ritz vector.
 
-    The first LANCZOS_MAX_STEPS steps (never more than n) keep their basis
-    and reorthogonalize against it (two classical Gram-Schmidt passes); the
-    run then frees it and continues as the plain three-term recurrence on
-    three n-vectors.  From step LANCZOS_FIRST_CHECK on (every step while
-    the basis is kept, every LANCZOS_FIRST_CHECK steps after) the
+    Every step is the plain three-term recurrence, with no
+    reorthogonalization.  From step LANCZOS_FIRST_CHECK on (every step up
+    to LANCZOS_MAX_STEPS, every LANCZOS_FIRST_CHECK steps after) the
     tridiagonal gives theta, the largest |Ritz value|, and s, the last
     entry of its eigenvector; earlier Ritz values are still far below the
     norm and would record a loose bound.  theta is returned as a certified
     lower bound once it exceeds stop_above, and as the value once
-    beta |s| <= tol theta (ARPACK's own residual estimate for the Ritz
-    pair).  A breakdown, beta at most 1e-12 times the largest |alpha| or
-    beta so far, or n kept steps leave an invariant Krylov space, whose
-    Ritz values are eigenvalues: the run stops there too, since rounding
-    noise normalized into a basis vector can push a Ritz value above the
-    norm.  Raises ConvergenceError after 10 n steps, eigsh's default cap.
-    The vector is the Ritz vector of the last checked step that kept its
-    basis.  Uses one matvec per step.
+    beta |s| <= NORM_TOL theta (ARPACK's own residual estimate for the
+    Ritz pair).  A breakdown, beta at most 1e-12 times the largest |alpha|
+    or beta so far, or step n of an n-by-n operator leave an invariant
+    Krylov space, whose Ritz values are eigenvalues: the run stops there
+    too, since rounding noise normalized into a basis vector can push a
+    Ritz value above the norm.  Raises ConvergenceError after 10 n steps,
+    eigsh's default cap.
+
+    The first LANCZOS_MAX_STEPS Lanczos vectors (never more than n) are
+    stored, only to form the returned vector: the Ritz vector of the last
+    checked step among them.  Row 0 then holds that vector and the other
+    rows hold the recurrence's vectors in turn, so a long run holds no
+    n-vector beyond the stored ones and the matvec's.  Uses one matvec per
+    step.
     """
     n = v0.size
     kept = min(LANCZOS_MAX_STEPS, n)
     basis = np.empty((kept, n))
-    basis[0] = v0 / np.linalg.norm(v0)
+    q = basis[0]
+    np.divide(v0, np.linalg.norm(v0), out=q)
+    del v0  # free a caller's temporary draw: the basis holds it, normalized
     alpha, beta, scale = [], [], 0.0
     for j in range(10 * n):
-        if j < kept:
-            q = basis[j]
-            w = mv(q)
-            alpha.append(q @ w)
-            for _ in range(2):
-                w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        else:
-            w = mv(q) - beta[-1] * q_prev
-            alpha.append(q @ w)
-            w -= alpha[-1] * q
+        w = mv(q)
+        if j:
+            w -= beta[-1] * q_prev
+        alpha.append(q @ w)
+        w -= alpha[-1] * q
         b = np.linalg.norm(w)
         scale = max(scale, abs(alpha[-1]), b)
         invariant = b <= 1e-12 * scale or j + 1 == kept == n
@@ -243,42 +244,43 @@ def _lanczos_norm(mv, v0, tol, stop_above):
             ends = [_tridiagonal_eigenpair(d, e, i) for i in (0, j)]
             vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
             theta, y = abs(vals[0]), vecs[:, 0]
-            done = invariant or theta > stop_above or b * abs(y[-1]) <= tol * theta
+            done = invariant or theta > stop_above or b * abs(y[-1]) <= NORM_TOL * theta
             if j < kept and (done or j + 1 == kept):
-                direction = basis[: j + 1].T @ y
+                basis[0] = basis[: j + 1].T @ y
             if done:
-                return float(theta), direction
+                return float(theta), basis[0].copy()
         beta.append(b)
-        if j + 1 < kept:
-            basis[j + 1] = w / b
-        else:  # q may be a row of the basis: copy it, so the basis is freed
-            q_prev, q, basis = q.copy(), w / b, None
-    raise ConvergenceError(f"Lanczos norm estimate did not reach tol={tol} in {10 * n} steps", estimate=theta)
+        # later Lanczos vectors cycle through rows 1..kept-1; row 0 holds the first, then the Ritz vector
+        q_prev, q = q, basis[1 + j % (kept - 1)]
+        np.divide(w, b, out=q)
+    raise ConvergenceError(f"Lanczos norm estimate did not reach tol={NORM_TOL} in {10 * n} steps", estimate=theta)
 
 
-def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=None):
+def spectral_norm_diff(op_a, op_b, seed=0, start=None, stop_above=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators (any object with apply
     and shape); the difference is only ever applied to vectors.  One
     Lanczos run (_lanczos_norm) starts from start.draw(rng, n), the seeded
     random draw plus start's direction, and stops once its largest |Ritz
-    value|'s residual estimate, read from the tridiagonal, is at most tol
-    times that value.  That places the value near *an* eigenvalue of the
-    difference, not provably the extreme one.  It is never above the norm,
-    though: in floating point Lanczos keeps its Ritz values inside the
-    spectrum up to O(u ||M||) (Paige 1980), so the value is a certified
-    lower bound at any tol.  A difference that is zero returns 0.0.
+    value|'s residual estimate, read from the tridiagonal, is at most
+    NORM_TOL times that value.  That places the value near *an* eigenvalue
+    of the difference, not provably the extreme one.  It is never above
+    the norm, though: in floating point Lanczos keeps its Ritz values
+    inside the spectrum up to O(u ||M||) (Paige 1980), so the value is a
+    certified lower bound at any tolerance.  A difference that is zero
+    returns 0.0.
 
     stop_above, when given, also stops the run at the first check where
     the largest |Ritz value| exceeds it, and returns that value: a
-    certified lower bound on the norm, not within tol of it.  A caller that
-    only needs to know whether the norm exceeds a threshold, and its value
-    where it does not, passes the threshold.  Where the run never exceeds
+    certified lower bound on the norm, not within NORM_TOL of it.  A
+    caller that only needs to know whether the norm exceeds a threshold,
+    and its value where it does not, passes the threshold.  Where the run never exceeds
     it, the result is bitwise that of the call without stop_above.
 
     start, a StartVector, warm-starts the run, and afterwards holds the
-    Ritz vector of its last checked step with a kept basis.
+    Ritz vector of its last checked step among the first
+    LANCZOS_MAX_STEPS.
     Deterministic given seed, start and stop_above.
     """
     mv_a, n_a = _as_matvec(op_a)
@@ -288,6 +290,6 @@ def spectral_norm_diff(op_a, op_b, tol=NORM_TOL, seed=0, start=None, stop_above=
     mv = lambda v: mv_a(v) - mv_b(v)
     if start is None:
         start = StartVector()
-    v0 = start.draw(rng_from(seed), n_a)
-    estimate, start.direction = _lanczos_norm(mv, v0, tol, np.inf if stop_above is None else stop_above)
+    stop_above = np.inf if stop_above is None else stop_above
+    estimate, start.direction = _lanczos_norm(mv, start.draw(rng_from(seed), n_a), stop_above)
     return estimate

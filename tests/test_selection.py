@@ -593,11 +593,11 @@ def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kin
         taus, bounds, given, found = zip(*calls)
         assert list(taus) == [scan.grid[i] for i in order]
         assert bounds[0] is None and all(bound is not None for bound in bounds[1:])
-        # each start carries the previous call's direction, except that the
-        # walk up from the pivot (call pivot + 1) starts from the pivot's
+        # one start vector along the whole walk: every call after the first
+        # starts from the direction the call before it found
         assert given[0] is None
         for j in range(1, len(calls)):
-            assert np.array_equal(given[j], found[0] if j == pivot + 1 else found[j - 1])
+            assert np.array_equal(given[j], found[j - 1])
     else:
         assert not calls
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
@@ -709,7 +709,7 @@ def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
     # every result, certified or converged, is a Ritz value and so at most
     # the dense 2-norm: plain and degree-corrected fits, tau from 1 to n,
     # cold starts and starts warmed along the tau grid, and n = 12 below
-    # the kept-basis step count.  A threshold of 0 is settled at the first
+    # LANCZOS_MAX_STEPS, where a run may stop at step n.  A threshold of 0 is settled at the first
     # check; without a reachable threshold the run converges to the norm.
     applies = [0]
     real_apply = RegularizedLaplacian.apply

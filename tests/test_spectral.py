@@ -225,6 +225,37 @@ def test_spectral_norm_diff_matches_dense(rng):
     assert spectral_norm_diff(a, b) == pytest.approx(exact, rel=1e-6)
 
 
+def _sweep_difference(kind, n, rng):
+    """A symmetric n x n difference: random, with a clustered top |eigenvalue|, or rank two."""
+    if kind == "random":
+        a = rng.standard_normal((n, n))
+        return (a + a.T) / 2
+    if kind == "clustered-top":
+        vals = rng.uniform(-0.5, 0.5, n)
+        vals[: min(3, n)] = (1.0 - 1e-9 * np.arange(min(3, n))) * rng.choice([-1.0, 1.0])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * vals) @ q.T
+    u, v = rng.standard_normal((2, n))
+    return np.outer(u, u) - 0.5 * np.outer(v, v)
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered-top", "rank-two"])
+def test_norm_never_exceeds_the_dense_norm_on_small_differences(kind):
+    # n on both sides of the stored steps: up to LANCZOS_MAX_STEPS the run
+    # may stop at step n, beyond it only on its residual estimate
+    assert spectral.LANCZOS_MAX_STEPS in range(2, 60)
+    for n in range(2, 60):
+        for seed in range(30):
+            diff = _sweep_difference(kind, n, np.random.default_rng([n, seed]))
+            exact = np.abs(np.linalg.eigvalsh(diff)).max()
+            zero = np.zeros((n, n))
+            full = spectral_norm_diff(diff, zero, seed=seed)
+            assert exact * (1 - 1e-6) <= full <= exact * (1 + 1e-12)
+            for stop_above in (0.0, exact / 2):
+                bound = spectral_norm_diff(diff, zero, seed=seed, stop_above=stop_above)
+                assert bound <= exact * (1 + 1e-12)
+
+
 def test_tridiagonal_eigenpair_is_bitwise_eigh_tridiagonal():
     rng = np.random.default_rng(60)
     for size in range(1, 61):
@@ -324,9 +355,37 @@ def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
     diag = np.concatenate([[2.0, 1.0], np.linspace(-0.5, 0.5, n - 2)])
     v0 = np.random.default_rng(0).standard_normal(n)
     v0[0] = 0.0
-    estimate, _ = spectral._lanczos_norm(lambda x: diag * x, v0, NORM_TOL, np.inf)
+    estimate, _ = spectral._lanczos_norm(lambda x: diag * x, v0, np.inf)
     assert estimate == pytest.approx(1.0, rel=NORM_TOL)
     assert estimate < np.linalg.norm(np.diag(diag), 2) == 2.0
+
+
+def test_norm_run_past_the_stored_steps_returns_their_ritz_vector():
+    # a run that goes on past LANCZOS_MAX_STEPS reuses the stored rows for
+    # its recurrence, and must still hand on the Ritz vector of step
+    # LANCZOS_MAX_STEPS; the reference is a fully reorthogonalized Lanczos
+    n, steps = 300, spectral.LANCZOS_MAX_STEPS
+    diag = np.linspace(-1.0, 1.0, n)
+    applies = [0]
+
+    def mv(x):
+        applies[0] += 1
+        return diag * x
+
+    v0 = np.random.default_rng(5).standard_normal(n)
+    _, direction = spectral._lanczos_norm(mv, v0, np.inf)
+    assert applies[0] > 2 * steps
+    basis = np.empty((steps, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    for j in range(steps - 1):
+        w = diag * basis[j]
+        for _ in range(2):
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+        basis[j + 1] = w / np.linalg.norm(w)
+    vals, vecs = np.linalg.eigh((basis * diag) @ basis.T)
+    ritz = basis.T @ vecs[:, np.argmax(np.abs(vals))]
+    cosine = abs(ritz @ direction) / (np.linalg.norm(ritz) * np.linalg.norm(direction))
+    assert cosine == pytest.approx(1.0, abs=1e-9)
 
 
 def test_frobenius_dominates_spectral(rng):
