@@ -31,6 +31,8 @@ DENSE_CAP = 5000
 # Per-pair Bernoulli sampling above this probability; binomial edge counts below.
 _BINOMIAL_P_MAX = 0.1
 _CHUNK_ROWS = 512
+# Degree-corrected candidate pairs whose keep test runs at once.
+_THIN_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,21 @@ def _group_max(labels, values, k):
     return out
 
 
+def _thinning_mask(cand, u, z, cell, b, pc, theta):
+    """Which candidate pairs (i, j) the uniform draws u keep: those with
+    u * pc[cell_i, cell_j] < b[z_i, z_j] theta_i theta_j.
+
+    The test runs on _THIN_CHUNK pairs at a time, so its gathers and
+    products do not grow with the candidate count.
+    """
+    keep = np.empty(u.size, dtype=bool)
+    for lo in range(0, u.size, _THIN_CHUNK):
+        i, j = cand[lo : lo + _THIN_CHUNK].T
+        p = b[z[i], z[j]] * theta[i] * theta[j]
+        keep[lo : lo + _THIN_CHUNK] = u[lo : lo + _THIN_CHUNK] * pc[cell[i], cell[j]] < p
+    return keep
+
+
 def sample(model, seed):
     """Draw a graph from the model; pure function of (model, seed).
 
@@ -249,10 +266,9 @@ def sample(model, seed):
         cell_block = keys // stride
         pc = np.minimum(b[np.ix_(cell_block, cell_block)] * ceil[:, None] * ceil[None, :], 1.0)
         cand = _block_pairs(cell, pc, rng)
-        i, j = cand[:, 0], cand[:, 1]
-        keep = rng.random(i.size) * pc[cell[i], cell[j]] < b[z[i], z[j]] * theta[i] * theta[j]
+        keep = _thinning_mask(cand, rng.random(cand.shape[0]), z, cell, b, pc, theta)
         edges = cand[keep]
-        del cand, i, j, keep  # 2-3x the kept edges: free them before the build
+        del cand, keep  # 2-3x the kept edges: free them before the build
     else:
         edges = _block_pairs(model.membership, model.block_matrix, rng)
     return build_graph(model.n, edges)

@@ -18,13 +18,18 @@ from scipy import sparse
 from .errors import EdgeListParseError, SpeclusterError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Largest n and CSR entry count whose graph gets int32 indptr and indices.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 # CSR entries read per edge-list write, so at most this many rows are
 # formatted at once: under 1 MB of Python ints and text.
 _SAVE_CHUNK_ROWS = 2**13
 # In reversed text: a line whose first non-blank character is not '#' but
 # that holds a '#'.  Reversed, the pattern starts at a literal '#', which
 # the regex engine skips to, where the forward pattern tests every line.
-_REVERSED_FIELD_BEFORE_HASH = re.compile(r"#[^\n]*[^\s#][^\S\n]*(?:\n|\Z)")
+# A bytes \s is ASCII whitespace without the separators \x1c-\x1f that
+# str.split() also splits on, so a line led by one of those counts as a
+# field here and sends its file to the line parser.
+_REVERSED_FIELD_BEFORE_HASH = re.compile(rb"#[^\n]*[^\s#][^\S\n]*(?:\n|\Z)")
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,10 @@ class Graph:
 
     adjacency is symmetric CSR with sorted neighbor lists and an all-zero
     diagonal.  It is the only store of the edges: edges is computed from
-    its upper triangle.  degrees[i] counts stored neighbors.
+    its upper triangle.  Its indptr and indices are int32 while n and its
+    entry count (twice the edges) are below 2**31, and int64 beyond, so it
+    holds 24 bytes per edge at every size the package runs.  degrees[i]
+    counts stored neighbors, as int64.
     """
 
     n: int
@@ -75,10 +83,10 @@ def build_graph(n, edges):
         raise SpeclusterError(f"node index {edges.max()} out of range for n={n}")
     if np.any(edges[:, 0] == edges[:, 1]):
         raise SpeclusterError("self loop in edge list")
-    keys = _sorted_distinct(_pair_keys(n, edges))
-    if keys.size < 2 * edges.shape[0]:
+    g = _csr_graph(n, edges)
+    if g.num_edges < edges.shape[0]:
         raise SpeclusterError("duplicate edge in edge list")
-    return _csr_graph(n, keys)
+    return g
 
 
 def _pair_keys(n, edges):
@@ -116,12 +124,24 @@ def _sorted_distinct(a):
     return a if first.all() else a[first]
 
 
-def _csr_graph(n, keys):
-    """The Graph whose adjacency entries are the sorted distinct pair keys
-    of a symmetric loopless edge set; keys becomes its CSR indices."""
+def _csr_graph(n, pairs):
+    """The Graph of the distinct pairs among (m, 2) loopless int64 pairs.
+
+    Their sorted distinct keys (see build_graph) are its CSR entries.
+    indptr and indices are int32 when n and the entry count are at most
+    _INT32_MAX, as scipy picks its own index dtype, and int64 beyond; the
+    int64 keys become the indices after the mod by n and are freed before
+    the data array is made.  degrees is int64.
+    """
+    keys = _sorted_distinct(_pair_keys(n, pairs))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    index_dtype = np.int32 if max(n, keys.size) <= _INT32_MAX else np.int64
     keys %= n
-    adj = sparse.csr_array((np.ones(keys.size), keys, indptr), shape=(n, n))
+    indices = keys.astype(index_dtype, copy=False)
+    del keys
+    adj = sparse.csr_array(
+        (np.ones(indices.size), indices, indptr.astype(index_dtype, copy=False)), shape=(n, n)
+    )
     return Graph(n=n, adjacency=adj, degrees=np.diff(indptr))
 
 
@@ -167,32 +187,39 @@ def load_edge_list(path, n_hint=None):
     n = int(pairs.max()) + 1
     if n_hint is not None:
         n = max(n, int(n_hint))
-    keys = _sorted_distinct(_pair_keys(n, pairs[~loops]))
-    n_dupes = pairs.shape[0] - n_loops - keys.size // 2
+    if n_loops:
+        pairs = pairs[~loops]
+    g = _csr_graph(n, pairs)
+    n_dupes = pairs.shape[0] - g.num_edges
     if n_dupes or n_loops:
         warnings.warn(
             f"{path}: dropped {n_dupes} duplicate edge(s) and {n_loops} self loop(s)",
             stacklevel=2,
         )
-    return _csr_graph(n, keys)
+    return g
 
 
 def _parse_text(path):
     """The (m, 2) pairs of the file in one np.loadtxt call, or None when
-    only the line parser gives the right answer or error."""
-    with open(path) as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            return None
-    # loadtxt misreads some non-ASCII characters as digits, and it would
-    # drop "# c" from "1 2 # c", which the line parser rejects
-    if not text.isascii() or _REVERSED_FIELD_BEFORE_HASH.search(text[::-1]):
+    only the line parser gives the right answer or error.
+
+    The file is read once, as bytes, which loadtxt takes line by line
+    through a BytesIO sharing their buffer: about two bytes held per byte
+    of file with the reversed copy, besides the pairs.
+    """
+    text = path.read_bytes()
+    # loadtxt misreads some non-ASCII characters as digits
+    if not text.isascii():
+        return None
+    # the line parser reads text mode, where "\r\n" and "\r" end lines as "\n"
+    text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # loadtxt would drop "# c" from "1 2 # c", which the line parser rejects
+    if _REVERSED_FIELD_BEFORE_HASH.search(text[::-1]):
         return None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+            pairs = np.loadtxt(io.BytesIO(text), dtype=np.int64, comments="#", ndmin=2)
     except ValueError:
         return None
     if pairs.shape[1] != 2 or not pairs.size or pairs.min() < 0:

@@ -93,6 +93,16 @@ def hub_heavy_model():
     return sp.DegreeCorrectedModel(base=base, theta=theta)
 
 
+def test_thinning_in_slices_draws_the_one_shot_graph(monkeypatch):
+    # the keep test reads one draw per candidate in slices of _THIN_CHUNK
+    # pairs; any slice size, from one pair to all of them, gives the graph
+    want = [sp.sample(hub_heavy_model(), seed).edges for seed in range(3)]
+    for chunk in (1, 7, 10**9):
+        monkeypatch.setattr(blockmodel, "_THIN_CHUNK", chunk)
+        for seed, edges in enumerate(want):
+            assert np.array_equal(sp.sample(hub_heavy_model(), seed).edges, edges)
+
+
 def test_degree_corrected_sampling_hub_heavy_moments():
     model = hub_heavy_model()
     z = model.base.membership

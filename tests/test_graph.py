@@ -8,7 +8,7 @@ from scipy import sparse
 
 import specluster as sp
 from conftest import complete_graph, path_graph, two_block_benchmark_model
-from specluster import graph
+from specluster import graph, metrics
 from specluster.graph import build_graph
 
 
@@ -186,27 +186,28 @@ def _retained_bytes(make):
 
 
 def test_a_graph_retains_its_csr_and_no_edge_array():
-    # CSR data and int64 indices are 16 bytes per entry, two entries per
-    # edge; indptr and degrees 16 bytes per node.  An (m, 2) int64 edge
-    # array beside them would be 16 bytes per edge more.  The build sorts
-    # 16 bytes of pair keys per edge and turns them into the indices, so
-    # it peaks at the CSR; sample adds the 16 bytes per edge of the pairs
-    # it passes.  The degree-corrected thinning candidates peak higher.
+    # CSR data (float64) and int32 indices are 12 bytes per entry, two
+    # entries per edge; int32 indptr and int64 degrees 12 bytes per node.
+    # An (m, 2) int64 edge array beside them would be 16 bytes per edge
+    # more.  The build sorts 16 bytes of int64 pair keys per edge, narrows
+    # them to the 8 bytes of indices and frees them before the 16 of data
+    # are made, so it peaks at 24; sample adds the 16 bytes per edge of the
+    # pairs it passes.  The degree-corrected candidates, about twice the
+    # kept edges, peak higher.
     n = 6000
     base = sp.BlockModel.from_sizes([n // 2, n // 2], [[0.004, 0.001], [0.001, 0.002]])
     theta = np.tile(np.linspace(0.2, 1.8, n // 2), 2)
     pairs = np.column_stack(np.triu_indices(700, 1))[::3]
     makers = [
-        (lambda: build_graph(700, pairs), 40),
-        (lambda: sp.sample(base, 3), 56),
-        (lambda: sp.sample(sp.DegreeCorrectedModel(base=base, theta=theta), 3), None),
+        (lambda: build_graph(700, pairs), 28),
+        (lambda: sp.sample(base, 3), 44),
+        (lambda: sp.sample(sp.DegreeCorrectedModel(base=base, theta=theta), 3), 64),
     ]
     for make, peak_per_edge in makers:
         g, kept, peak = _retained_bytes(make)
         assert g.num_edges > 10_000
-        assert kept <= 32 * g.num_edges + 16 * g.n + 16384, (kept, g.num_edges, g.n)
-        if peak_per_edge is not None:
-            assert peak <= peak_per_edge * g.num_edges + 16 * g.n + 16384, (peak, g.num_edges, g.n)
+        assert kept <= 24 * g.num_edges + 16 * g.n + 16384, (kept, g.num_edges, g.n)
+        assert peak <= peak_per_edge * g.num_edges + 16 * g.n + 16384, (peak, g.num_edges, g.n)
 
 
 @pytest.mark.parametrize("n, draws", [(1, 0), (6, 0), (2, 1), (40, 60), (300, 5000), (9000, 20000)])
@@ -268,11 +269,46 @@ def test_build_graph_csr_matches_coo_construction(n, draws, spread):
     if spread < n or draws < n:
         assert (g.degrees == 0).any()
     for name in ("indptr", "indices", "data"):
-        got, ref = getattr(g.adjacency, name), getattr(want, name)
-        assert np.array_equal(got, ref)
-        # scipy's COO conversion gives an edgeless graph int32 indices
-        assert got.dtype == ref.dtype or not g.num_edges
+        assert np.array_equal(getattr(g.adjacency, name), getattr(want, name))
+    assert g.adjacency.indptr.dtype == g.adjacency.indices.dtype == np.int32
+    assert g.degrees.dtype == np.int64
     assert np.array_equal(g.degrees, np.diff(want.indptr))
+
+
+def test_index_dtype_is_int64_beyond_the_int32_limit(monkeypatch, tmp_path):
+    # one comparison picks the index dtype; a lowered limit builds the
+    # int64 side for graphs small enough to test, and every result read
+    # from the CSR must equal the int32 build's bitwise
+    rng = np.random.default_rng(64)
+    model = sp.BlockModel.from_sizes([300, 200], [[0.05, 0.01], [0.01, 0.08]])
+    dense = sp.sample(model, 5)  # 2 m > n: the entry count decides
+    sparse_pairs = np.column_stack([np.arange(0, 40, 2), np.arange(1, 40, 2)])
+    sp.save_edge_list(dense, tmp_path / "dense.txt")
+    makers = {
+        "build": lambda: build_graph(500, dense.edges),
+        "sample": lambda: sp.sample(model, 5),
+        "load": lambda: sp.load_edge_list(tmp_path / "dense.txt"),
+        "sparse": lambda: build_graph(900, sparse_pairs),  # n > 2 m: n decides
+    }
+    for name, make in makers.items():
+        narrow = make()
+        size = max(narrow.n, narrow.adjacency.nnz)
+        for limit, dtype in ((size, np.int32), (size - 1, np.int64)):
+            monkeypatch.setattr(graph, "_INT32_MAX", limit)
+            g = make()
+            adj = g.adjacency
+            assert adj.indptr.dtype == adj.indices.dtype == dtype, (name, limit)
+            assert g.degrees.dtype == np.int64
+            x = rng.standard_normal(g.n)
+            labels = rng.integers(0, 3, size=g.n)
+            for got, want in [
+                (g.edges, narrow.edges),
+                (g.degrees, narrow.degrees),
+                (adj @ x, narrow.adjacency @ x),
+                (metrics.block_counts(g, labels, 3), metrics.block_counts(narrow, labels, 3)),
+            ]:
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        monkeypatch.undo()
 
 
 def test_pair_keys_sort_like_lexsort_at_large_n():
@@ -440,6 +476,25 @@ def test_load_matches_line_by_line_reference(tmp_path):
         assert _outcome(sp.load_edge_list, path, n_hint) == expected, path.read_bytes()
         loaded += isinstance(expected[0], int)
     assert 600 <= loaded <= 1400  # both outcomes are exercised
+
+
+def test_load_parse_peak_per_byte_of_file(tmp_path):
+    # the fast path parses the bytes it read through a BytesIO that shares
+    # them: it holds the bytes, their reversed copy for the '#' check and
+    # the pairs, about 2.4 bytes per byte of this file; a StringIO copy of
+    # the text alone would be 4
+    pairs = np.random.default_rng(11).integers(10_000, 100_000, size=(150_000, 2))
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))
+    graph._parse_text(path)
+    tracemalloc.start()
+    try:
+        got = graph._parse_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, pairs)
+    assert peak <= 3 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_load_assembles_the_graph_build_graph_gives(tmp_path):

@@ -346,6 +346,27 @@ class _CountingDiagonal:
         return self.diag * x
 
 
+def test_norm_stops_at_step_n_of_an_n_by_n_difference():
+    # found by the small-n sweep above with the step-n stop removed: the
+    # clustered top eigenvalues cost the plain recurrence its orthogonality,
+    # so beta at step n is 2e-5 of the largest alpha, far above the
+    # breakdown threshold, and the run went on to six matvecs
+    n, seed = 4, 14
+    diff = _sweep_difference("clustered-top", n, np.random.default_rng([n, seed]))
+    applies = []
+
+    class Counting:
+        shape = diff.shape
+
+        def apply(self, x):
+            applies.append(1)
+            return diff @ x
+
+    got = spectral_norm_diff(Counting(), np.zeros((n, n)), seed=seed)
+    assert len(applies) <= n
+    assert got == pytest.approx(np.linalg.norm(diff, 2), rel=NORM_TOL, abs=0)
+
+
 def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
     # the certificate is one-sided: a start orthogonal to the top
     # eigenvector of a diagonal operator keeps the whole Krylov space
