@@ -153,10 +153,13 @@ def _upper_pairs(adj, start, stop):
     last = np.searchsorted(indptr, stop, side="left")
     # each row's entries that fall inside start:stop
     counts = np.diff(np.clip(indptr[first : last + 1], start, stop))
-    rows = np.repeat(np.arange(first, last, dtype=np.int64), counts)
     cols = adj.indices[start:stop]
+    rows = np.repeat(np.arange(first, last, dtype=cols.dtype), counts)
     upper = cols > rows
-    return np.column_stack((rows[upper], cols[upper].astype(np.int64, copy=False)))
+    out = np.empty((np.count_nonzero(upper), 2), dtype=np.int64)
+    out[:, 0] = rows[upper]
+    out[:, 1] = cols[upper]
+    return out
 
 
 def load_edge_list(path, n_hint=None):

@@ -283,23 +283,23 @@ def _frobenius_dsbm(sample_op, est):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, start=None, above=None):
+def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, above=None):
     """Estimated perturbation-to-gap ratio for a fitted partition at tau.
 
     The spectral numerator is spectral_norm_diff's Lanczos estimate at its
-    default tol (NORM_TOL): its Ritz pair's residual, estimated from the
-    tridiagonal, is at most 1e-6 times the estimate, which places the
-    estimate near an eigenvalue of the difference but does not prove it is
-    the extreme one; as a Ritz value it is never above the norm.  start, a
-    spectral.StartVector, warm-starts that estimate.
+    default tol (NORM_TOL), from a cold start drawn from seed: its Ritz
+    pair's residual, estimated from the tridiagonal, is at most 1e-6 times
+    the estimate, which places the estimate near an eigenvalue of the
+    difference but does not prove it is the extreme one; as a Ritz value
+    it is never above the norm.
 
     above, when given, is a DKest value the caller already holds.  If
     spectral_norm_diff's Lanczos run (stop_above) shows the statistic
     exceeds above * (1 + NORM_TOL), that bound over mu_K is returned: a
     certified lower bound on the statistic, not a value within any stated
-    tolerance of it.  Otherwise the result is the full-precision one, and
-    with above=None and no start it is what tau_scan records at its pivot,
-    bitwise.  The Frobenius numerator ignores start and above.
+    tolerance of it.  Otherwise the result is bitwise that of the call
+    with above=None, which is what tau_scan records at every
+    full-precision point.  The Frobenius numerator ignores above.
     """
     if model_kind not in ("sbm", "dsbm"):
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
@@ -318,7 +318,7 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
             raise DegenerateModelError("fitted spectral gap vanished")
     if norm_kind == "spectral":
         stop_above = None if above is None else above * mu * (1 + NORM_TOL)
-        num = spectral_norm_diff(sample_op, est, seed=seed, start=start, stop_above=stop_above)
+        num = spectral_norm_diff(sample_op, est, seed=seed, stop_above=stop_above)
     elif model_kind == "sbm":
         num = _frobenius_sbm(sample_op, est)
     else:
@@ -334,16 +334,16 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
 class TauRecord:
     """One grid point of a tau_scan.
 
-    dkest is the full-precision statistic wherever the point could still
-    be the argmin when the scan's DKest walk (outward from the pivot, see
-    tau_scan) reached it; at the pivot it is exactly a lone
-    dkest_statistic call.  Elsewhere, with a spectral numerator, it may be
-    a certified lower bound from a Lanczos run stopped early: above the
-    scan's minimum DKest, and not within a stated tolerance of the
-    statistic.  It depends on the points the walk reached earlier only
-    through the norm's one start vector and the running minimum.  It is
-    inf when the fitted gap vanished.  seconds covers the point's
-    clustering, scores and DKest, which run at different times.
+    dkest is the full-precision statistic, bitwise a lone dkest_statistic
+    call, wherever the point could still be the argmin when the scan's
+    DKest walk (outward from the pivot, see tau_scan) reached it.
+    Elsewhere, with a spectral numerator, it may be a certified lower
+    bound from a Lanczos run stopped early: above the scan's minimum
+    DKest, and not within a stated tolerance of the statistic.  Which of
+    the two it is depends on the points the walk reached earlier only
+    through the running minimum.  It is inf when the fitted gap vanished.
+    seconds covers the point's clustering, scores and DKest, which run at
+    different times.
     """
 
     tau: float
@@ -440,11 +440,10 @@ def tau_scan(
     point is the pivot when no log distance is finite).  The pivot comes
     first, then the points below it in descending order, then the points
     above it in ascending order; the partitions below the pivot wait on a
-    stack until it is reached.  The DKest norm carries one StartVector
-    along that walk: each norm call starts from the direction the call
-    before it found.  The pivot's DKest is exactly a lone call; any other
-    record depends on the grid points evaluated before it only through
-    that one start vector and the running minimum below.
+    stack until it is reached.  Every norm call starts cold from its
+    seeded draw, so a record depends on the grid points evaluated before
+    it only through the running minimum below, and every full-precision
+    record is bitwise a lone dkest_statistic call.
 
     Each DKest call after the pivot's gets the smallest DKest recorded so
     far as above, so a spectral numerator is solved only as precisely as
@@ -477,7 +476,7 @@ def tau_scan(
     records = []
     pivot = _pivot_index(grid, g.mean_degree)
     waiting = []  # (record, partition) pairs whose DKest is not yet recorded
-    eig_start, norm_start = StartVector(), StartVector()
+    eig_start = StartVector()
     best = np.inf  # smallest DKest so far
     for i, tau in enumerate(grid):
         start = time.perf_counter()
@@ -503,7 +502,6 @@ def tau_scan(
                     model_kind=model_kind,
                     norm_kind=norm_kind,
                     seed=seed,
-                    start=norm_start,
                     above=best if best < np.inf else None,
                 )
             except DegenerateModelError:

@@ -10,10 +10,11 @@ matvec, each pair checked by an explicit residual.  The spectral norm of a
 difference comes from one hand-written Lanczos run, the plain three-term
 recurrence, stopped on ARPACK's residual estimate read from its
 tridiagonal, or, with stop_above, as soon as a Ritz value proves the norm
-exceeds a threshold.  A Ritz value is never above the norm.  A
-StartVector carries the direction one solve found into the start of the
-next, so a sequence of nearby operators (a tau grid) needs fewer
-matvecs.
+exceeds a threshold.  A Ritz value is never above the norm.  Each norm
+run starts cold from its seeded draw, so its value depends only on the
+operators, seed and stop_above.  A StartVector carries the direction one
+eigensolve found into the start of the next, so a sequence of nearby
+operators (a tau grid) needs fewer eigensolve matvecs.
 """
 
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from .util import rng_from
 
 DENSE_FALLBACK = 512
 NORM_TOL = 1e-6  # spectral_norm_diff stops once its Ritz residual estimate is at most this times the value
-LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after LANCZOS_MAX_STEPS
-LANCZOS_MAX_STEPS = 20  # Lanczos vectors a norm run stores, to form the Ritz vector it returns
+LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after LANCZOS_EVERY_STEP_CHECKS
+LANCZOS_EVERY_STEP_CHECKS = 20  # a norm run reads its Ritz values at every step up to this one
 
 
 class RegularizedLaplacian:
@@ -67,12 +68,13 @@ class RegularizedLaplacian:
 
 @dataclass
 class StartVector:
-    """Direction carried from one Krylov solve to the next.
+    """Direction carried from one eigensolve to the next.
 
     direction is None until a solve stores the direction it found.  Every
-    solve given this holder (the eigensolve and the norm's Lanczos run)
-    starts from its seeded random vector plus direction scaled to that
-    vector's norm, which keeps a random component along every eigenvector.
+    top_eigenpairs call given this holder starts from its seeded random
+    vector plus direction scaled to that vector's norm, which keeps a
+    random component along every eigenvector.  The norm's Lanczos run
+    never takes one: it starts cold from its seeded draw.
     """
 
     direction: np.ndarray | None = None
@@ -199,36 +201,27 @@ def _tridiagonal_eigenpair(d, e, i):
 
 
 def _lanczos_norm(mv, v0, stop_above):
-    """The largest |Ritz value| of one Lanczos run on mv from v0, and a Ritz vector.
+    """The largest |Ritz value| of one Lanczos run on mv from v0.
 
     Every step is the plain three-term recurrence, with no
-    reorthogonalization.  From step LANCZOS_FIRST_CHECK on (every step up
-    to LANCZOS_MAX_STEPS, every LANCZOS_FIRST_CHECK steps after) the
-    tridiagonal gives theta, the largest |Ritz value|, and s, the last
-    entry of its eigenvector; earlier Ritz values are still far below the
-    norm and would record a loose bound.  theta is returned as a certified
-    lower bound once it exceeds stop_above, and as the value once
-    beta |s| <= NORM_TOL theta (ARPACK's own residual estimate for the
-    Ritz pair).  A breakdown, beta at most 1e-12 times the largest |alpha|
-    or beta so far, or step n of an n-by-n operator leave an invariant
-    Krylov space, whose Ritz values are eigenvalues: the run stops there
-    too, since rounding noise normalized into a basis vector can push a
-    Ritz value above the norm.  Raises ConvergenceError after 10 n steps,
-    eigsh's default cap.
-
-    The first LANCZOS_MAX_STEPS Lanczos vectors (never more than n) are
-    stored, only to form the returned vector: the Ritz vector of the last
-    checked step among them.  Row 0 then holds that vector and the other
-    rows hold the recurrence's vectors in turn, so a long run holds no
-    n-vector beyond the stored ones and the matvec's.  Uses one matvec per
-    step.
+    reorthogonalization, and holds only the current and previous Lanczos
+    vectors and the matvec's result.  From step LANCZOS_FIRST_CHECK on
+    (every step up to LANCZOS_EVERY_STEP_CHECKS, every LANCZOS_FIRST_CHECK
+    steps after) the tridiagonal gives theta, the largest |Ritz value|,
+    and s, the last entry of its eigenvector; earlier Ritz values are
+    still far below the norm and would record a loose bound.  theta is
+    returned as a certified lower bound once it exceeds stop_above, and as
+    the value once beta |s| <= NORM_TOL theta (ARPACK's own residual
+    estimate for the Ritz pair).  A breakdown, beta at most 1e-12 times
+    the largest |alpha| or beta so far, or step n of an n-by-n operator
+    leave an invariant Krylov space, whose Ritz values are eigenvalues:
+    the run stops there too, since rounding noise normalized into a basis
+    vector can push a Ritz value above the norm.  Raises ConvergenceError
+    after 10 n steps, eigsh's default cap.  Uses one matvec per step.
     """
     n = v0.size
-    kept = min(LANCZOS_MAX_STEPS, n)
-    basis = np.empty((kept, n))
-    q = basis[0]
-    np.divide(v0, np.linalg.norm(v0), out=q)
-    del v0  # free a caller's temporary draw: the basis holds it, normalized
+    q = v0 / np.linalg.norm(v0)
+    del v0  # free a caller's temporary draw
     alpha, beta, scale = [], [], 0.0
     for j in range(10 * n):
         w = mv(q)
@@ -238,58 +231,49 @@ def _lanczos_norm(mv, v0, stop_above):
         w -= alpha[-1] * q
         b = np.linalg.norm(w)
         scale = max(scale, abs(alpha[-1]), b)
-        invariant = b <= 1e-12 * scale or j + 1 == kept == n
-        if invariant or j + 1 >= LANCZOS_FIRST_CHECK and (j < kept or (j + 1) % LANCZOS_FIRST_CHECK == 0):
+        invariant = b <= 1e-12 * scale or j + 1 == n
+        if invariant or j + 1 >= LANCZOS_FIRST_CHECK and (
+            j < LANCZOS_EVERY_STEP_CHECKS or (j + 1) % LANCZOS_FIRST_CHECK == 0
+        ):
             d, e = np.array(alpha), np.array(beta)
             ends = [_tridiagonal_eigenpair(d, e, i) for i in (0, j)]
             vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
-            theta, y = abs(vals[0]), vecs[:, 0]
-            done = invariant or theta > stop_above or b * abs(y[-1]) <= NORM_TOL * theta
-            if j < kept and (done or j + 1 == kept):
-                basis[0] = basis[: j + 1].T @ y
-            if done:
-                return float(theta), basis[0].copy()
+            theta = abs(vals[0])
+            if invariant or theta > stop_above or b * abs(vecs[-1, 0]) <= NORM_TOL * theta:
+                return float(theta)
         beta.append(b)
-        # later Lanczos vectors cycle through rows 1..kept-1; row 0 holds the first, then the Ritz vector
-        q_prev, q = q, basis[1 + j % (kept - 1)]
-        np.divide(w, b, out=q)
+        w /= b
+        q_prev, q = q, w
     raise ConvergenceError(f"Lanczos norm estimate did not reach tol={NORM_TOL} in {10 * n} steps", estimate=theta)
 
 
-def spectral_norm_diff(op_a, op_b, seed=0, start=None, stop_above=None):
+def spectral_norm_diff(op_a, op_b, seed=0, stop_above=None):
     """Largest |eigenvalue| of the difference of two symmetric operators.
 
     Accepts dense arrays or matrix-free operators (any object with apply
     and shape); the difference is only ever applied to vectors.  One
-    Lanczos run (_lanczos_norm) starts from start.draw(rng, n), the seeded
-    random draw plus start's direction, and stops once its largest |Ritz
-    value|'s residual estimate, read from the tridiagonal, is at most
-    NORM_TOL times that value.  That places the value near *an* eigenvalue
-    of the difference, not provably the extreme one.  It is never above
-    the norm, though: in floating point Lanczos keeps its Ritz values
-    inside the spectrum up to O(u ||M||) (Paige 1980), so the value is a
-    certified lower bound at any tolerance.  A difference that is zero
-    returns 0.0.
+    Lanczos run (_lanczos_norm) starts cold from the seeded draw
+    rng_from(seed).standard_normal(n), which normalized is uniform on the
+    sphere, and stops once its largest |Ritz value|'s residual estimate,
+    read from the tridiagonal, is at most NORM_TOL times that value.  That
+    places the value near *an* eigenvalue of the difference, not provably
+    the extreme one.  It is never above the norm, though: in floating
+    point Lanczos keeps its Ritz values inside the spectrum up to
+    O(u ||M||) (Paige 1980), so the value is a certified lower bound at
+    any tolerance.  A difference that is zero returns 0.0.
 
     stop_above, when given, also stops the run at the first check where
     the largest |Ritz value| exceeds it, and returns that value: a
     certified lower bound on the norm, not within NORM_TOL of it.  A
     caller that only needs to know whether the norm exceeds a threshold,
-    and its value where it does not, passes the threshold.  Where the run never exceeds
-    it, the result is bitwise that of the call without stop_above.
-
-    start, a StartVector, warm-starts the run, and afterwards holds the
-    Ritz vector of its last checked step among the first
-    LANCZOS_MAX_STEPS.
-    Deterministic given seed, start and stop_above.
+    and its value where it does not, passes the threshold.  Where the run
+    never exceeds it, the result is bitwise that of the call without
+    stop_above.  Deterministic given seed and stop_above.
     """
     mv_a, n_a = _as_matvec(op_a)
     mv_b, n_b = _as_matvec(op_b)
     if n_a != n_b:
         raise SpeclusterError("operator dimensions differ")
     mv = lambda v: mv_a(v) - mv_b(v)
-    if start is None:
-        start = StartVector()
     stop_above = np.inf if stop_above is None else stop_above
-    estimate, start.direction = _lanczos_norm(mv, start.draw(rng_from(seed), n_a), stop_above)
-    return estimate
+    return _lanczos_norm(mv, rng_from(seed).standard_normal(n_a), stop_above)

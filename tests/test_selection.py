@@ -571,10 +571,9 @@ def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kin
     calls = []
     real_norm = selection.spectral_norm_diff
 
-    def spy(sample_op, fitted, stop_above=None, start=None, **kwargs):
-        given = None if start.direction is None else start.direction.copy()
-        out = real_norm(sample_op, fitted, stop_above=stop_above, start=start, **kwargs)
-        calls.append((sample_op.tau, stop_above, given, start.direction))
+    def spy(sample_op, fitted, stop_above=None, **kwargs):
+        out = real_norm(sample_op, fitted, stop_above=stop_above, **kwargs)
+        calls.append((sample_op.tau, stop_above, stop_above is not None and out > stop_above))
         return out
 
     monkeypatch.setattr(selection, "spectral_norm_diff", spy)
@@ -590,16 +589,13 @@ def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kin
         assert pivot == len(grid) - 1
     if norm_kind == "spectral":
         # one norm call per grid point, in DKest's order; only the pivot's has no threshold
-        taus, bounds, given, found = zip(*calls)
+        taus, bounds, settled = zip(*calls)
         assert list(taus) == [scan.grid[i] for i in order]
         assert bounds[0] is None and all(bound is not None for bound in bounds[1:])
-        # one start vector along the whole walk: every call after the first
-        # starts from the direction the call before it found
-        assert given[0] is None
-        for j in range(1, len(calls)):
-            assert np.array_equal(given[j], found[j - 1])
+        certified = {i for i, c in zip(order, settled) if c}
     else:
         assert not calls
+        certified = set()
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
     for i, rec in enumerate(scan.records):
         part = sp.regularized_spectral_clustering(g, 2, rec.tau, seed=0)
@@ -607,11 +603,11 @@ def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kin
         assert rec.nmi == sp.nmi(part, truth)
         assert rec.misclassified_fraction == sp.clustering_error(part, truth).misclassified_fraction
         lone = dkest_statistic(g, part, rec.tau, norm_kind=norm_kind)
-        if norm_kind == "frobenius" or i == pivot:
-            assert rec.dkest == lone
+        if i in certified:
+            assert i != pivot and chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
         else:
-            full = rec.dkest == pytest.approx(lone, rel=1e-10, abs=0)
-            assert full or chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
+            # every norm run starts cold: a full-precision record is the lone call, bitwise
+            assert rec.dkest == lone
 
 
 @pytest.mark.parametrize("case", [0, 1])
@@ -654,6 +650,57 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
     assert scan.chosen["dkest"] == grid[int(np.argmin(lone))]
     assert warm_applies < applies[0]
+
+
+@pytest.mark.parametrize("case", ["karate", "above-dense-fallback"])
+def test_dkest_is_its_lone_call_whatever_the_walk_visited_before(monkeypatch, case):
+    # every norm run starts cold from its seeded draw, so moving the pivot,
+    # which changes the points the DKest walk visits before each one,
+    # changes only which records are certified bounds: every full-precision
+    # record is its lone call, bitwise
+    if case == "karate":
+        g = sp.load_edge_list(_DATA / "karate_edges.txt")
+        k, model_kind, grid = 2, "sbm", sp.default_tau_grid(g)
+        pivots = range(0, grid.size, 4)
+    else:
+        g, k, model_kind = warm_chain_graphs()[0]
+        assert g.n > DENSE_FALLBACK
+        grid = np.geomspace(1.0, g.n, 8)
+        pivots = [0, 3, grid.size - 1]
+    parts, calls = [], []
+    real_rsc, real_norm = selection.regularized_spectral_clustering, selection.spectral_norm_diff
+
+    def recording(*args, **kwargs):
+        part = real_rsc(*args, **kwargs)
+        parts.append(part)
+        return part
+
+    def spy(sample_op, fitted, stop_above=None, **kwargs):
+        out = real_norm(sample_op, fitted, stop_above=stop_above, **kwargs)
+        calls.append((sample_op.tau, stop_above is not None and out > stop_above))
+        return out
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
+    monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    lone, minima, full = None, set(), set()
+    for pivot in pivots:
+        monkeypatch.setattr(selection, "_pivot_index", lambda grid, mean_degree: pivot)
+        parts.clear()
+        calls.clear()
+        scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
+        if lone is None:
+            lone = [dkest_statistic(g, part, tau, model_kind=model_kind) for part, tau in zip(parts, scan.grid)]
+        assert calls[0] == (scan.grid[pivot], False)
+        certified = {tau for tau, c in calls if c}
+        for rec, want in zip(scan.records, lone):
+            if rec.tau in certified:
+                assert rec.dkest <= want * (1 + 1e-12)
+            else:
+                assert rec.dkest == want
+                full.add(rec.tau)
+        minima.add((scan.chosen["dkest"], scan.record_at(scan.chosen["dkest"]).dkest))
+    assert minima == {(scan.grid[int(np.argmin(lone))], min(lone))}
+    assert len(full) > len(pivots)  # the walks solved different points in full
 
 
 def fitted_pair(model_kind, tau):
@@ -708,9 +755,9 @@ _CERTIFICATE_SEEDS = {12: range(10), 300: range(6), 1000: range(1)}  # n: graph 
 def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
     # every result, certified or converged, is a Ritz value and so at most
     # the dense 2-norm: plain and degree-corrected fits, tau from 1 to n,
-    # cold starts and starts warmed along the tau grid, and n = 12 below
-    # LANCZOS_MAX_STEPS, where a run may stop at step n.  A threshold of 0 is settled at the first
-    # check; without a reachable threshold the run converges to the norm.
+    # and n = 12 below LANCZOS_EVERY_STEP_CHECKS, where a run may stop at
+    # step n.  A threshold of 0 is settled at the first check; without a
+    # reachable threshold the run converges to the norm.
     applies = [0]
     real_apply = RegularizedLaplacian.apply
 
@@ -724,7 +771,6 @@ def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
         g = sp.sample(sp.BlockModel.from_sizes([n // 2, n - n // 2], b), graph_seed)
         part = sp.regularized_spectral_clustering(g, 2, 5.0, seed=0)
         bhat, counts = estimate_block_matrix(g, part)
-        warm = spectral.StartVector()
         for tau in np.geomspace(1.0, n, 5):
             sample_op = RegularizedLaplacian(g, tau)
             if model_kind == "sbm":
@@ -732,18 +778,15 @@ def test_lanczos_bound_never_exceeds_the_dense_norm(monkeypatch, model_kind, n):
             else:
                 fitted = _EstimatedDSBMLaplacian(g, part, counts, tau)
             exact = np.linalg.norm(sample_op.to_dense() - fitted.to_dense(), 2)
-            for start in (None, warm):
-                for stop_above in (0.0, 0.9 * exact, 0.999 * exact, None, 1e300):
-                    applies[0] = 0
-                    got = spectral_norm_diff(
-                        sample_op, fitted, seed=graph_seed, start=start, stop_above=stop_above
-                    )
-                    if stop_above is None or stop_above == 1e300:
-                        assert exact * (1 - 1e-6) <= got <= exact * (1 + 1e-12)
-                    else:
-                        assert stop_above < got <= exact * (1 + 1e-12)
-                    if stop_above == 0.0:
-                        assert applies[0] <= spectral.LANCZOS_FIRST_CHECK
+            for stop_above in (0.0, 0.9 * exact, 0.999 * exact, None, 1e300):
+                applies[0] = 0
+                got = spectral_norm_diff(sample_op, fitted, seed=graph_seed, stop_above=stop_above)
+                if stop_above is None or stop_above == 1e300:
+                    assert exact * (1 - 1e-6) <= got <= exact * (1 + 1e-12)
+                else:
+                    assert stop_above < got <= exact * (1 + 1e-12)
+                if stop_above == 0.0:
+                    assert applies[0] <= spectral.LANCZOS_FIRST_CHECK
 
 
 @pytest.mark.parametrize("case", ["karate-sbm", "karate-dsbm", "criterion-5"])
@@ -786,9 +829,11 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         else:
             assert rec.dkest == pytest.approx(lone[i], rel=1e-10, abs=0)
     if case == "criterion-5":
-        # most losing points are settled by the bound, and tightly
+        # most losing points are settled by the bound, and tightly: from a
+        # cold start the loosest bound on criterion 5's ten graphs is 0.880
+        # of its statistic (this graph's: 0.9505)
         assert len(certified) >= len(grid) // 2
-        assert all(scan.records[i].dkest >= 0.98 * lone[i] for i in certified)
+        assert all(scan.records[i].dkest >= 0.88 * lone[i] for i in certified)
 
 
 def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
