@@ -123,19 +123,19 @@ def population_degree_extremes(model):
 
 
 def _decode_triangular(t, s):
-    """Map pair indices t to (i, j) with 0 <= i < j < s, lexicographic order."""
-    tf = t.astype(np.float64)
-    i = np.floor((2 * s - 1 - np.sqrt((2 * s - 1) ** 2 - 8 * tf)) / 2).astype(np.int64)
-    i = np.clip(i, 0, s - 2)
-    # float sqrt can land one row off; nudge into the correct row
-    start = i * (2 * s - i - 1) // 2
-    i = np.where(t < start, i - 1, i)
-    start = i * (2 * s - i - 1) // 2
-    over = t >= start + (s - 1 - i)
-    i = np.where(over, i + 1, i)
-    start = i * (2 * s - i - 1) // 2
-    j = t - start + i + 1
-    return i, j
+    """Map pair indices t to (i, j) with 0 <= i < j < s, lexicographic order.
+
+    Counted from the last pair, u = s(s-1)/2 - 1 - t lies in reversed row
+    r = s - 2 - i, which holds u from r(r+1)/2 to (r+1)(r+2)/2 - 1.  The
+    float root lands within one row of r; one integer correction each way
+    makes it exact, since every product stays below s^2 < 2^63.
+    """
+    u = s * (s - 1) // 2 - 1 - t
+    r = np.floor((np.sqrt(8 * u.astype(np.float64) + 1) - 1) / 2).astype(np.int64)
+    np.clip(r, 0, s - 2, out=r)
+    r -= r * (r + 1) // 2 > u
+    r += (r + 1) * (r + 2) // 2 <= u
+    return s - 2 - r, s - 1 - u + r * (r + 1) // 2
 
 
 def _distinct_indices(rng, total, m):
@@ -183,37 +183,22 @@ def _block_pairs(labels, b, rng):
     """
     k = b.shape[0]
     ids = [np.flatnonzero(labels == blk) for blk in range(k)]
-    chunks = []
+    chunks = [np.empty((0, 2), dtype=np.int64)]
     for k1 in range(k):
         for k2 in range(k1, k):
             p = b[k1, k2]
-            if p <= 0:
+            within = k1 == k2
+            s1, s2 = ids[k1].size, ids[k2].size
+            npairs = s1 * (s1 - 1) // 2 if within else s1 * s2
+            if p <= 0 or npairs == 0:
                 continue
-            if k1 == k2:
-                s = ids[k1].size
-                npairs = s * (s - 1) // 2
-                if npairs == 0:
-                    continue
-                if p <= _BINOMIAL_P_MAX:
-                    m = rng.binomial(npairs, p)
-                    t = _distinct_indices(rng, npairs, m)
-                    i, j = _decode_triangular(t, s)
-                else:
-                    i, j = _bernoulli_pairs(rng, s, s, p, within=True)
-                chunks.append(np.column_stack([ids[k1][i], ids[k1][j]]))
+            if p <= _BINOMIAL_P_MAX:
+                t = _distinct_indices(rng, npairs, rng.binomial(npairs, p))
+                i, j = _decode_triangular(t, s1) if within else (t // s2, t % s2)
             else:
-                s1, s2 = ids[k1].size, ids[k2].size
-                npairs = s1 * s2
-                if p <= _BINOMIAL_P_MAX:
-                    m = rng.binomial(npairs, p)
-                    t = _distinct_indices(rng, npairs, m)
-                    i, j = t // s2, t % s2
-                else:
-                    i, j = _bernoulli_pairs(rng, s1, s2, p, within=False)
-                chunks.append(np.column_stack([ids[k1][i], ids[k2][j]]))
-    if chunks:
-        return np.concatenate(chunks, axis=0)
-    return np.empty((0, 2), dtype=np.int64)
+                i, j = _bernoulli_pairs(rng, s1, s2, p, within)
+            chunks.append(np.column_stack([ids[k1][i], ids[k2][j]]))
+    return np.concatenate(chunks, axis=0)
 
 
 def _group_max(labels, values, k):
@@ -555,7 +540,7 @@ def load_model_config(path):
         raise ConfigError(f"{path}: sizes sum to {sizes.sum()}, expected n={n}")
     if sizes.size != k:
         raise ConfigError(f"{path}: expected {k} block sizes, got {sizes.size}")
-    model = BlockModel.from_sizes(sizes, b)
+    theta = None
     theta_file = items.get("theta_file")
     if theta_file:
         theta_path = Path(theta_file)
@@ -565,5 +550,8 @@ def load_model_config(path):
             theta = np.loadtxt(theta_path, dtype=np.float64, ndmin=1)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: theta_file {theta_path}: {exc}") from None
-        return DegreeCorrectedModel(base=model, theta=theta)
-    return model
+    try:
+        model = BlockModel.from_sizes(sizes, b)
+        return model if theta is None else DegreeCorrectedModel(base=model, theta=theta)
+    except (SpeclusterError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

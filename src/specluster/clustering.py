@@ -286,27 +286,22 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     max_iter; from there it could only retrace that restart to the
     same final labels, which were already scored or excluded, and equal
     labels have a bitwise-equal kmeans_objective, which cannot win under
-    strict <.  For K = 2 the labels are matched up to complement, whose
-    objective is also bitwise equal (see below).  For K >= 3 they are not
-    matched up to a permutation: kmeans_objective adds the per-cluster
-    terms in cluster order, so a permuted labeling can differ in the last
-    bits and win.
+    strict <.  For K = 2 the labels are matched up to complement:
+    kmeans_objective adds the same two per-cluster terms in the other
+    order, a bitwise-equal sum.  For K >= 3 they are not matched up to a
+    permutation: kmeans_objective adds the per-cluster terms in cluster
+    order, so a permuted labeling can differ in the last bits and win.
 
-    The exact objective (kmeans_objective) is computed only for restarts
-    that can win.  A restart whose labels equal the best so far cannot
-    beat it under strict <.  Nor can one that converged with a step
-    objective sum(e_min) + sum(|x|^2) (see _lloyd) more than
-    1e-10 * sum(|x|^2) above the best objective.  Each e_min entry carries
-    a rounding error of about (d + 1) u (|x|^2 + 2 |c|^2), u the unit
-    roundoff, and the two sums add about log2(n) u times the sum of their
-    terms' magnitudes each.  At the converged step the centers are the
-    means of their clusters, so sum(|c|^2) over the points is at most
-    sum(|x|^2), and the whole error is at most about
-    3 (d + 2 + 2 log2 n) u sum(|x|^2): orders of magnitude inside that
-    margin.  For K = 2, neither can a restart whose
-    labels are the complement of the best's: kmeans_objective adds the
-    same two per-cluster terms in the other order, a bitwise-equal sum.
-    Every other restart is scored.
+    The exact objective (kmeans_objective) is not computed for a restart
+    that converged with a step objective sum(e_min) + sum(|x|^2) (see
+    _lloyd) more than 1e-10 * sum(|x|^2) above the best objective, which
+    cannot win.  Each e_min entry carries a rounding error of about
+    (d + 1) u (|x|^2 + 2 |c|^2), u the unit roundoff, and the two sums add
+    about log2(n) u times the sum of their terms' magnitudes each.  At the
+    converged step the centers are the means of their clusters, so
+    sum(|c|^2) over the points is at most sum(|x|^2), and the whole error
+    is at most about 3 (d + 2 + 2 log2 n) u sum(|x|^2): orders of magnitude
+    inside that margin.  Every other restart is scored.
     """
     for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
         if value < 1:
@@ -331,12 +326,8 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
         labels, bound = _lloyd(x, xt, xx, k, rng, max_iter, seen)
         if labels is None:
             continue  # retraced an earlier restart
-        if best_labels is not None and (
-            bound > best_obj + margin
-            or np.array_equal(labels, best_labels)
-            or (k == 2 and np.array_equal(labels, 1 - best_labels))
-        ):
-            continue
+        if bound > best_obj + margin:
+            continue  # cannot win
         obj = kmeans_objective(x, labels, k)
         if obj < best_obj:
             best_obj = obj

@@ -170,11 +170,13 @@ class _EstimatedDSBMLaplacian:
     def apply(self, x):
         y = self.inv_sqrt_deg * x
         u = np.bincount(self.labels, weights=self.theta * y, minlength=self.k)
-        v = self.theta * (self.counts @ u)[self.labels]
+        v = (self.counts @ u)[self.labels]
+        v *= self.theta
         v += (self.tau / self.n) * y.sum()
         if self._excess is not None:
             v -= self._excess @ y
-        return self.inv_sqrt_deg * v
+        v *= self.inv_sqrt_deg
+        return v
 
     def mu_k(self, seed=0):
         """K-th largest eigenvalue of the fitted Laplacian, zeros included.

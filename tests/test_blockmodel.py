@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,66 @@ def test_degree_corrected_sampling_hub_heavy_moments():
     hub_sigma = np.sqrt(var[hubs].sum(axis=1) / n_draws)
     assert np.all(np.abs(hub_degrees.mean(axis=0) - p[hubs].sum(axis=1)) <= 4 * hub_sigma)
     assert np.array_equal(sp.sample(model, 7).edges, sp.sample(model, 7).edges)
+
+
+PINNED_MODELS = {
+    "sparse": lambda: sp.BlockModel.from_sizes([400, 300], [[0.03, 0.005], [0.005, 0.04]]),
+    # p > 0.1 within and between blocks, a 1-node block, a p = 0 pair
+    "mixed": lambda: sp.BlockModel.from_sizes(
+        [60, 1, 45, 30],
+        [
+            [0.4, 0.5, 0.25, 0.0],
+            [0.5, 0.7, 0.05, 0.2],
+            [0.25, 0.05, 0.08, 0.15],
+            [0.0, 0.2, 0.15, 0.12],
+        ],
+    ),
+    "degree-corrected": hub_heavy_model,
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed, edges, digest",
+    [
+        ("sparse", 0, 4829, "0e2e72c5165cedf5ac65550cf6b71659b47ca8cb593a520ae94cde73f6a8b2ed"),
+        ("sparse", 1, 4827, "b43bccfe4946a858c53ce629a0b9b8eea0fcef971f4fbcfbac3de904ee66a90d"),
+        ("mixed", 0, 1784, "86b728b6e1cd6c2a14e35d7ba6bf5bc891426f6bc5594c1d03ee79f9b0e08510"),
+        ("mixed", 1, 1715, "14420eb2157d39cf77a04170ed67198d60fd7b8274197a4c5ce21b8d74469eb8"),
+        ("degree-corrected", 0, 879, "f3b8e0d5f1f45de822a3d3306ed7a17ce5ac4df8b99b63929bb945b381870260"),
+        ("degree-corrected", 1, 887, "89f2b7c1e9be9c68c28b6bd6402747d23661a5fcd397b46ee244cdeb96458749"),
+    ],
+)
+def test_sample_draws_are_pinned(name, seed, edges, digest):
+    # the sampler's exact draws: a change that alters any graph must
+    # re-baseline these digests and say so
+    g = sp.sample(PINNED_MODELS[name](), seed)
+    assert g.num_edges == edges
+    data = np.ascontiguousarray(g.edges, dtype=np.int64).tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_decode_triangular_matches_triu_indices():
+    for s in [*range(2, 41), 257, 1000, 3000]:
+        i, j = np.triu_indices(s, 1)
+        di, dj = blockmodel._decode_triangular(np.arange(i.size, dtype=np.int64), s)
+        assert np.array_equal(di, i) and np.array_equal(dj, j)
+
+
+@pytest.mark.parametrize("s", [3 * 10**8, 10**9, 3_037_000_499])
+def test_decode_triangular_is_exact_at_large_sizes(s):
+    # 3,037,000,499 is the largest s with s^2 < 2^63.  The probes are the
+    # first, middle and last pair of rows spread over the triangle, dense
+    # near its end, where the rows are shortest; an array of size s would
+    # not fit in memory at these sizes.
+    rows = {0, 1, 2, s // 3, s // 2}
+    rows.update(s - 2 - 4**e for e in range(14))
+    rows.update(s - 2 - d for d in range(64))
+    want = [(i, j) for i in sorted(rows) for j in (i + 1, (i + s) // 2, s - 1)]
+    # row i starts at pair index i (2s - i - 1) / 2, taken in Python ints
+    t = np.array([i * (2 * s - i - 1) // 2 + j - i - 1 for i, j in want])
+    assert t.max() == s * (s - 1) // 2 - 1
+    i, j = blockmodel._decode_triangular(t, s)
+    assert np.array_equal(np.column_stack([i, j]), want)
 
 
 def reference_distinct_indices(rng, total, m):
@@ -494,6 +556,25 @@ def test_model_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "b, theta, message",
+    [
+        ("0.5,0.1,0.2,0.4", None, r"block matrix must be symmetric"),
+        ("0.5,0.1,0.1,1.5", None, r"block probabilities must lie in \[0, 1\]"),
+        ("0.5,0.1,0.1,0.4", "1.0\n" * 5, r"theta length must equal node count"),
+    ],
+)
+def test_model_config_bad_models_name_the_file(tmp_path, b, theta, message):
+    cfg = tmp_path / "model.cfg"
+    text = f"n = 6\nk = 2\nsizes = 4,2\nb = {b}\n"
+    if theta is not None:
+        (tmp_path / "theta.txt").write_text(theta)
+        text += "theta_file = theta.txt\n"
+    cfg.write_text(text)
+    with pytest.raises(sp.ConfigError, match=f"model.cfg: {message}"):
+        sp.load_model_config(cfg)
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("sizes = 4,two", "invalid literal"),
@@ -501,6 +582,7 @@ def test_model_config_errors(tmp_path):
         ("weights = 3,x", "could not convert"),
         ("weights = 3,-1", "weights must be positive"),
         ("weights = 1000,1", "a block received zero nodes"),
+        ("sizes = 7,-1", "repeats may not contain negative values"),
     ],
 )
 def test_model_config_bad_block_sizes_name_the_file(tmp_path, line, message):

@@ -128,7 +128,7 @@ def test_generate_rejects_nan_theta(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("n = 40\nk = 2\nsizes = 20,20\nb = 0.9,0.05,0.05,0.9\ntheta_file = theta.txt\n")
     assert main(["generate", str(cfg), "--out", str(tmp_path / "g.txt")]) == 2
-    assert "error: theta entries must be positive and finite" in capsys.readouterr().err
+    assert f"error: {cfg}: theta entries must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "g.txt").exists()
 
 

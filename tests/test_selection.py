@@ -1,4 +1,5 @@
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,33 @@ def test_dsbm_clamping_matches_dense(rng):
         assert np.linalg.norm(est.to_dense() - dense) < 1e-12
         vals = np.sort(np.linalg.eigvalsh(dense))[::-1]
         assert est.mu_k() == pytest.approx(vals[1], abs=1e-8)
+
+
+def test_dsbm_fit_apply_peaks_no_higher_than_the_plain_fit(rng):
+    # n-vectors above numpy's 256 kB, so that it reuses temporaries in place
+    n = 50_000
+    model = sp.BlockModel.from_sizes([n // 2, n // 2], [[10 / n, 2 / n], [2 / n, 10 / n]])
+    g = sp.sample(model, 0)
+    part = sp.Partition(model.membership, 2)
+    bhat, counts = estimate_block_matrix(g, part)
+    x = rng.standard_normal(n)
+
+    def apply_peak(op):
+        op.apply(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op.apply(x)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    dsbm = apply_peak(_EstimatedDSBMLaplacian(g, part, counts, 3.0))
+    plain = apply_peak(PopulationLaplacian(sp.BlockModel(part.labels, bhat), 3.0))
+    # both hold two n-vectors at their peak (the result among them); the
+    # 4 kB allow for K-sized temporaries, far below one n-vector
+    assert plain >= 2 * 8 * n
+    assert dsbm <= plain + 4096, (dsbm, plain)
 
 
 def test_dsbm_clamped_fit_builds_its_sparse_excess_on_first_apply(monkeypatch, rng):
