@@ -155,16 +155,6 @@ def _assign(xt, centers):
     return labels, e_min
 
 
-def _nearest_sqdist(xt, xx, centers):
-    """Squared distance of every point to its nearest center, as
-    |x|^2 - 2 c.x + |c|^2 clamped at 0 (xx holds the |x|^2)."""
-    d2 = (centers * -2.0) @ xt
-    d2 += xx
-    d2 += (centers * centers).sum(axis=1)[:, None]
-    np.maximum(d2, 0.0, out=d2)
-    return d2.min(axis=0)
-
-
 def _label_key(labels, k):
     """labels as bytes, for exact comparison: packed bits that name a K = 2
     labeling and its complement alike, else the labels themselves (one
@@ -220,8 +210,8 @@ def _lloyd(x, xt, xx, k, rng, max_iter, seen):
             counts += np.bincount(gained, minlength=k) - np.bincount(lost, minlength=k)
         if not counts.all():
             # reseed each empty center at the point farthest from its own
-            # center, by the clamped squared distances
-            assigned = _nearest_sqdist(xt, xx, centers)
+            # center, by the squared distances e_min + |x|^2 clamped at 0
+            assigned = np.maximum(e_min + xx, 0.0)
             for c in np.flatnonzero(counts == 0):
                 cand = int(np.argmax(assigned))
                 labels[cand] = c

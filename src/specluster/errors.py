@@ -41,11 +41,10 @@ class InfeasibleConfigError(SpeclusterError):
 class ConvergenceError(SpeclusterError):
     """An iterative solver did not reach its tolerance.
 
-    Carries the best available residuals or norm estimate so callers can
-    decide whether the partial answer is usable.
+    Carries the best available residuals so callers can decide whether
+    the partial answer is usable.
     """
 
-    def __init__(self, message, *, residuals=None, estimate=None):
+    def __init__(self, message, *, residuals=None):
         super().__init__(message)
         self.residuals = residuals
-        self.estimate = estimate

@@ -51,6 +51,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=np.float64))
         object.__setattr__(self, "inside_weights", tuple(float(w) for w in self.inside_weights))
+        if self.k < 1:
+            raise ConfigError(f"k={self.k}: need at least one block")
+        if self.n < self.k:
+            raise ConfigError(f"n={self.n} is below k={self.k}: every block needs a node")
         if len(self.inside_weights) != self.k:
             raise ConfigError("need one inside weight per block")
         if any(w <= 0 for w in self.inside_weights):

@@ -1,13 +1,12 @@
 """Undirected simple graphs: CSR adjacency, edge-list files, degrees.
 
 Node indices are 0-based.  Edge-list files hold one edge per line as two
-whitespace-separated integers; lines starting with '#' are comments.
+whitespace-separated integers; text after '#' is a comment.
 Graphs are immutable after construction.
 """
 
 import io
 import operator
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,13 +22,6 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 # CSR entries read per edge-list write, so at most this many rows are
 # formatted at once: under 1 MB of Python ints and text.
 _SAVE_CHUNK_ROWS = 2**13
-# In reversed text: a line whose first non-blank character is not '#' but
-# that holds a '#'.  Reversed, the pattern starts at a literal '#', which
-# the regex engine skips to, where the forward pattern tests every line.
-# A bytes \s is ASCII whitespace without the separators \x1c-\x1f that
-# str.split() also splits on, so a line led by one of those counts as a
-# field here and sends its file to the line parser.
-_REVERSED_FIELD_BEFORE_HASH = re.compile(rb"#[^\n]*[^\s#][^\S\n]*(?:\n|\Z)")
 
 
 @dataclass(frozen=True)
@@ -169,9 +161,10 @@ def load_edge_list(path, n_hint=None):
     n is max index + 1, or n_hint if that is larger.  A file with no valid
     edges is an error, as is any malformed line (reported with its number).
 
-    ASCII text is parsed in one np.loadtxt call.  Text that call cannot
-    take exactly (non-ASCII characters, a '#' after a field, a field
-    loadtxt rejects, a negative index, no pairs at all) is parsed again
+    Text after '#' is a comment, and a line with nothing before its '#'
+    is skipped.  ASCII text is parsed in one np.loadtxt call.  Text that
+    call cannot take exactly (non-ASCII characters, a field loadtxt
+    rejects, a negative index, no pairs at all) is parsed again
     line by line, which accepts whatever int() does and reports the first
     bad line; both parsers give the same graph, warning and error.
     Each pair's two directed keys (see build_graph) are sorted once; a
@@ -207,8 +200,8 @@ def _parse_text(path):
     only the line parser gives the right answer or error.
 
     The file is read once, as bytes, which loadtxt takes line by line
-    through a BytesIO sharing their buffer: about two bytes held per byte
-    of file with the reversed copy, besides the pairs.
+    through a BytesIO sharing their buffer: about one byte held per byte
+    of file, besides the pairs.
     """
     text = path.read_bytes()
     # loadtxt misreads some non-ASCII characters as digits
@@ -216,9 +209,6 @@ def _parse_text(path):
         return None
     # the line parser reads text mode, where "\r\n" and "\r" end lines as "\n"
     text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    # loadtxt would drop "# c" from "1 2 # c", which the line parser rejects
-    if _REVERSED_FIELD_BEFORE_HASH.search(text[::-1]):
-        return None
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -236,8 +226,8 @@ def _parse_lines(path):
     pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:

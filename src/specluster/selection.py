@@ -285,6 +285,13 @@ def _frobenius_dsbm(sample_op, est):
     return float(np.sqrt(max(total, 0.0)))
 
 
+def _check_kinds(model_kind, norm_kind):
+    if model_kind not in ("sbm", "dsbm"):
+        raise SpeclusterError(f"unknown model kind {model_kind!r}")
+    if norm_kind not in ("spectral", "frobenius"):
+        raise SpeclusterError(f"unknown norm kind {norm_kind!r}")
+
+
 def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0, above=None):
     """Estimated perturbation-to-gap ratio for a fitted partition at tau.
 
@@ -303,10 +310,7 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
     with above=None, which is what tau_scan records at every
     full-precision point.  The Frobenius numerator ignores above.
     """
-    if model_kind not in ("sbm", "dsbm"):
-        raise SpeclusterError(f"unknown model kind {model_kind!r}")
-    if norm_kind not in ("spectral", "frobenius"):
-        raise SpeclusterError(f"unknown norm kind {norm_kind!r}")
+    _check_kinds(model_kind, norm_kind)
     bhat, counts = estimate_block_matrix(g, part)
     sample_op = RegularizedLaplacian(g, tau)
     if model_kind == "sbm":
@@ -474,6 +478,7 @@ def tau_scan(
             raise SpeclusterError(f"unknown criterion {crit!r}")
     if "oracle" in criteria and truth is None:
         raise SpeclusterError("oracle criterion needs a reference partition")
+    _check_kinds(model_kind, norm_kind)
 
     records = []
     pivot = _pivot_index(grid, g.mean_degree)

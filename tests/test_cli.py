@@ -105,6 +105,24 @@ def test_experiment_subcommand(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("n = 60\nk = 0\nw =\n", "k=0: need at least one block"),
+        ("n = 3\nk = 5\nw = 1,1,1,1,1\n", "n=3 is below k=5"),
+        ("n = -5\nk = 2\nw = 1,1\n", "n=-5 is below k=2"),
+    ],
+    ids=["no-blocks", "fewer-nodes-than-blocks", "negative-n"],
+)
+def test_experiment_block_count_errors_name_the_file(tmp_path, capsys, sizes, message):
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "exp.csv"
+    cfg.write_text(sizes + f"beta = 6\nlambda = 20\ntau_grid = 1:60:2\nout = {out}\n")
+    assert main(["experiment", str(cfg)]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["rsc", "missing.txt", "--bogus-flag"]) == 1
     assert main(["unknown-command"]) == 1

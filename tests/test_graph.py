@@ -48,12 +48,15 @@ def test_malformed_line_reports_number(tmp_path):
     assert err.value.line_number == 2
 
 
-def test_inline_comment_is_rejected_at_its_line(tmp_path):
-    # np.loadtxt would drop "# c"; the loader keeps rejecting the line
-    path = write(tmp_path, "0 1\n# ok\n1 2 # c\n")
-    with pytest.raises(sp.EdgeListParseError, match="expected 2 fields, got 4") as err:
-        sp.load_edge_list(path)
-    assert err.value.line_number == 3
+@pytest.mark.parametrize("comment", ["# ok", "# ok \u00e9"], ids=["ascii", "non-ascii"])
+def test_text_after_hash_is_a_comment(tmp_path, comment):
+    # an ASCII file takes the np.loadtxt path; a non-ASCII comment sends the
+    # same lines to the line parser, which must drop "# c" alike
+    path = write(tmp_path, f"0 1\n{comment}\n1 2 # c\n")
+    assert (graph._parse_text(path) is None) == (not comment.isascii())
+    assert graph._parse_lines(path).tolist() == [[0, 1], [1, 2]]
+    g = sp.load_edge_list(path)
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_fields_that_int_accepts_are_edges(tmp_path):
@@ -375,8 +378,9 @@ def test_degree_extremes_match_expected_degrees_monte_carlo():
 
 def reference_load_edge_list(path, n_hint=None):
     """The line-by-line loader with a set of seen pairs that load_edge_list
-    replaced; the oracle for its vectorized parse.  Its one change is the
-    "node index too large" error, where it used to raise OverflowError."""
+    replaced; the oracle for its vectorized parse.  It has changed twice:
+    the "node index too large" error, where it used to raise OverflowError,
+    and text after '#' is a comment, where only a line led by '#' was."""
     pairs = []
     n_dupes = 0
     n_loops = 0
@@ -384,8 +388,8 @@ def reference_load_edge_list(path, n_hint=None):
     seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -480,9 +484,8 @@ def test_load_matches_line_by_line_reference(tmp_path):
 
 def test_load_parse_peak_per_byte_of_file(tmp_path):
     # the fast path parses the bytes it read through a BytesIO that shares
-    # them: it holds the bytes, their reversed copy for the '#' check and
-    # the pairs, about 2.4 bytes per byte of this file; a StringIO copy of
-    # the text alone would be 4
+    # them: it holds the bytes and the pairs, about 2.4 bytes per byte of
+    # this file; a StringIO copy of the text alone would be 4
     pairs = np.random.default_rng(11).integers(10_000, 100_000, size=(150_000, 2))
     path = tmp_path / "edges.txt"
     path.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))

@@ -528,6 +528,23 @@ def test_scan_requires_truth_for_oracle():
         sp.tau_scan(g, 2, [1.0], criteria=("oracle",))
 
 
+@pytest.mark.parametrize(
+    "criteria, kinds, message",
+    [
+        (("gn",), {"model_kind": "bogus", "norm_kind": "nope"}, "model kind 'bogus'"),
+        (("dkest", "gn"), {"norm_kind": "nope"}, "norm kind 'nope'"),
+    ],
+    ids=["without-dkest", "with-dkest"],
+)
+def test_scan_rejects_unknown_kinds_before_clustering(monkeypatch, criteria, kinds, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("clustered before the kinds were checked")
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
+    with pytest.raises(sp.SpeclusterError, match=message):
+        sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], criteria=criteria, **kinds)
+
+
 def test_scan_reproducible(rng):
     model = sp.BlockModel.from_sizes([40, 40], [[0.4, 0.05], [0.05, 0.4]])
     g = sp.sample(model, 1)

@@ -279,6 +279,11 @@ def test_spectral_norm_diff_dimension_mismatch():
         spectral_norm_diff(np.eye(3), np.eye(4))
 
 
+def test_spectral_norm_diff_rejects_empty_operators():
+    with pytest.raises(sp.SpeclusterError, match="empty"):
+        spectral_norm_diff(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_norm_memory_is_far_below_dense():
     # a run holds two Lanczos vectors and the matvec's result, never a
     # stored basis: at most 8 n-vectors with both operators' temporaries
