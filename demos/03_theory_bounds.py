@@ -21,7 +21,7 @@ print(f"validity threshold 32 log n = {32 * np.log(n):.1f}")
 
 print("\nbound, gap, and ratio vs tau:")
 for tau in (300.0, 3000.0, 3e4, 3e6, 1e8, 1e9):
-    eps = sp.concentration_bound(n, d_min, d_max, tau, warn=False)
+    eps = sp.concentration_bound(n, d_min, d_max, tau)
     gap = sp.eigen_gap(model, tau)
     print(f"  tau={tau:>10.0f}  eps={eps:.3e}  gap={gap:.3e}  ratio={eps / gap:.4f}")
 

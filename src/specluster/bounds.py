@@ -30,20 +30,15 @@ def concentration_precondition(n, d_min, tau):
     return max(tau, d_min) >= PRECONDITION_FACTOR * np.log(n)
 
 
-def concentration_bound(n, d_min, d_max, tau, warn=True):
+def concentration_bound(n, d_min, d_max, tau):
     """High-probability bound on the sample-population Laplacian distance.
 
     10 sqrt(log n) / sqrt(d_min + tau) for tau <= 2 d_max, else
     10 sqrt(d_max log n) / (d_max + tau / 2).  The two branches do not meet
     continuously at tau = 2 d_max; each is evaluated exactly as stated.
-    Violating the precondition only warns: the value is still the formula.
+    The value is the formula whether or not the precondition holds;
+    concentration_precondition reports the regime.
     """
-    if warn and not concentration_precondition(n, d_min, tau):
-        warnings.warn(
-            f"max(tau, d_min)={max(tau, d_min):.3g} is below 32 log n="
-            f"{PRECONDITION_FACTOR * np.log(n):.3g}; the bound is outside its regime",
-            stacklevel=2,
-        )
     log_n = np.log(n)
     if tau <= 2 * d_max:
         return float(BOUND_CONSTANT * np.sqrt(log_n) / np.sqrt(d_min + tau))
@@ -104,7 +99,7 @@ def concentration_check(model, tau, trials=50, seed=0):
     if not concentration_precondition(model.n, d_min, tau):
         warnings.warn("precondition violated; concentration check skipped", stacklevel=2)
         return float("nan")
-    eps = concentration_bound(model.n, d_min, d_max, tau, warn=False)
+    eps = concentration_bound(model.n, d_min, d_max, tau)
     pop = PopulationLaplacian(model, tau)
     hits = 0
     for t in range(trials):
@@ -159,7 +154,7 @@ def theory_report(model, tau):
         raise SpeclusterError(f"tau must be non-negative and finite, got {tau}")
     d_min, d_max = population_degree_extremes(model)
     ok = concentration_precondition(model.n, d_min, tau)
-    eps = concentration_bound(model.n, d_min, d_max, tau, warn=False)
+    eps = concentration_bound(model.n, d_min, d_max, tau)
     gap = eigen_gap(model, tau)
     try:
         m1, m1t, m2 = mixing_moments(model)

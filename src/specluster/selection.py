@@ -19,7 +19,9 @@ blockmodel.PopulationLaplacian and blockmodel.eigen_gap serve it.  The
 degree-corrected fit keeps its own operator: it normalizes by the sample
 degrees, applies tau/n J as a rank-one term and clamps hub pairs whose
 fitted probability exceeds 1, none of which a plain block operator does,
-and sharing one class would make it branch on which fit it serves.
+and sharing one class would make it branch on which fit it serves.  Its
+clamps are held once, as one symmetric sparse matrix of excesses built
+with the fit, which apply, mu_k and the Frobenius numerator all read.
 
 The spectral numerator comes from spectral_norm_diff's Lanczos run, solved
 to its residual estimate except at grid points where the same run shows,
@@ -31,7 +33,6 @@ checked Krylov eigensolver.
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -67,9 +68,11 @@ def estimate_block_matrix(g, part):
 def _clamped_pairs(labels, theta, counts, k):
     """Pairs whose fitted degree-corrected probability exceeds 1.
 
-    Returns (i, j, excess) with i <= j covering each pair once (the
-    diagonal included), or empty arrays.  Enumeration walks per-cluster
-    theta in descending order so the cost is proportional to the output.
+    Returns their excesses (probability minus 1) as a symmetric n-by-n CSR
+    matrix, both orders of an off-diagonal pair and each clamped diagonal
+    entry stored, or None when nothing is clamped.  Enumeration walks
+    per-cluster theta in descending order so the cost is proportional to
+    the output.
     """
     order = [np.flatnonzero(labels == blk) for blk in range(k)]
     sorted_ids = []
@@ -104,15 +107,17 @@ def _clamped_pairs(labels, theta, counts, k):
             if k1 == k2:
                 sel = rows <= cols
                 ii, jj, vals = ii[sel], jj[sel], vals[sel]
-            lo = np.minimum(ii, jj)
-            hi = np.maximum(ii, jj)
-            out_i.append(lo)
-            out_j.append(hi)
+            out_i.append(ii)
+            out_j.append(jj)
             out_v.append(vals - 1.0)
     if not out_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    return np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_v)
+        return None
+    ci, cj, excess = np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_v)
+    off = ci != cj
+    rows = np.concatenate([ci, cj[off]])
+    cols = np.concatenate([cj, ci[off]])
+    vals = np.concatenate([excess, excess[off]])
+    return sparse.coo_array((vals, (rows, cols)), shape=(labels.size, labels.size)).tocsr()
 
 
 class _EstimatedDSBMLaplacian:
@@ -121,10 +126,11 @@ class _EstimatedDSBMLaplacian:
     Per-node weights theta_i = d_i / (row sum of the fitted block counts)
     make the fitted probability matrix reproduce every observed degree
     exactly, so the sample degree matrix is reused as the normalizer.
-    Entries pushed above 1 by hub pairs are clamped to 1 and tracked as a
-    sparse correction: apply subtracts it as a sparse matrix, built on the
-    first apply, and mu_k treats the nodes it touches (the hubs) as extra
-    columns of the factored reduction.
+    Entries pushed above 1 by hub pairs are clamped to 1; their excesses
+    are held once, as the symmetric sparse matrix excess (None without
+    clamps) built with the fit.  apply subtracts it, mu_k treats the nodes
+    of its stored entries (the hubs) as extra columns of the factored
+    reduction, and clamped_entries counts its pairs i <= j.
     """
 
     def __init__(self, g, part, counts, tau):
@@ -144,23 +150,12 @@ class _EstimatedDSBMLaplacian:
         self.tau = float(tau)
         self.inv_sqrt_deg = 1.0 / np.sqrt(d + tau)
         self.shape = (g.n, g.n)
-        ci, cj, excess = _clamped_pairs(labels, theta, counts, k)
-        self.clamped_entries = int(ci.size)
-        self._clamp_triplets = (ci, cj, excess)
+        self.excess = _clamped_pairs(labels, theta, counts, k)
 
-    @cached_property
-    def _excess(self):
-        """The clamped excesses as a symmetric CSR matrix (None without
-        clamps).  Only apply reads it; mu_k and the Frobenius numerator
-        read _clamp_triplets."""
-        ci, cj, excess = self._clamp_triplets
-        if not ci.size:
-            return None
-        offdiag = ci != cj
-        rows = np.concatenate([ci, cj[offdiag]])
-        cols = np.concatenate([cj, ci[offdiag]])
-        vals = np.concatenate([excess, excess[offdiag]])
-        return sparse.coo_array((vals, (rows, cols)), shape=self.shape).tocsr()
+    @property
+    def clamped_entries(self):
+        """Number of clamped pairs i <= j, the diagonal included."""
+        return 0 if self.excess is None else sparse.triu(self.excess).nnz
 
     def fitted_probability(self, i, j):
         """Clamped fitted edge probability for node arrays i, j."""
@@ -173,8 +168,8 @@ class _EstimatedDSBMLaplacian:
         v = (self.counts @ u)[self.labels]
         v *= self.theta
         v += (self.tau / self.n) * y.sum()
-        if self._excess is not None:
-            v -= self._excess @ y
+        if self.excess is not None:
+            v -= self.excess @ y
         v *= self.inv_sqrt_deg
         return v
 
@@ -190,8 +185,10 @@ class _EstimatedDSBMLaplacian:
         exceeds DENSE_FALLBACK does the Krylov solver (top_eigenpairs,
         tol=1e-9, from seed) run instead.
         """
-        ci, cj, excess = self._clamp_triplets
-        hubs, pos = np.unique(np.concatenate([ci, cj]), return_inverse=True)
+        excess = self.excess
+        # the hubs are the rows with stored entries; excess is symmetric,
+        # so they are also its column indices
+        hubs = np.empty(0, dtype=np.intp) if excess is None else np.unique(excess.indices)
         k, h = self.k, hubs.size
         r = k + 1 + h
         if r > DENSE_FALLBACK:
@@ -216,9 +213,9 @@ class _EstimatedDSBMLaplacian:
             s[k, cols] = hub_a2
             s[cols, k] = hub_a2
             s[cols, cols] = hub_a2
-            pi, pj = k + 1 + pos[: ci.size], k + 1 + pos[ci.size :]
-            m[pi, pj] = -excess
-            m[pj, pi] = -excess
+            # -E_HH: the CSR stores its entries row by row, hub after hub
+            pi = np.repeat(cols, excess.indptr[hubs + 1] - excess.indptr[hubs])
+            m[pi, k + 1 + np.searchsorted(hubs, excess.indices)] = -excess.data
         # the block columns a theta are tiny next to the all-a column, so
         # S's square root loses digits unless S has unit diagonal: use
         # D S D and D^{-1} G D^{-1} with D = diag(S)^{-1/2}, leaving a
@@ -272,12 +269,11 @@ def _frobenius_dsbm(sample_op, est):
     w2 = a * a
     mass = np.bincount(z, weights=w2 * est.theta**2, minlength=est.k)
     total = float(mass @ (est.counts * est.counts) @ mass)
-    ci, cj, excess = est._clamp_triplets
-    if ci.size:
-        p_raw = excess + 1.0
-        contrib = w2[ci] * w2[cj] * (1.0 - p_raw**2)
-        off = ci != cj
-        total += float(contrib.sum() + contrib[off].sum())
+    if est.excess is not None:
+        # each off-diagonal clamped pair is stored in both orders
+        entries = est.excess.tocoo()
+        p_raw = entries.data + 1.0
+        total += float((w2[entries.row] * w2[entries.col] * (1.0 - p_raw**2)).sum())
     e0, e1 = g.edges.T
     aa = w2[e0] * w2[e1]
     p_e = est.fitted_probability(e0, e1)
@@ -478,6 +474,8 @@ def tau_scan(
             raise SpeclusterError(f"unknown criterion {crit!r}")
     if "oracle" in criteria and truth is None:
         raise SpeclusterError("oracle criterion needs a reference partition")
+    if truth is not None and truth.n != g.n:
+        raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
 
     records = []

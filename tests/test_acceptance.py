@@ -117,7 +117,7 @@ def test_criterion_04_concentration_monte_carlo():
     model = sp.BlockModel.from_sizes([250, 250], [[0.08, 0.02], [0.02, 0.08]])
     tau = 64 * np.log(model.n)
     d_min, d_max = sp.population_degree_extremes(model)
-    eps = sp.concentration_bound(model.n, d_min, d_max, tau, warn=False)
+    eps = sp.concentration_bound(model.n, d_min, d_max, tau)
     pop = PopulationLaplacian(model, tau)
     hits = 0
     for trial in range(50):

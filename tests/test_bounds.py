@@ -19,11 +19,11 @@ def diagonal_q_model(rng, k=None, n_lo=400, n_hi=1500):
 
 def test_concentration_bound_hand_values():
     # first branch: 10 sqrt(log 100) / sqrt(10 + 90) = sqrt(log 100)
-    got = sp.concentration_bound(100, 10, 50, 90, warn=False)
+    got = sp.concentration_bound(100, 10, 50, 90)
     assert got == pytest.approx(np.sqrt(np.log(100)), rel=1e-12)
     assert got == pytest.approx(2.1460, abs=5e-4)
     # second branch at tau = 101 > 2 d_max = 100
-    got2 = sp.concentration_bound(100, 10, 50, 101, warn=False)
+    got2 = sp.concentration_bound(100, 10, 50, 101)
     expected2 = 10 * np.sqrt(50 * np.log(100)) / (50 + 101 / 2)
     assert got2 == pytest.approx(expected2, rel=1e-12)
     assert got2 == pytest.approx(1.5099, abs=5e-4)
@@ -33,24 +33,17 @@ def test_concentration_bound_branch_jump():
     # the two branches do not meet at tau = 2 d_max; verify the documented jump
     n, d_min, d_max = 100, 10, 50
     tau = 2 * d_max
-    first = sp.concentration_bound(n, d_min, d_max, tau, warn=False)
+    first = sp.concentration_bound(n, d_min, d_max, tau)
     second = 10 * np.sqrt(d_max * np.log(n)) / (d_max + tau / 2)
     assert first == pytest.approx(10 * np.sqrt(np.log(100)) / np.sqrt(110), rel=1e-12)
     assert abs(first - second) > 0.1 * first
-
-
-def test_concentration_bound_warns_outside_regime():
-    with pytest.warns(UserWarning, match="32 log n"):
-        sp.concentration_bound(1000, 2, 10, 0)
-    assert concentration_precondition(1000, 2, 300)
-    assert not concentration_precondition(1000, 2, 200)
 
 
 def test_davis_kahan_ratio_single_block():
     model = sp.BlockModel.from_sizes([50], [[0.5]])
     tau = 200.0
     d = 50 * 0.5
-    eps = sp.concentration_bound(50, d, d, tau, warn=False)
+    eps = sp.concentration_bound(50, d, d, tau)
     assert sp.theory_report(model, tau).delta_tau == pytest.approx(eps, rel=1e-12)
 
 

@@ -86,6 +86,27 @@ def test_theory_subcommand(tmp_path, capsys):
     assert float(values["delta_limit"]) > 0
 
 
+def test_theory_subcommand_writes_to_out_what_it_prints(tmp_path, capsys):
+    cfg = write_model_config(tmp_path)
+    assert main(["theory", str(cfg), "--tau", "40"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.txt"
+    assert main(["theory", str(cfg), "--tau", "40", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "delta_tau = " in printed
+    assert out.read_text() == printed
+
+
+def test_theory_subcommand_rejects_a_degree_corrected_model(tmp_path, capsys):
+    (tmp_path / "theta.txt").write_text("1.0\n" * 40)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("n = 40\nk = 2\nsizes = 20,20\nb = 0.9,0.05,0.05,0.9\ntheta_file = theta.txt\n")
+    out = tmp_path / "report.txt"
+    assert main(["theory", str(cfg), "--tau", "40", "--out", str(out)]) == 2
+    assert "error: theory subcommand supports plain block models only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
 def test_theory_subcommand_rejects_negative_or_non_finite_tau(tmp_path, capsys, tau):
     out = tmp_path / "report.txt"

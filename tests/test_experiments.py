@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import specluster as sp
+from specluster import experiments
 from specluster.blockmodel import edge_probabilities
 
 
@@ -162,3 +163,23 @@ def test_run_experiment_strong_signal_recovers(tmp_path):
     cfg = small_config(tmp_path, n=120, target_degree=40.0, out_in_ratio=8.0)
     result = sp.run_experiment(cfg)
     assert result.mean_nmi("oracle") >= 0.95
+
+
+def test_run_experiment_records_a_failed_replicate_and_keeps_the_others(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, replicates=3, seed=4)
+    real = experiments.tau_scan
+
+    def failing_at_seed_5(g, *args, seed, **kwargs):
+        if seed == 5:
+            raise sp.DegenerateModelError("fitted spectral gap vanished")
+        return real(g, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "tau_scan", failing_at_seed_5)
+    result = sp.run_experiment(cfg)
+    assert result.failures == [(1, "fitted spectral gap vanished")]
+    assert [rep for rep, _ in result.rows] == [0, 0, 0, 2, 2, 2]
+    assert {rep for rep, _, _, _ in result.chosen} == {0, 2}
+    lines = (tmp_path / "exp.csv").read_text().splitlines()
+    assert lines[-1] == "# failed replicate=1 error=fitted spectral gap vanished"
+    data = [line for line in lines[4:] if not line.startswith("#")]
+    assert [line.split(",")[0] for line in data] == ["0", "0", "0", "2", "2", "2"]

@@ -123,7 +123,7 @@ def test_estimated_dsbm_operator_matches_dense_without_clamps(rng):
     _, counts = estimate_block_matrix(g, part)
     for tau in (0.5, 12.0):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
-        assert est.clamped_entries == 0
+        assert est.excess is None
         dense = dense_estimated_dsbm(g, part.labels, counts, tau)
         x = rng.standard_normal(g.n)
         assert np.linalg.norm(est.apply(x) - dense @ x) < 1e-12
@@ -146,7 +146,7 @@ def test_dsbm_clamping_matches_dense(rng):
     _, counts = estimate_block_matrix(g, part)
     for tau in (0.5, 4.0):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
-        assert est.clamped_entries > 0
+        assert est.excess is not None
         dense = dense_estimated_dsbm(g, part.labels, counts, tau)
         x = rng.standard_normal(g.n)
         assert np.linalg.norm(est.apply(x) - dense @ x) < 1e-12
@@ -182,7 +182,7 @@ def test_dsbm_fit_apply_peaks_no_higher_than_the_plain_fit(rng):
     assert dsbm <= plain + 4096, (dsbm, plain)
 
 
-def test_dsbm_clamped_fit_builds_its_sparse_excess_on_first_apply(monkeypatch, rng):
+def test_dsbm_clamped_fit_builds_its_sparse_excess_once_at_construction(monkeypatch, rng):
     built = []
     real_coo = selection.sparse.coo_array
 
@@ -195,13 +195,28 @@ def test_dsbm_clamped_fit_builds_its_sparse_excess_on_first_apply(monkeypatch, r
     part = sp.Partition((np.arange(40) >= 30).astype(int), 2)
     _, counts = estimate_block_matrix(g, part)
     est = _EstimatedDSBMLaplacian(g, part, counts, 0.5)
-    assert est.clamped_entries > 0
+    excess = est.excess
+    assert excess is not None and len(built) == 1
     est.mu_k()
-    assert not built
     x = rng.standard_normal(g.n)
     for _ in range(2):
         assert np.linalg.norm(est.apply(x) - est.to_dense() @ x) < 1e-12
-    assert len(built) == 1
+    assert est.excess is excess and len(built) == 1
+
+
+def test_dsbm_excess_holds_every_clamped_entry_of_the_dense_fit():
+    # hub_graph clamps diagonal and off-diagonal pairs; the star clamps
+    # pairs on a single hub next to a zero-theta cluster
+    fits = [(hub_graph(), sp.Partition((np.arange(40) >= 30).astype(int), 2)), star_with_isolated_cluster()]
+    for g, part in fits:
+        _, counts = estimate_block_matrix(g, part)
+        est = _EstimatedDSBMLaplacian(g, part, counts, 2.0)
+        raw = est.theta[:, None] * counts[part.labels][:, part.labels] * est.theta[None, :]
+        dense = est.excess.toarray()
+        assert np.array_equal(dense != 0, raw > 1)
+        assert np.array_equal(dense, dense.T)
+        assert np.allclose(dense[raw > 1], raw[raw > 1] - 1.0, rtol=1e-14, atol=0)
+        assert est.clamped_entries == np.count_nonzero(np.triu(raw > 1)) > 0
 
 
 def dcsbm_model(n, k=3, alpha=2.5, degree=15.0):
@@ -230,7 +245,7 @@ def test_dsbm_mu_k_keeps_full_precision(seed):
     omega = np.random.default_rng(seed).standard_normal((g.n, 8))
     for tau in (1.0, 3.67, 13.5, 49.5):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
-        assert est.clamped_entries == 0
+        assert est.excess is None
         # independent oracle: the fit has rank <= K+1 = 4, so an 8-column
         # range projection of the dense matrix captures it; the residual
         # check proves that it did
@@ -261,8 +276,12 @@ def dense_mu_k(est):
 
 
 def hub_nodes(est):
-    ci, cj, _ = est._clamp_triplets
-    return np.unique(np.concatenate([ci, cj]))
+    return np.flatnonzero(np.diff(est.excess.indptr))
+
+
+def diagonal_clamps(est):
+    entries = est.excess.tocoo()
+    return np.count_nonzero(entries.row == entries.col)
 
 
 def unclamped_reduction(est):
@@ -327,22 +346,20 @@ def test_dsbm_mu_k_reduction_matches_dense_with_clamped_hubs(n, alpha, degree, s
     model = dcsbm_model(n, alpha=alpha, degree=degree)
     g = sp.sample(model, seed)
     for est in check_reduction(g, sp.Partition(model.base.membership, 3), [2, 0, 1]):
-        ci, cj, _ = est._clamp_triplets
-        assert hub_nodes(est).size >= 10 and np.any(ci == cj)
+        assert hub_nodes(est).size >= 10 and diagonal_clamps(est)
 
 
 def test_dsbm_mu_k_reduction_with_diagonal_clamps():
     part = sp.Partition((np.arange(40) >= 30).astype(int), 2)
     for est in check_reduction(hub_graph(), part, [1, 0]):
-        ci, cj, _ = est._clamp_triplets
-        assert np.any(ci == cj)
+        assert diagonal_clamps(est)
 
 
 def test_dsbm_mu_k_reduction_with_a_single_hub_cluster_and_a_zero_theta_cluster():
     g, part = star_with_isolated_cluster()
     for est in check_reduction(g, part, [1, 2, 0]):
-        ci, _, _ = est._clamp_triplets
-        assert ci.size and np.all(ci == 0) and np.all(est.theta[30:] == 0)
+        entries = est.excess.tocoo()
+        assert entries.nnz and np.all((entries.row == 0) | (entries.col == 0)) and np.all(est.theta[30:] == 0)
 
 
 def test_dsbm_mu_k_without_clamps_is_the_unclamped_reduction():
@@ -356,7 +373,7 @@ def test_dsbm_mu_k_without_clamps_is_the_unclamped_reduction():
         _, counts = estimate_block_matrix(g, part)
         for tau in (0.5, 3.67, 49.5, float(g.n)):
             est = _EstimatedDSBMLaplacian(g, part, counts, tau)
-            assert est.clamped_entries == 0
+            assert est.excess is None
             assert est.mu_k() == unclamped_reduction(est)
 
 
@@ -422,7 +439,7 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
     bhat, counts = estimate_block_matrix(g, part)
     for tau in (0.5, 60.0):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
-        assert est.clamped_entries > 0
+        assert est.excess is not None
         exact_mu = np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][1]
         assert est.mu_k() == pytest.approx(exact_mu, rel=1e-8)
         sample_op = RegularizedLaplacian(g, tau)
@@ -543,6 +560,22 @@ def test_scan_rejects_unknown_kinds_before_clustering(monkeypatch, criteria, kin
     monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
     with pytest.raises(sp.SpeclusterError, match=message):
         sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], criteria=criteria, **kinds)
+
+
+@pytest.mark.parametrize("criteria", [("gn",), ("dkest", "gn", "oracle")])
+def test_scan_rejects_a_truth_of_another_node_count_before_clustering(monkeypatch, criteria):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("clustered before the reference partition was checked")
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", spy)
+    g = two_cliques(4)
+    truth = sp.Partition(np.repeat([0, 1], [4, 5]), 2)
+    with pytest.raises(sp.SpeclusterError, match="reference partition covers 9 nodes; the graph has 8"):
+        sp.tau_scan(g, 2, [0.5, 1.0, 8.0], criteria=criteria, truth=truth)
+    assert not calls
 
 
 def test_scan_reproducible(rng):
