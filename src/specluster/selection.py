@@ -38,7 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
-from .clustering import regularized_spectral_clustering
+from .clustering import Partition, regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
 from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
@@ -338,14 +338,14 @@ class TauRecord:
 
     dkest is the full-precision statistic, bitwise a lone dkest_statistic
     call, wherever the point could still be the argmin when the scan's
-    DKest walk (outward from the pivot, see tau_scan) reached it.
+    DKest walk, in _walk_order's order, reached it.
     Elsewhere, with a spectral numerator, it may be a certified lower
     bound from a Lanczos run stopped early: above the scan's minimum
     DKest, and not within a stated tolerance of the statistic.  Which of
     the two it is depends on the points the walk reached earlier only
     through the running minimum.  It is inf when the fitted gap vanished.
-    seconds covers the point's clustering, scores and DKest, which run at
-    different times.
+    seconds covers the point's clustering, scores and DKest, which run in
+    the scan's two phases.
     """
 
     tau: float
@@ -406,12 +406,19 @@ def default_tau_grid(g, points=20):
     return grid
 
 
-def _pivot_index(grid, mean_degree):
-    """Index of the ascending grid point nearest mean_degree on a log
-    scale: the first of ties, or 0 when no log distance is finite."""
+def _walk_order(grid, mean_degree):
+    """Indices of an ascending grid in the order tau_scan walks DKest.
+
+    The walk starts at the pivot, the grid point nearest mean_degree on a
+    log scale (the regularizer Qin & Rohe 2013 recommend; ties go to the
+    lower tau, and the first point is the pivot when no log distance is
+    finite).  The points below the pivot follow in descending order, then
+    the points above it in ascending order.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = np.abs(np.log(grid) - np.log(mean_degree))
-    return int(np.argmin(np.where(np.isfinite(dist), dist, np.inf)))
+    pivot = int(np.argmin(np.where(np.isfinite(dist), dist, np.inf)))
+    return [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, grid.size)]
 
 
 def tau_scan(
@@ -427,27 +434,25 @@ def tau_scan(
 ):
     """Run the clustering pipeline at every tau and evaluate the selectors.
 
-    Grid points are clustered one after another in ascending order, and
-    one clustering seed is shared across them so per-tau differences
-    reflect tau alone.  The embedding eigensolve carries a
-    spectral.StartVector along that ascending pass: each solve starts from
-    its seeded random vector plus the direction the previous grid point
-    found.  Eigenvectors agree with lone calls to the solver's tolerance,
-    so k-means gives the same canonical labels unless a node lies within
-    that distance of a cluster boundary.
+    The scan runs in two phases.  The first clusters and scores every grid
+    point in ascending order, and one clustering seed is shared across
+    them so per-tau differences reflect tau alone.  The embedding
+    eigensolve carries a spectral.StartVector along that pass: each solve
+    starts from its seeded random vector plus the direction the previous
+    grid point found.  Eigenvectors agree with lone calls to the solver's
+    tolerance, so k-means gives the same canonical labels unless a node
+    lies within that distance of a cluster boundary.  Each point's labels
+    are kept for the second phase, in one byte per node when K <= 256.
 
-    DKest is evaluated in another order, outward from the pivot: the grid
-    point nearest the graph's mean degree on a log scale (the regularizer
-    Qin & Rohe 2013 recommend; ties go to the lower tau, and the first
-    point is the pivot when no log distance is finite).  The pivot comes
-    first, then the points below it in descending order, then the points
-    above it in ascending order; the partitions below the pivot wait on a
-    stack until it is reached.  Every norm call starts cold from its
-    seeded draw, so a record depends on the grid points evaluated before
-    it only through the running minimum below, and every full-precision
-    record is bitwise a lone dkest_statistic call.
+    The second phase, when "dkest" is among the criteria, evaluates DKest
+    at every grid point in _walk_order's order: the pivot, the point
+    nearest the graph's mean degree on a log scale, then outward from it.
+    Every norm call starts cold from its seeded draw, so a record depends
+    on the points evaluated before it only through the running minimum
+    below, and every full-precision record is bitwise a lone
+    dkest_statistic call.
 
-    Each DKest call after the pivot's gets the smallest DKest recorded so
+    Each DKest call after the first gets the smallest DKest recorded so
     far as above, so a spectral numerator is solved only as precisely as
     the choice needs: one norm call, one Lanczos run, per grid point.  A
     Ritz value never exceeds the norm, so the run's largest |Ritz value|
@@ -469,6 +474,9 @@ def tau_scan(
     grid = np.sort(np.asarray(grid, dtype=np.float64))
     if grid.size == 0:
         raise SpeclusterError("tau grid is empty")
+    bad = grid[~((grid >= 0) & (grid < np.inf))]
+    if bad.size:
+        raise SpeclusterError(f"tau must be non-negative and finite, got {bad[0]}")
     for crit in criteria:
         if crit not in CRITERIA:
             raise SpeclusterError(f"unknown criterion {crit!r}")
@@ -478,12 +486,9 @@ def tau_scan(
         raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
 
-    records = []
-    pivot = _pivot_index(grid, g.mean_degree)
-    waiting = []  # (record, partition) pairs whose DKest is not yet recorded
+    records, labels = [], []
     eig_start = StartVector()
-    best = np.inf  # smallest DKest so far
-    for i, tau in enumerate(grid):
+    for tau in grid:
         start = time.perf_counter()
         rec = TauRecord(tau=float(tau))
         part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
@@ -494,15 +499,17 @@ def tau_scan(
             rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
         rec.seconds = time.perf_counter() - start
         records.append(rec)
-        if "dkest" in criteria:
-            waiting.append((rec, part))
-        while i >= pivot and waiting:
-            rec, part = waiting.pop()
+        labels.append(part.labels.astype(np.min_scalar_type(k - 1)))
+
+    if "dkest" in criteria:
+        best = np.inf  # smallest DKest so far
+        for i in _walk_order(grid, g.mean_degree):
+            rec = records[i]
             start = time.perf_counter()
             try:
                 rec.dkest = dkest_statistic(
                     g,
-                    part,
+                    Partition(labels[i], k),
                     rec.tau,
                     model_kind=model_kind,
                     norm_kind=norm_kind,

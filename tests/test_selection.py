@@ -1,4 +1,5 @@
 
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -562,6 +563,20 @@ def test_scan_rejects_unknown_kinds_before_clustering(monkeypatch, criteria, kin
         sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], criteria=criteria, **kinds)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_scan_rejects_a_bad_tau_before_clustering(monkeypatch, tau):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("clustered before the grid was checked")
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", spy)
+    with pytest.raises(sp.SpeclusterError, match=f"tau must be non-negative and finite, got {tau}"):
+        sp.tau_scan(two_cliques(4), 2, [1.0, 5.0, 50.0, tau])
+    assert not calls
+
+
 @pytest.mark.parametrize("criteria", [("gn",), ("dkest", "gn", "oracle")])
 def test_scan_rejects_a_truth_of_another_node_count_before_clustering(monkeypatch, criteria):
     calls = []
@@ -601,6 +616,61 @@ def test_scan_reproducible(rng):
     assert scan.record_at(scan.chosen["oracle"]).nmi == max(r.nmi for r in scan.records)
 
 
+def pinned_scan_records(model_kind, norm_kind):
+    """repr of a small scan's records and choices, without the wall-clock
+    seconds."""
+    if model_kind == "sbm":
+        model, k = sp.BlockModel.from_sizes([300, 300], [[0.04, 0.01], [0.01, 0.02]]), 2
+        truth = sp.Partition(model.membership, k)
+    else:
+        m, c = 150, 0.01
+        b = np.full((3, 3), c) + np.diag(np.full(3, 4.0 * c))
+        quantiles = (1.0 - (np.arange(m) + 0.5) / m) ** (-1.0 / 2.5)
+        theta = np.minimum(np.tile(quantiles / quantiles.mean(), 3), np.sqrt(1.0 / b.max()))
+        base, k = sp.BlockModel.from_sizes([m] * 3, b), 3
+        model = sp.DegreeCorrectedModel(base=base, theta=theta)
+        truth = sp.Partition(base.membership, k)
+    g = sp.sample(model, 4)
+    grid = sp.default_tau_grid(g, points=7)
+    scan = sp.tau_scan(
+        g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
+        model_kind=model_kind, norm_kind=norm_kind, seed=2,
+    )
+    fields = ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction")
+    rows = [tuple(float(getattr(rec, f)) for f in fields) for rec in scan.records]
+    return repr((rows, sorted(scan.chosen.items())))
+
+
+def pinned_experiment_csv(tmp_path):
+    """A two-replicate experiment's CSV, without its version line."""
+    path = tmp_path / "pinned.csv"
+    cfg = sp.ExperimentConfig(
+        n=600, k=2, inside_weights=(1.0, 0.5), out_in_ratio=4.0, target_degree=12.0,
+        tau_grid=np.geomspace(1.0, 600.0, 8), replicates=2, seed=3,
+    )
+    sp.run_experiment(cfg, out_path=path)
+    return "".join(path.read_text().splitlines(keepends=True)[1:])
+
+
+_PINNED_SCAN_OUTPUTS = {
+    "experiment-csv": "55a31eeea1118038908e31926f40714966a197f11eeeee5a843c2723bb3964ac",
+    "sbm-spectral": "ae5018cc69a4a229276a2e8933c7bdce92c94922a423be725a1e4dcdb34ff678",
+    "dsbm-frobenius": "813288fdf59597125919f5589576c0e1660bb8362abecbe6ba48bd72c6e42335",
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_SCAN_OUTPUTS))
+def test_scan_outputs_are_pinned(tmp_path, case):
+    # a scan's exact outputs, so that a change meant to keep them can be
+    # checked against earlier commits: a change that moves any of these
+    # bytes must re-baseline the digests and say so
+    if case == "experiment-csv":
+        text = pinned_experiment_csv(tmp_path)
+    else:
+        text = pinned_scan_records(*case.split("-"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SCAN_OUTPUTS[case]
+
+
 def warm_chain_graphs():
     """A two-block SBM graph and a three-block degree-corrected one, both
     above DENSE_FALLBACK so every eigensolve runs Lanczos."""
@@ -625,10 +695,38 @@ def dkest_order(grid, mean_degree):
 
 
 def test_pivot_is_the_nearest_grid_point_on_a_log_scale():
-    assert selection._pivot_index(np.array([0.0, 1.0, 4.0]), 2.0) == 1  # a tie: the lower tau
-    assert selection._pivot_index(np.array([0.0, 1.0, 3.0]), 2.0) == 2
-    assert selection._pivot_index(np.array([0.0, 5.0]), 0.0) == 0  # no finite distance
-    assert selection._pivot_index(np.array([0.0]), 3.0) == 0
+    # _walk_order: the pivot, the points below it descending, then those above
+    walk = selection._walk_order
+    assert walk(np.array([0.0, 1.0, 4.0, 9.0]), 2.0) == [1, 0, 2, 3]  # a tie: the lower tau
+    assert walk(np.array([0.0, 1.0, 3.0, 9.0]), 2.0) == [2, 1, 0, 3]
+    assert walk(np.array([0.0, 5.0]), 0.0) == [0, 1]  # no finite distance: the first point
+    assert walk(np.array([0.0]), 3.0) == [0]
+
+
+def test_scan_clusters_the_whole_grid_before_its_dkest_walk(monkeypatch):
+    g = sp.load_edge_list(_DATA / "karate_edges.txt")
+    grid = sp.default_tau_grid(g)
+    events = []
+    real_rsc, real_dkest = selection.regularized_spectral_clustering, selection.dkest_statistic
+
+    def clustering(*args, **kwargs):
+        events.append(("cluster", args[2]))
+        return real_rsc(*args, **kwargs)
+
+    def dkest(*args, **kwargs):
+        events.append(("dkest", args[2]))
+        return real_dkest(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", clustering)
+    monkeypatch.setattr(selection, "dkest_statistic", dkest)
+    scan = sp.tau_scan(g, 2, grid, criteria=("dkest", "gn"), seed=0)
+    order = selection._walk_order(scan.grid, g.mean_degree)
+    assert order == dkest_order(scan.grid, g.mean_degree)
+    assert 0 < order[0] < grid.size - 1  # the pivot is inside the grid
+    kinds, taus = zip(*events)
+    assert kinds == ("cluster",) * grid.size + ("dkest",) * grid.size
+    assert list(taus[: grid.size]) == list(scan.grid)
+    assert list(taus[grid.size :]) == [scan.grid[i] for i in order]
 
 
 _KARATE_GRIDS = {
@@ -762,7 +860,8 @@ def test_dkest_is_its_lone_call_whatever_the_walk_visited_before(monkeypatch, ca
     monkeypatch.setattr(selection, "spectral_norm_diff", spy)
     lone, minima, full = None, set(), set()
     for pivot in pivots:
-        monkeypatch.setattr(selection, "_pivot_index", lambda grid, mean_degree: pivot)
+        walk = [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, grid.size)]
+        monkeypatch.setattr(selection, "_walk_order", lambda grid, mean_degree: walk)
         parts.clear()
         calls.clear()
         scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
