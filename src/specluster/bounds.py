@@ -18,7 +18,7 @@ from .blockmodel import (
     sample,
 )
 from .errors import DegenerateModelError, SpeclusterError
-from .spectral import RegularizedLaplacian, spectral_norm_diff
+from .spectral import RegularizedLaplacian, check_taus, spectral_norm_diff
 from .util import fmt
 
 PRECONDITION_FACTOR = 32.0
@@ -148,10 +148,9 @@ class BoundReport:
 def theory_report(model, tau):
     """Assemble every closed-form quantity for one (model, tau) pair.
 
-    tau must be non-negative and finite, as RegularizedLaplacian requires.
+    tau must pass spectral.check_taus.
     """
-    if not 0 <= tau < np.inf:
-        raise SpeclusterError(f"tau must be non-negative and finite, got {tau}")
+    check_taus(tau)
     d_min, d_max = population_degree_extremes(model)
     ok = concentration_precondition(model.n, d_min, tau)
     eps = concentration_bound(model.n, d_min, d_max, tau)

@@ -22,7 +22,7 @@ from .clustering import Partition, load_partition, regularized_spectral_clusteri
 from .errors import SpeclusterError
 from .experiments import parse_experiment_config, parse_tau_grid_spec, run_experiment
 from .graph import load_edge_list, save_edge_list
-from .selection import default_tau_grid, tau_scan
+from .selection import MODEL_KINDS, NORM_KINDS, default_tau_grid, tau_scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,8 +55,8 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tau-grid", help="min:max:points (geometric); default grid otherwise")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", choices=("sbm", "dsbm"), default="sbm")
-    p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
+    p.add_argument("--model", choices=MODEL_KINDS, default="sbm")
+    p.add_argument("--norm", choices=NORM_KINDS, default="spectral")
     p.add_argument("--truth", help="reference partition file (enables oracle and NMI columns)")
     p.add_argument("--out", required=True, help="scan CSV output path")
 

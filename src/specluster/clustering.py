@@ -31,13 +31,6 @@ class Partition:
     def n(self):
         return self.labels.size
 
-    @classmethod
-    def from_labels(cls, labels, k=None):
-        labels = np.asarray(labels, dtype=np.int64)
-        if k is None:
-            k = int(labels.max()) + 1
-        return cls(labels=labels, k=k)
-
 
 def load_partition(path, n=None):
     """Partition file: one integer label per line, line i = cluster of node i.
@@ -64,7 +57,7 @@ def load_partition(path, n=None):
     labels = np.array(labels, dtype=np.int64)
     if n is not None and labels.size != n:
         raise SpeclusterError(f"partition has {labels.size} labels, expected {n}")
-    return Partition.from_labels(labels)
+    return Partition(labels, int(labels.max()) + 1)
 
 
 def save_partition(part, path):

@@ -6,7 +6,7 @@ out-in ratio beta) and 1 off the diagonal.  The scalar fac is solved in
 closed form so the population mean degree equals the target lambda.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,8 @@ import numpy as np
 from .blockmodel import BlockModel, _equal_sizes, _parse_kv_file, sample
 from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
-from .selection import tau_scan
+from .selection import TauRecord, _check_kinds, tau_scan
+from .spectral import check_taus
 from .util import fmt, write_artifact_csv
 
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
     output_path: str = "experiment.csv"
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=np.float64))
+        object.__setattr__(self, "tau_grid", check_taus(self.tau_grid))
         object.__setattr__(self, "inside_weights", tuple(float(w) for w in self.inside_weights))
         if self.k < 1:
             raise ConfigError(f"k={self.k}: need at least one block")
@@ -65,10 +66,7 @@ class ExperimentConfig:
             raise ConfigError("target mean degree must be positive")
         if self.replicates < 1:
             raise ConfigError("need at least one replicate")
-        if self.model_kind not in ("sbm", "dsbm"):
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
-        if self.norm_kind not in ("spectral", "frobenius"):
-            raise ConfigError(f"unknown norm kind {self.norm_kind!r}")
+        _check_kinds(self.model_kind, self.norm_kind)
 
     def digest_items(self):
         return {
@@ -112,7 +110,7 @@ def parse_experiment_config(path):
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except (ConfigError, ValueError) as exc:
+    except (SpeclusterError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -195,15 +193,13 @@ def run_experiment(cfg, out_path=None, workers=None):
         for crit in ("dkest", "gn", "oracle")
     ]
     comments += [f"failed replicate={rep} error={msg}" for rep, msg in result.failures]
+    columns = [f.name for f in fields(TauRecord) if f.name != "seconds"]  # rows carry no wall-clock values
     write_artifact_csv(
         Path(out_path or cfg.output_path),
         cfg.digest_items(),
         cfg.seed,
-        ("replicate", "tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction"),
-        [
-            (rep, r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction)
-            for rep, r in result.rows
-        ],
+        ["replicate", *columns],
+        [(rep, *(getattr(r, name) for name in columns)) for rep, r in result.rows],
         comments,
     )
     return result

@@ -55,10 +55,6 @@ class Graph:
     def mean_degree(self):
         return 2.0 * self.num_edges / self.n
 
-    def neighbors(self, i):
-        lo, hi = self.adjacency.indptr[i], self.adjacency.indptr[i + 1]
-        return self.adjacency.indices[lo:hi]
-
 
 def build_graph(n, edges):
     """Build a Graph from an array of node pairs, in either orientation.

@@ -26,6 +26,8 @@ class ErrorReport:
 
 
 def _contingency(est, truth):
+    if est.n != truth.n:
+        raise SpeclusterError("partitions cover different node counts")
     mask = truth.labels >= 0
     if not np.any(mask):
         raise SpeclusterError("reference partition labels no nodes")
@@ -104,8 +106,6 @@ def clustering_error(est, truth):
     matching, so the optimal matching and its integer agreement are those
     of agree itself.
     """
-    if est.n != truth.n:
-        raise SpeclusterError("partitions cover different node counts")
     o, mask = _contingency(est, truth)
     truth_sizes = np.bincount(truth.labels[mask], minlength=truth.k)
     if np.any(truth_sizes == 0):
@@ -139,8 +139,6 @@ def nmi(est, truth):
     near 0 for independent labelings.  Reference labels of -1 restrict the
     comparison to the labeled nodes.
     """
-    if est.n != truth.n:
-        raise SpeclusterError("partitions cover different node counts")
     o, _ = _contingency(est, truth)
     total = o.sum()
     p = o / total

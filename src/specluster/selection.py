@@ -32,19 +32,21 @@ checked Krylov eigensolver.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy import sparse
 
 from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import Partition, regularized_spectral_clustering
-from .errors import DegenerateModelError, EmptyClusterError, SingularLaplacianError, SpeclusterError
+from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
-from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, spectral_norm_diff, top_eigenpairs
+from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, check_taus, spectral_norm_diff, top_eigenpairs
 from .util import fmt, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
+MODEL_KINDS = ("sbm", "dsbm")
+NORM_KINDS = ("spectral", "frobenius")
 
 
 def estimate_block_matrix(g, part):
@@ -137,8 +139,6 @@ class _EstimatedDSBMLaplacian:
         labels = part.labels
         k = part.k
         d = g.degrees.astype(np.float64)
-        if np.any(d + tau <= 0):
-            raise SingularLaplacianError("degree plus tau is zero; pass tau > 0")
         row_counts = counts.sum(axis=1)
         per_node_rows = row_counts[labels]
         theta = np.divide(d, per_node_rows, out=np.zeros_like(d), where=per_node_rows > 0)
@@ -282,9 +282,9 @@ def _frobenius_dsbm(sample_op, est):
 
 
 def _check_kinds(model_kind, norm_kind):
-    if model_kind not in ("sbm", "dsbm"):
+    if model_kind not in MODEL_KINDS:
         raise SpeclusterError(f"unknown model kind {model_kind!r}")
-    if norm_kind not in ("spectral", "frobenius"):
+    if norm_kind not in NORM_KINDS:
         raise SpeclusterError(f"unknown norm kind {norm_kind!r}")
 
 
@@ -387,11 +387,8 @@ class TauScan:
             path,
             config,
             self.seed,
-            ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction", "seconds"),
-            [
-                (r.tau, r.dkest, r.gn_modularity, r.nmi, r.misclassified_fraction, r.seconds)
-                for r in self.records
-            ],
+            [f.name for f in fields(TauRecord)],
+            [astuple(r) for r in self.records],
             [f"chosen {chosen}"],
         )
 
@@ -471,12 +468,7 @@ def tau_scan(
     ignored; it stays only until the benchmark stops passing it (ROADMAP
     item 1).
     """
-    grid = np.sort(np.asarray(grid, dtype=np.float64))
-    if grid.size == 0:
-        raise SpeclusterError("tau grid is empty")
-    bad = grid[~((grid >= 0) & (grid < np.inf))]
-    if bad.size:
-        raise SpeclusterError(f"tau must be non-negative and finite, got {bad[0]}")
+    grid = check_taus(np.sort(grid))
     for crit in criteria:
         if crit not in CRITERIA:
             raise SpeclusterError(f"unknown criterion {crit!r}")

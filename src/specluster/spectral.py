@@ -32,6 +32,22 @@ LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and th
 LANCZOS_EVERY_STEP_CHECKS = 20  # a norm run reads its Ritz values at every step up to this one
 
 
+def check_taus(taus):
+    """One tau or a grid of them as a float64 array, kept in the order given.
+
+    The one check of the rule every entry point shares: at least one value,
+    and every tau non-negative and finite.  The first bad value in the
+    order given is named.
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    if taus.size == 0:
+        raise SpeclusterError("tau grid is empty")
+    bad = taus[~((taus >= 0) & (taus < np.inf))]
+    if bad.size:
+        raise SpeclusterError(f"tau must be non-negative and finite, got {bad[0]}")
+    return taus
+
+
 class RegularizedLaplacian:
     """Symmetric operator D_tau^{-1/2} (A + tau J) D_tau^{-1/2}.
 
@@ -41,8 +57,7 @@ class RegularizedLaplacian:
     """
 
     def __init__(self, graph, tau):
-        if not 0 <= tau < np.inf:
-            raise SpeclusterError(f"tau must be non-negative and finite, got {tau}")
+        check_taus(tau)
         if tau == 0 and graph.degrees.min() == 0:
             raise SingularLaplacianError(
                 "graph has isolated nodes; the unregularized Laplacian is "

@@ -90,6 +90,30 @@ def test_config_validation():
                             target_degree=3.0, tau_grid=[1.0], replicates=0)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([], "tau grid is empty"),
+        ([1.0, np.nan], "tau must be non-negative and finite, got nan"),
+        ([np.inf], "tau must be non-negative and finite, got inf"),
+        ([-1.0, 2.0], "tau must be non-negative and finite, got -1.0"),
+    ],
+    ids=["empty", "nan", "inf", "negative"],
+)
+def test_experiment_config_rejects_a_bad_grid(tmp_path, grid, message):
+    # the config refuses the grid itself, before run_experiment samples a graph
+    with pytest.raises(sp.SpeclusterError, match=message):
+        small_config(tmp_path, tau_grid=grid)
+
+
+def test_experiment_config_keeps_the_grid_order():
+    cfg = sp.ExperimentConfig(
+        n=10, k=1, inside_weights=(1.0,), out_in_ratio=1.0, target_degree=3.0, tau_grid=[5, 1]
+    )
+    assert cfg.tau_grid.dtype == np.float64
+    assert cfg.tau_grid.tolist() == [5.0, 1.0]
+
+
 def test_parse_tau_grid_spec():
     grid = sp.parse_tau_grid_spec("1:100:3")
     assert np.allclose(grid, [1.0, 10.0, 100.0])
@@ -131,7 +155,12 @@ def test_bad_config_value_names_the_file(tmp_path, line):
 
 @pytest.mark.parametrize(
     "line, message",
-    [("tau_grid = 1:x:4", "tau grid spec '1:x:4'"), ("replicates = 0", "need at least one replicate")],
+    [
+        ("tau_grid = 1:x:4", "tau grid spec '1:x:4'"),
+        ("replicates = 0", "need at least one replicate"),
+        ("model = foo", "unknown model kind 'foo'"),
+        ("norm = bar", "unknown norm kind 'bar'"),
+    ],
 )
 def test_invalid_config_value_names_the_file(tmp_path, line, message):
     path = tmp_path / "exp.cfg"

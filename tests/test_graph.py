@@ -106,7 +106,8 @@ def test_line_permutation_idempotent(tmp_path):
 
 def test_neighbor_lists_sorted():
     g = build_graph(5, [(4, 0), (2, 0), (0, 3), (1, 0)])
-    assert g.neighbors(0).tolist() == [1, 2, 3, 4]
+    adj = g.adjacency
+    assert adj.indices[adj.indptr[0] : adj.indptr[1]].tolist() == [1, 2, 3, 4]
     assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
     assert g.degrees.sum() == 2 * g.num_edges
 

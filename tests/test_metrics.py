@@ -65,6 +65,14 @@ def random_partition_pair(rng, n, k_est, k_truth):
     return sp.Partition(est, k_est), sp.Partition(truth, k_truth)
 
 
+@pytest.mark.parametrize("score", [sp.clustering_error, sp.nmi], ids=["error", "nmi"])
+def test_scores_reject_partitions_of_different_sizes(score):
+    est = sp.Partition(np.array([0, 0, 1, 1]), 2)
+    truth = sp.Partition(np.array([0, 0, 1, 1, 1]), 2)
+    with pytest.raises(sp.SpeclusterError, match="partitions cover different node counts"):
+        score(est, truth)
+
+
 def test_error_zero_for_identical_and_relabeled():
     truth = sp.Partition(np.array([0, 0, 1, 1, 2, 2]), 3)
     assert sp.clustering_error(truth, truth).error == 0.0

@@ -272,6 +272,14 @@ def test_dsbm_mu_k_with_a_cluster_of_isolated_nodes():
         assert est.mu_k() == pytest.approx(vals[2], abs=1e-12)
 
 
+def test_dsbm_dkest_at_tau_zero_with_an_isolated_node_is_singular():
+    # the sample Laplacian refuses a zero regularized degree before the fit is built
+    g = build_graph(9, two_cliques(4).edges)
+    part = sp.Partition(np.repeat([0, 1], [4, 5]), 2)
+    with pytest.raises(sp.SingularLaplacianError, match="isolated nodes"):
+        dkest_statistic(g, part, 0.0, model_kind="dsbm")
+
+
 def dense_mu_k(est):
     return np.sort(np.linalg.eigvalsh(est.to_dense()))[::-1][est.k - 1]
 
