@@ -60,7 +60,13 @@ def _build_parser():
     p.add_argument("--truth", help="reference partition file (enables oracle and NMI columns)")
     p.add_argument("--out", required=True, help="scan CSV output path")
 
-    p = sub.add_parser("experiment", help="run a replicated simulation")
+    p = sub.add_parser(
+        "experiment",
+        help="run a replicated simulation",
+        description="Run a replicated simulation.  Replicates run in up to one process per CPU; "
+        "the CSV is byte-identical to a one-process run, and peak memory grows with the "
+        "process count, since each process holds one replicate's graph and scan.",
+    )
     p.add_argument("config", help="experiment config file")
     p.add_argument("--out", help="override output path")
 

@@ -6,7 +6,12 @@ out-in ratio beta) and 1 off the diagonal.  The scalar fac is solved in
 closed form so the population mean degree equals the target lambda.
 """
 
+import multiprocessing
+import numbers
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +80,7 @@ class ExperimentConfig:
             "w": ",".join(fmt(w) for w in self.inside_weights),
             "beta": self.out_in_ratio,
             "lambda": self.target_degree,
-            "tau_grid": ",".join(fmt(t) for t in self.tau_grid),
+            "tau_grid": ",".join(fmt(t) for t in np.sort(self.tau_grid)),  # tau_scan sorts it too
             "replicates": self.replicates,
             "seed": self.seed,
             "model": self.model_kind,
@@ -151,38 +156,77 @@ class ExperimentResult:
         return float(np.mean(vals)) if vals else float("nan")
 
 
+def _process_count(workers, replicates):
+    """Worker processes for run_experiment; 1 means run in this process."""
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
+    ):
+        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(int(workers), replicates)
+
+
+def _replicate(cfg, model, truth, rep):
+    """Sample and scan one replicate: (rows, chosen, failures) as run_experiment
+    records them.  A SpeclusterError becomes a failure here, so a worker
+    process returns only plain values."""
+    rep_seed = cfg.seed + rep
+    try:
+        g = sample(model, rep_seed)
+        scan = tau_scan(
+            g,
+            cfg.k,
+            cfg.tau_grid,
+            criteria=("dkest", "gn", "oracle"),
+            truth=truth,
+            model_kind=cfg.model_kind,
+            norm_kind=cfg.norm_kind,
+            seed=rep_seed,
+        )
+    except SpeclusterError as exc:
+        return [], [], [(rep, str(exc))]
+    rows = [(rep, rec) for rec in scan.records]
+    chosen = [(rep, crit, tau, scan.record_at(tau).nmi) for crit, tau in sorted(scan.chosen.items())]
+    return rows, chosen, []
+
+
 def run_experiment(cfg, out_path=None, workers=None):
     """Sample, scan, and select per replicate; write one deterministic CSV.
 
     Replicate seeds are seed + replicate index.  Per-replicate failures are
     recorded and skipped.  Output rows carry no wall-clock values, so
-    identical inputs produce byte-identical artifacts.  workers is accepted
-    and ignored, like tau_scan's; ROADMAP item 1 removes both.
+    identical inputs produce byte-identical artifacts.
+
+    Replicates share no work, so they run in forked worker processes:
+    workers of them at once, or with workers=None one per CPU this process
+    may use, never more than the replicate count.  Outcomes are collected
+    in replicate order, so the result and the CSV are byte-identical to a
+    workers=1 run.  Peak memory grows with the worker count, since each
+    worker holds one replicate's graph and scan.  One worker, one
+    replicate, or a platform without the fork start method runs in this
+    process; a caller that runs threads of its own passes workers=1, since
+    forking a threaded process can deadlock.  The pool is shut down before
+    return, also on an exception.
     """
+    processes = _process_count(workers, cfg.replicates)
     model = build_experiment_model(cfg)
     truth = Partition(model.membership, cfg.k)
+    run_one = partial(_replicate, cfg, model, truth)
+    if processes == 1:
+        outcomes = list(map(run_one, range(cfg.replicates)))
+    else:
+        # an exception out of map cancels the pending replicates, and
+        # leaving the block joins every worker
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(run_one, range(cfg.replicates)))
     result = ExperimentResult(config=cfg)
-    for rep in range(cfg.replicates):
-        rep_seed = cfg.seed + rep
-        try:
-            g = sample(model, rep_seed)
-            scan = tau_scan(
-                g,
-                cfg.k,
-                cfg.tau_grid,
-                criteria=("dkest", "gn", "oracle"),
-                truth=truth,
-                model_kind=cfg.model_kind,
-                norm_kind=cfg.norm_kind,
-                seed=rep_seed,
-            )
-        except SpeclusterError as exc:
-            result.failures.append((rep, str(exc)))
-            continue
-        for rec in scan.records:
-            result.rows.append((rep, rec))
-        for crit, tau in sorted(scan.chosen.items()):
-            result.chosen.append((rep, crit, tau, scan.record_at(tau).nmi))
+    for rows, chosen, failures in outcomes:
+        result.rows += rows
+        result.chosen += chosen
+        result.failures += failures
 
     comments = [
         f"chosen replicate={rep} criterion={crit} tau={fmt(tau)} nmi={fmt(score)}"

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -212,3 +216,83 @@ def test_run_experiment_records_a_failed_replicate_and_keeps_the_others(tmp_path
     assert lines[-1] == "# failed replicate=1 error=fitted spectral gap vanished"
     data = [line for line in lines[4:] if not line.startswith("#")]
     assert [line.split(",")[0] for line in data] == ["0", "0", "0", "2", "2", "2"]
+
+
+def test_config_hash_ignores_the_grid_order(tmp_path):
+    # tau_scan sorts the grid, so the hash does too: the same CSV bytes
+    ascending = small_config(tmp_path, tau_grid=[1.0, 8.0, 80.0])
+    descending = small_config(tmp_path, tau_grid=[80.0, 8.0, 1.0])
+    assert ascending.digest_items() == descending.digest_items()
+    sp.run_experiment(ascending, out_path=tmp_path / "up.csv")
+    sp.run_experiment(descending, out_path=tmp_path / "down.csv")
+    assert (tmp_path / "up.csv").read_bytes() == (tmp_path / "down.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
+def test_run_experiment_refuses_a_bad_worker_count_before_sampling(tmp_path, monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was sampled")
+
+    monkeypatch.setattr(experiments, "sample", refuse)
+    with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
+        sp.run_experiment(small_config(tmp_path, replicates=2), workers=workers)
+
+
+def test_run_experiment_writes_the_same_bytes_at_every_worker_count(tmp_path):
+    cfg = small_config(tmp_path, replicates=3, seed=3)
+    csvs = {}
+    for workers in (1, 2, None):
+        path = tmp_path / f"workers-{workers}.csv"
+        sp.run_experiment(cfg, out_path=path, workers=workers)
+        csvs[workers] = path.read_bytes()
+    assert csvs[2] == csvs[1]
+    assert csvs[None] == csvs[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_run_records_the_same_failure_and_rows(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, replicates=3, seed=4)
+    real = experiments.tau_scan
+
+    def failing_at_seed_5(g, *args, seed, **kwargs):
+        if seed == 5:
+            raise sp.DegenerateModelError("fitted spectral gap vanished")
+        return real(g, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "tau_scan", failing_at_seed_5)
+    serial = sp.run_experiment(cfg, out_path=tmp_path / "serial.csv", workers=1)
+    parallel = sp.run_experiment(cfg, out_path=tmp_path / "parallel.csv", workers=2)
+    assert parallel.failures == serial.failures == [(1, "fitted spectral gap vanished")]
+    assert [rep for rep, _ in parallel.rows] == [0, 0, 0, 2, 2, 2]
+    assert parallel.chosen == serial.chosen
+    # the CSV holds every row value but the wall-clock seconds
+    assert (tmp_path / "parallel.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_parallel_run_raises_a_foreign_error_and_leaves_no_process(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, replicates=3, seed=4)
+    real = experiments.tau_scan
+
+    def broken_at_seed_5(g, *args, seed, **kwargs):
+        if seed == 5:
+            raise RuntimeError(f"not a specluster error, pid {os.getpid()}")
+        return real(g, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "tau_scan", broken_at_seed_5)
+    with pytest.raises(RuntimeError, match="not a specluster error") as info:
+        sp.run_experiment(cfg, workers=2)
+    assert str(info.value) != f"not a specluster error, pid {os.getpid()}"  # raised in a worker
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_runs_in_the_calling_thread_and_process(tmp_path, monkeypatch):
+    def refuse_thread(self):
+        raise AssertionError("run_experiment started a thread")
+
+    def refuse_process(self):
+        raise AssertionError("run_experiment started a process")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_process)
+    result = sp.run_experiment(small_config(tmp_path, replicates=2), workers=1)
+    assert not result.failures and len(result.rows) == 6

@@ -18,6 +18,7 @@ RULE_MESSAGES = (
     "unknown model kind",
     "unknown norm kind",
     "partitions cover different node counts",
+    "workers must be None or an integer of at least 1",
 )
 
 

@@ -1021,7 +1021,7 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         assert all(scan.records[i].dkest >= 0.88 * lone[i] for i in certified)
 
 
-def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
+def test_scan_runs_on_the_calling_thread(monkeypatch):
     # grid points run on the calling thread, whatever SPECLUSTER_THREADS or workers= say
     import threading
 
@@ -1036,12 +1036,6 @@ def test_scan_runs_on_the_calling_thread(monkeypatch, tmp_path):
     for workers in (None, 2):
         scan = sp.tau_scan(g, 2, [1.0, 10.0, 100.0], truth=truth, seed=3, workers=workers)
         assert len(scan.records) == 3
-    cfg = sp.ExperimentConfig(
-        n=60, k=2, inside_weights=(1.0, 1.0), out_in_ratio=6.0, target_degree=15.0,
-        tau_grid=[1.0, 10.0, 100.0], replicates=1, seed=2,
-    )
-    result = sp.run_experiment(cfg, out_path=tmp_path / "exp.csv", workers=2)
-    assert not result.failures and len(result.rows) == 3
 
 
 def test_scan_csv_format(tmp_path):
