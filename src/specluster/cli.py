@@ -22,7 +22,7 @@ from .clustering import Partition, load_partition, regularized_spectral_clusteri
 from .errors import SpeclusterError
 from .experiments import parse_experiment_config, parse_tau_grid_spec, run_experiment
 from .graph import load_edge_list, save_edge_list
-from .selection import MODEL_KINDS, NORM_KINDS, default_tau_grid, tau_scan
+from .selection import FORK_MIN_NODES, MODEL_KINDS, NORM_KINDS, default_tau_grid, tau_scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +50,14 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="partition output path")
 
-    p = sub.add_parser("scan", help="scan the tau selectors over a grid")
+    p = sub.add_parser(
+        "scan",
+        help="scan the tau selectors over a grid",
+        description="Scan the tau selectors over a grid.  On a graph of at least "
+        f"{FORK_MIN_NODES} nodes the grid's clustering runs in up to one process per CPU "
+        "(two at most); the CSV is byte-identical to a one-process run, and peak memory is "
+        "per process, since each process clusters half the grid on the shared graph.",
+    )
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tau-grid", help="min:max:points (geometric); default grid otherwise")

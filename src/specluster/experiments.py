@@ -6,10 +6,6 @@ out-in ratio beta) and 1 off the diagonal.  The scalar fac is solved in
 closed form so the population mean degree equals the target lambda.
 """
 
-import multiprocessing
-import numbers
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -21,7 +17,7 @@ from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
 from .selection import TauRecord, _check_kinds, tau_scan
 from .spectral import check_taus
-from .util import fmt, write_artifact_csv
+from .util import fmt, fork_map, write_artifact_csv
 
 
 def parse_tau_grid_spec(spec):
@@ -156,23 +152,11 @@ class ExperimentResult:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def _process_count(workers, replicates):
-    """Worker processes for run_experiment; 1 means run in this process."""
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
-    ):
-        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(int(workers), replicates)
-
-
 def _replicate(cfg, model, truth, rep):
     """Sample and scan one replicate: (rows, chosen, failures) as run_experiment
     records them.  A SpeclusterError becomes a failure here, so a worker
-    process returns only plain values."""
+    process returns only plain values.  The scan runs in this process, so
+    processes never nest."""
     rep_seed = cfg.seed + rep
     try:
         g = sample(model, rep_seed)
@@ -185,6 +169,7 @@ def _replicate(cfg, model, truth, rep):
             model_kind=cfg.model_kind,
             norm_kind=cfg.norm_kind,
             seed=rep_seed,
+            workers=1,
         )
     except SpeclusterError as exc:
         return [], [], [(rep, str(exc))]
@@ -200,28 +185,21 @@ def run_experiment(cfg, out_path=None, workers=None):
     recorded and skipped.  Output rows carry no wall-clock values, so
     identical inputs produce byte-identical artifacts.
 
-    Replicates share no work, so they run in forked worker processes:
-    workers of them at once, or with workers=None one per CPU this process
-    may use, never more than the replicate count.  Outcomes are collected
-    in replicate order, so the result and the CSV are byte-identical to a
-    workers=1 run.  Peak memory grows with the worker count, since each
-    worker holds one replicate's graph and scan.  One worker, one
+    Replicates share no work, so they run in forked worker processes
+    (util.fork_map): workers of them at once, or with workers=None one per
+    CPU this process may use, never more than the replicate count.
+    Outcomes are collected in replicate order, so the result and the CSV
+    are byte-identical to a workers=1 run.  Peak memory grows with the
+    worker count, since each worker holds one replicate's graph and scan;
+    each replicate's tau_scan runs with one process.  One worker, one
     replicate, or a platform without the fork start method runs in this
     process; a caller that runs threads of its own passes workers=1, since
-    forking a threaded process can deadlock.  The pool is shut down before
-    return, also on an exception.
+    forking a threaded process can deadlock.  Every worker is joined
+    before return, also on an exception.
     """
-    processes = _process_count(workers, cfg.replicates)
     model = build_experiment_model(cfg)
     truth = Partition(model.membership, cfg.k)
-    run_one = partial(_replicate, cfg, model, truth)
-    if processes == 1:
-        outcomes = list(map(run_one, range(cfg.replicates)))
-    else:
-        # an exception out of map cancels the pending replicates, and
-        # leaving the block joins every worker
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(run_one, range(cfg.replicates)))
+    outcomes = fork_map(partial(_replicate, cfg, model, truth), range(cfg.replicates), workers)
     result = ExperimentResult(config=cfg)
     for rows, chosen, failures in outcomes:
         result.rows += rows

@@ -33,6 +33,7 @@ checked Krylov eigensolver.
 
 import time
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -42,9 +43,10 @@ from .clustering import Partition, regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
 from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, check_taus, spectral_norm_diff, top_eigenpairs
-from .util import fmt, write_artifact_csv
+from .util import fmt, fork_map, process_count, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
+FORK_MIN_NODES = 5000  # smallest graph whose scan forks: an 8-point scan at n = 3000 ran slower forked on 2 cores
 MODEL_KINDS = ("sbm", "dsbm")
 NORM_KINDS = ("spectral", "frobenius")
 
@@ -418,6 +420,26 @@ def _walk_order(grid, mean_degree):
     return [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, grid.size)]
 
 
+def _cluster_points(g, k, criteria, truth, seed, taus):
+    """Phase 1 of tau_scan over ascending grid points: (record, labels)
+    per point, the eigensolves on one StartVector chain from a cold
+    start."""
+    points = []
+    eig_start = StartVector()
+    for tau in taus:
+        start = time.perf_counter()
+        rec = TauRecord(tau=float(tau))
+        part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
+        if "gn" in criteria:
+            rec.gn_modularity = modularity(g, part)
+        if truth is not None:
+            rec.nmi = nmi(part, truth)
+            rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
+        rec.seconds = time.perf_counter() - start
+        points.append((rec, part.labels.astype(np.min_scalar_type(k - 1))))
+    return points
+
+
 def tau_scan(
     g,
     k,
@@ -432,14 +454,27 @@ def tau_scan(
     """Run the clustering pipeline at every tau and evaluate the selectors.
 
     The scan runs in two phases.  The first clusters and scores every grid
-    point in ascending order, and one clustering seed is shared across
-    them so per-tau differences reflect tau alone.  The embedding
-    eigensolve carries a spectral.StartVector along that pass: each solve
-    starts from its seeded random vector plus the direction the previous
-    grid point found.  Eigenvectors agree with lone calls to the solver's
-    tolerance, so k-means gives the same canonical labels unless a node
-    lies within that distance of a cluster boundary.  Each point's labels
-    are kept for the second phase, in one byte per node when K <= 256.
+    point, and one clustering seed is shared across them so per-tau
+    differences reflect tau alone.  It splits the ascending grid into two
+    contiguous halves, the first taking the middle point of an odd grid;
+    the split depends on the grid's length alone.  Within a half, in
+    ascending order, the embedding eigensolve carries a
+    spectral.StartVector from a cold start: each solve starts from its
+    seeded random vector plus the direction the previous point found.
+    Eigenvectors agree with lone calls to the solver's tolerance, so
+    k-means gives the same canonical labels unless a node lies within that
+    distance of a cluster boundary.  Each point's labels are kept for the
+    second phase, in one byte per node when K <= 256.
+
+    When the graph has at least FORK_MIN_NODES nodes and workers is not 1,
+    the two halves run in forked processes (util.fork_map): workers of
+    them, or with workers=None one per CPU this process may use, never
+    more than two.  The halves and their chains are the same at every
+    worker count, so every record, chosen value and CSV byte is too.  Peak
+    memory is per process: each child holds its half's eigensolver and
+    k-means work on the shared graph.  A caller that runs threads of its
+    own passes workers=1, since forking a threaded process can deadlock.
+    No process outlives the call.
 
     The second phase, when "dkest" is among the criteria, evaluates DKest
     at every grid point in _walk_order's order: the pivot, the point
@@ -464,9 +499,7 @@ def tau_scan(
     tau = 1 to a minimum near the mean degree, so starting there leaves
     few points to solve in full.  When DKest is infinite at every grid
     point, "dkest" is left out of the chosen values.  A record's seconds
-    cover its clustering, scores and DKest.  workers is accepted and
-    ignored; it stays only until the benchmark stops passing it (ROADMAP
-    item 1).
+    cover its clustering, scores and DKest.
     """
     grid = check_taus(np.sort(grid))
     for crit in criteria:
@@ -477,21 +510,14 @@ def tau_scan(
     if truth is not None and truth.n != g.n:
         raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
+    halves = [half for half in np.array_split(grid, 2) if half.size]
+    processes = process_count(workers, len(halves))  # refuses a bad count before any clustering
 
-    records, labels = [], []
-    eig_start = StartVector()
-    for tau in grid:
-        start = time.perf_counter()
-        rec = TauRecord(tau=float(tau))
-        part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
-        if "gn" in criteria:
-            rec.gn_modularity = modularity(g, part)
-        if truth is not None:
-            rec.nmi = nmi(part, truth)
-            rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
-        rec.seconds = time.perf_counter() - start
-        records.append(rec)
-        labels.append(part.labels.astype(np.min_scalar_type(k - 1)))
+    cluster = partial(_cluster_points, g, k, criteria, truth, seed)
+    scored = fork_map(cluster, halves, processes if g.n >= FORK_MIN_NODES else 1)
+    points = [point for half in scored for point in half]
+    records = [rec for rec, _ in points]
+    labels = [lab for _, lab in points]
 
     if "dkest" in criteria:
         best = np.inf  # smallest DKest so far

@@ -296,3 +296,17 @@ def test_one_worker_runs_in_the_calling_thread_and_process(tmp_path, monkeypatch
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_process)
     result = sp.run_experiment(small_config(tmp_path, replicates=2), workers=1)
     assert not result.failures and len(result.rows) == 6
+
+
+def test_each_replicate_scans_in_one_process(tmp_path, monkeypatch):
+    # processes never nest: a replicate's tau_scan, forked or not, forks nothing
+    real = experiments.tau_scan
+    workers = []
+
+    def spy(*args, **kwargs):
+        workers.append(kwargs.get("workers", "missing"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "tau_scan", spy)
+    sp.run_experiment(small_config(tmp_path, replicates=3), workers=1)
+    assert workers == [1, 1, 1]

@@ -1,5 +1,8 @@
 
 import hashlib
+import multiprocessing
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1021,21 +1024,119 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         assert all(scan.records[i].dkest >= 0.88 * lone[i] for i in certified)
 
 
-def test_scan_runs_on_the_calling_thread(monkeypatch):
-    # grid points run on the calling thread, whatever SPECLUSTER_THREADS or workers= say
-    import threading
-
+@pytest.mark.parametrize("fork_min_nodes", [selection.FORK_MIN_NODES, 0], ids=["in-process", "forked"])
+def test_scan_starts_no_thread(monkeypatch, fork_min_nodes):
+    # no thread, whatever SPECLUSTER_THREADS or workers= say: a thread pool's
+    # malloc arenas raise peak RSS, and forking a threaded process can deadlock
     def refuse(self):
         raise AssertionError("tau_scan started a thread")
 
     monkeypatch.setenv("SPECLUSTER_THREADS", "2")
     monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
     model = sp.BlockModel.from_sizes([30, 30], [[0.4, 0.05], [0.05, 0.4]])
     g = sp.sample(model, 1)
     truth = sp.Partition(model.membership, 2)
     for workers in (None, 2):
         scan = sp.tau_scan(g, 2, [1.0, 10.0, 100.0], truth=truth, seed=3, workers=workers)
         assert len(scan.records) == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
+def test_scan_refuses_a_bad_worker_count_before_clustering(monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("clustered before the worker count was checked")
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
+    with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
+        sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
+
+
+def scan_outputs(scan):
+    """A scan's records, less the wall-clock seconds, and its choices."""
+    fields = ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction")
+    return [tuple(getattr(rec, f) for f in fields) for rec in scan.records], scan.chosen
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["sbm-spectral", "dsbm-frobenius"])
+def test_forked_scan_gives_the_one_process_outputs(monkeypatch, case):
+    g, k, model_kind = warm_chain_graphs()[case]
+    norm_kind = "spectral" if model_kind == "sbm" else "frobenius"
+    truth = sp.Partition(np.arange(g.n) * k // g.n, k)
+    starts = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting(self):
+        starts.append(self)
+        return real_start(self)
+
+    chains = []
+    real_fork_map = selection.fork_map
+
+    def recording(fn, items, workers):
+        chains.append([list(half) for half in items])
+        return real_fork_map(fn, items, workers)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    monkeypatch.setattr(selection, "fork_map", recording)
+    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
+    grid = np.geomspace(1.0, g.n, 7)
+    outputs = {}
+    for workers in (1, 2, None):
+        scan = sp.tau_scan(
+            g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
+            model_kind=model_kind, norm_kind=norm_kind, seed=7, workers=workers,
+        )
+        outputs[workers] = scan_outputs(scan)
+    # the eig chains are the grid's two halves at every worker count
+    assert chains == [[list(grid[:4]), list(grid[4:])]] * 3
+    assert outputs[2] == outputs[1]
+    assert outputs[None] == outputs[1]
+    assert len(starts) >= 2  # workers=2 forked the two halves
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_scan_raises_a_child_error_and_leaves_no_process(monkeypatch):
+    real = selection.regularized_spectral_clustering
+
+    def broken_at_the_top(g, k, tau, **kwargs):
+        if tau == 100.0:
+            raise RuntimeError(f"not a specluster error, pid {os.getpid()}")
+        return real(g, k, tau, **kwargs)
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", broken_at_the_top)
+    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
+    with pytest.raises(RuntimeError, match="not a specluster error") as info:
+        sp.tau_scan(two_cliques(5), 2, [1.0, 3.0, 10.0, 100.0], workers=2)
+    assert str(info.value) != f"not a specluster error, pid {os.getpid()}"  # raised in a child
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_scan_names_the_exit_code_of_a_child_that_died(monkeypatch):
+    real = selection.regularized_spectral_clustering
+
+    def dying_at_the_top(g, k, tau, **kwargs):
+        if tau == 100.0:
+            os._exit(3)
+        return real(g, k, tau, **kwargs)
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", dying_at_the_top)
+    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
+    with pytest.raises(sp.SpeclusterError, match="exited with code 3 before it answered"):
+        sp.tau_scan(two_cliques(5), 2, [1.0, 3.0, 10.0, 100.0], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_below_the_fork_size_starts_no_process(monkeypatch):
+    def refuse(self):
+        raise AssertionError("tau_scan started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    g = two_cliques(5)
+    assert g.n < selection.FORK_MIN_NODES
+    scan = sp.tau_scan(g, 2, [1.0, 3.0, 10.0, 100.0], workers=None)
+    assert len(scan.records) == 4
 
 
 def test_scan_csv_format(tmp_path):
