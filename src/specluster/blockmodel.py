@@ -274,6 +274,13 @@ def edge_probabilities(model):
     return model.block_matrix[z][:, z]
 
 
+def _checked_degrees(d):
+    """d, population degrees plus tau, refused when one of them is zero."""
+    if np.any(d <= 0):
+        raise SingularLaplacianError("a population degree plus tau is zero")
+    return d
+
+
 def population_laplacian(model, tau):
     """Dense population regularized Laplacian.
 
@@ -282,9 +289,7 @@ def population_laplacian(model, tau):
     block matrix.
     """
     p = edge_probabilities(model)
-    d = p.sum(axis=1) + tau
-    if np.any(d <= 0):
-        raise SingularLaplacianError("a population degree plus tau is zero")
+    d = _checked_degrees(p.sum(axis=1) + tau)
     inv = 1.0 / np.sqrt(d)
     lap = inv[:, None] * (p + tau / model.n) * inv[None, :]
     return (lap + lap.T) / 2
@@ -302,9 +307,7 @@ class PopulationLaplacian:
     def __init__(self, model, tau):
         if isinstance(model, DegreeCorrectedModel):
             raise SpeclusterError("matrix-free form only supports plain block models")
-        d = block_degrees(model, tau)
-        if np.any(d <= 0):
-            raise SingularLaplacianError("a population degree plus tau is zero")
+        d = _checked_degrees(block_degrees(model, tau))
         self.model = model
         self.tau = float(tau)
         self.labels = model.membership
@@ -330,9 +333,7 @@ def reduced_spectrum(model, tau):
     W = diag(sqrt(n_k / (d_k + tau))).
     """
     sizes = model.block_sizes
-    d = block_degrees(model, tau)
-    if np.any(d <= 0):
-        raise SingularLaplacianError("a population degree plus tau is zero")
+    d = _checked_degrees(block_degrees(model, tau))
     w = np.sqrt(sizes / d)
     bt = model.block_matrix + tau / model.n
     return np.linalg.eigvalsh(w[:, None] * bt * w[None, :])[::-1]

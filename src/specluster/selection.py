@@ -43,10 +43,12 @@ from .clustering import Partition, regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
 from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, check_taus, spectral_norm_diff, top_eigenpairs
-from .util import fmt, fork_map, process_count, write_artifact_csv
+from .util import fmt, fork_map, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
-FORK_MIN_NODES = 5000  # smallest graph whose scan forks: an 8-point scan at n = 3000 ran slower forked on 2 cores
+# smallest graph whose scan splits its grid into two eig chains and forks
+# them: an 8-point scan at n = 3000 ran slower forked on 2 cores
+FORK_MIN_NODES = 5000
 MODEL_KINDS = ("sbm", "dsbm")
 NORM_KINDS = ("spectral", "frobenius")
 
@@ -455,9 +457,10 @@ def tau_scan(
 
     The scan runs in two phases.  The first clusters and scores every grid
     point, and one clustering seed is shared across them so per-tau
-    differences reflect tau alone.  It splits the ascending grid into two
-    contiguous halves, the first taking the middle point of an odd grid;
-    the split depends on the grid's length alone.  Within a half, in
+    differences reflect tau alone.  The graph's size alone sets the eig
+    chains: below FORK_MIN_NODES nodes the whole ascending grid is one
+    chain; from FORK_MIN_NODES on it is two contiguous halves, the first
+    taking the middle point of an odd grid.  Within a chain, in
     ascending order, the embedding eigensolve carries a
     spectral.StartVector from a cold start: each solve starts from its
     seeded random vector plus the direction the previous point found.
@@ -466,15 +469,15 @@ def tau_scan(
     distance of a cluster boundary.  Each point's labels are kept for the
     second phase, in one byte per node when K <= 256.
 
-    When the graph has at least FORK_MIN_NODES nodes and workers is not 1,
-    the two halves run in forked processes (util.fork_map): workers of
+    The chains run through util.fork_map, which refuses a bad workers
+    before any clustering.  Two halves run in forked processes, workers of
     them, or with workers=None one per CPU this process may use, never
-    more than two.  The halves and their chains are the same at every
-    worker count, so every record, chosen value and CSV byte is too.  Peak
-    memory is per process: each child holds its half's eigensolver and
-    k-means work on the shared graph.  A caller that runs threads of its
-    own passes workers=1, since forking a threaded process can deadlock.
-    No process outlives the call.
+    more than two; one chain runs in this process.  The chains never
+    depend on workers, so every record, chosen value and CSV byte is the
+    same at every worker count.  Peak memory is per process: each child
+    holds its half's eigensolver and k-means work on the shared graph.  A
+    caller that runs threads of its own passes workers=1, since forking a
+    threaded process can deadlock.  No process outlives the call.
 
     The second phase, when "dkest" is among the criteria, evaluates DKest
     at every grid point in _walk_order's order: the pivot, the point
@@ -510,12 +513,11 @@ def tau_scan(
     if truth is not None and truth.n != g.n:
         raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
-    halves = [half for half in np.array_split(grid, 2) if half.size]
-    processes = process_count(workers, len(halves))  # refuses a bad count before any clustering
+    chains = [half for half in np.array_split(grid, 2) if half.size] if g.n >= FORK_MIN_NODES else [grid]
 
     cluster = partial(_cluster_points, g, k, criteria, truth, seed)
-    scored = fork_map(cluster, halves, processes if g.n >= FORK_MIN_NODES else 1)
-    points = [point for half in scored for point in half]
+    scored = fork_map(cluster, chains, workers)  # checks workers before any clustering
+    points = [point for chain in scored for point in chain]
     records = [rec for rec, _ in points]
     labels = [lab for _, lab in points]
 

@@ -65,24 +65,6 @@ def write_artifact_csv(path, config, seed, columns, rows, comments):
             fh.write(f"# {line}\n")
 
 
-def process_count(workers, tasks):
-    """Processes fork_map runs for tasks items; 1 means run in this process.
-
-    workers is None, for one process per CPU this process may use, or an
-    integer of at least 1; never more than tasks run.  A platform without
-    the fork start method runs in this process.
-    """
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
-    ):
-        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(int(workers), tasks)
-
-
 def _run_share(fn, share, writer):
     # a forked child's whole life: answer (True, results) or (False, exception)
     try:
@@ -93,23 +75,33 @@ def _run_share(fn, share, writer):
 
 
 def fork_map(fn, items, workers=None):
-    """[fn(item) for item in items], over process_count(workers, len(items))
-    forked child processes.
+    """[fn(item) for item in items], over forked child processes.
 
-    Child j runs items j, j + p, j + 2p, ... of the p children and sends
-    its results back over a one-way pipe; the caller only waits, and the
-    results come back in item order.  With one process the map runs here.
-    An exception in a child is raised here with its type and message; a
-    child that exits without answering raises SpeclusterError with its
-    exit code.  Every child is joined before return, and killed first if
-    the map fails.  No thread is started, so forking copies no lock that
-    another thread of this call holds; a caller that runs threads of its
-    own passes workers=1.  fn and the items reach the children through
-    the fork; only results and exceptions are pickled.
+    workers is None, for one process per CPU this process may use, or an
+    integer of at least 1; it is checked before anything runs, and never
+    more than len(items) processes run.  With one process, or on a
+    platform without the fork start method, the map runs here.
+
+    Child j of p runs items j, j + p, j + 2p, ... and sends its results
+    back over a one-way pipe; the caller only waits, and the results come
+    back in item order.  An exception in a child is raised here with its
+    type and message; a child that exits without answering raises
+    SpeclusterError with its exit code.  Every child is joined before
+    return, and killed first if the map fails.  No thread is started, so
+    forking copies no lock that another thread of this call holds; a
+    caller that runs threads of its own passes workers=1.  fn and the
+    items reach the children through the fork; only results and
+    exceptions are pickled.
     """
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
+    ):
+        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
     items = list(items)
-    processes = process_count(workers, len(items))
-    if processes <= 1:
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(int(workers), len(items))
+    if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     children = []

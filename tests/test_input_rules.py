@@ -19,6 +19,7 @@ RULE_MESSAGES = (
     "unknown norm kind",
     "partitions cover different node counts",
     "workers must be None or an integer of at least 1",
+    "a population degree plus tau is zero",
 )
 
 

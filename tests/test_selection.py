@@ -667,18 +667,22 @@ _PINNED_SCAN_OUTPUTS = {
     "experiment-csv": "55a31eeea1118038908e31926f40714966a197f11eeeee5a843c2723bb3964ac",
     "sbm-spectral": "ae5018cc69a4a229276a2e8933c7bdce92c94922a423be725a1e4dcdb34ff678",
     "dsbm-frobenius": "813288fdf59597125919f5589576c0e1660bb8362abecbe6ba48bd72c6e42335",
+    # the same graph scanned on two eig chains: its records equal the one-chain scan's
+    "sbm-spectral-halves": "ae5018cc69a4a229276a2e8933c7bdce92c94922a423be725a1e4dcdb34ff678",
 }
 
 
 @pytest.mark.parametrize("case", list(_PINNED_SCAN_OUTPUTS))
-def test_scan_outputs_are_pinned(tmp_path, case):
+def test_scan_outputs_are_pinned(monkeypatch, tmp_path, case):
     # a scan's exact outputs, so that a change meant to keep them can be
     # checked against earlier commits: a change that moves any of these
     # bytes must re-baseline the digests and say so
     if case == "experiment-csv":
         text = pinned_experiment_csv(tmp_path)
     else:
-        text = pinned_scan_records(*case.split("-"))
+        if case.endswith("-halves"):  # the two-chain split of a graph of FORK_MIN_NODES or more
+            monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
+        text = pinned_scan_records(*case.split("-")[:2])
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SCAN_OUTPUTS[case]
 
 
@@ -1049,8 +1053,24 @@ def test_scan_refuses_a_bad_worker_count_before_clustering(monkeypatch, workers)
         raise AssertionError("clustered before the worker count was checked")
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
-    with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
-        sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
+    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):  # one eig chain, then the two halves
+        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
+        with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
+            sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
+
+
+def record_chains(monkeypatch):
+    """A list that gets, per tau_scan call, the eig chains (lists of taus)
+    the scan hands selection.fork_map."""
+    chains = []
+    real_fork_map = selection.fork_map
+
+    def recording(fn, items, workers):
+        chains.append([list(chain) for chain in items])
+        return real_fork_map(fn, items, workers)
+
+    monkeypatch.setattr(selection, "fork_map", recording)
+    return chains
 
 
 def scan_outputs(scan):
@@ -1071,15 +1091,8 @@ def test_forked_scan_gives_the_one_process_outputs(monkeypatch, case):
         starts.append(self)
         return real_start(self)
 
-    chains = []
-    real_fork_map = selection.fork_map
-
-    def recording(fn, items, workers):
-        chains.append([list(half) for half in items])
-        return real_fork_map(fn, items, workers)
-
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
-    monkeypatch.setattr(selection, "fork_map", recording)
+    chains = record_chains(monkeypatch)
     monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
     grid = np.geomspace(1.0, g.n, 7)
     outputs = {}
@@ -1133,10 +1146,14 @@ def test_scan_below_the_fork_size_starts_no_process(monkeypatch):
         raise AssertionError("tau_scan started a process")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    chains = record_chains(monkeypatch)
     g = two_cliques(5)
     assert g.n < selection.FORK_MIN_NODES
-    scan = sp.tau_scan(g, 2, [1.0, 3.0, 10.0, 100.0], workers=None)
-    assert len(scan.records) == 4
+    for workers in (1, 2, None):
+        scan = sp.tau_scan(g, 2, [100.0, 1.0, 10.0, 3.0], workers=workers)
+        assert len(scan.records) == 4
+    # one eig chain, the whole ascending grid, at every worker count
+    assert chains == [[[1.0, 3.0, 10.0, 100.0]]] * 3
 
 
 def test_scan_csv_format(tmp_path):
