@@ -4,6 +4,9 @@ Expects two files:
   edges:  one undirected edge per line, "i j" with 0-based node ids
   labels: one integer per line, line i = community of node i (0 or 1)
 
+The labels are read first and set the node count, so a node with no
+edge still counts.
+
 A classic choice is the 2004 US political blogs network restricted to its
 largest connected component (1222 nodes, mean degree about 27), with the
 liberal/conservative tags as labels.  The data is not bundled; pass the
@@ -24,8 +27,8 @@ import specluster as sp
 
 
 def main(edges_path, labels_path):
-    g = sp.load_edge_list(edges_path)
-    truth = sp.load_partition(labels_path, n=g.n)
+    truth = sp.load_partition(labels_path)
+    g = sp.load_edge_list(edges_path, n_hint=truth.n)
     print(f"n={g.n}, edges={g.num_edges}, mean degree {g.mean_degree:.1f}")
 
     if g.degrees.min() > 0:

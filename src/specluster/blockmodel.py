@@ -24,7 +24,7 @@ from .errors import (
     SpeclusterError,
 )
 from .graph import _sorted_distinct, build_graph
-from .util import rng_from
+from .util import data_lines, rng_from
 
 DENSE_CAP = 5000
 
@@ -412,20 +412,23 @@ class StrongWeakParams:
         return self.num_weak_nodes + (self.n - self.num_weak_nodes) * self.b_sw
 
 
+def _strong_weak_model(params, weak_matrix, weak_sizes):
+    """K strong blocks of strong_size, then one weak block per entry of
+    weak_sizes with block probabilities weak_matrix; every strong-weak
+    pair has probability b_sw."""
+    k = params.num_strong
+    size = k + len(weak_sizes)
+    b = np.full((size, size), params.b_sw)
+    b[:k, :k] = params.q
+    b[np.diag_indices(k)] = params.p_strong
+    b[k:, k:] = weak_matrix
+    return BlockModel.from_sizes([params.strong_size] * k + list(weak_sizes), b)
+
+
 def merged_model(params):
     """(K+1)-block model with all weak nodes merged into one block of prob 1."""
-    k = params.num_strong
-    bs = np.full((k, k), params.q)
-    np.fill_diagonal(bs, params.p_strong)
-    if params.num_weak_nodes == 0:
-        return BlockModel.from_sizes([params.strong_size] * k, bs)
-    b = np.zeros((k + 1, k + 1))
-    b[:k, :k] = bs
-    b[:k, k] = params.b_sw
-    b[k, :k] = params.b_sw
-    b[k, k] = 1.0
-    sizes = [params.strong_size] * k + [params.num_weak_nodes]
-    return BlockModel.from_sizes(sizes, b)
+    weak_sizes = [params.num_weak_nodes] if params.num_weak_nodes else []
+    return _strong_weak_model(params, np.ones((len(weak_sizes),) * 2), weak_sizes)
 
 
 def _equal_sizes(n, k):
@@ -439,19 +442,10 @@ def full_model(params):
     if params.weak_matrix is None:
         raise SpeclusterError("full_model needs weak_matrix")
     kw = np.asarray(params.weak_matrix, dtype=np.float64)
-    k = params.num_strong
-    nw_blocks = kw.shape[0]
-    weak_sizes = _equal_sizes(params.num_weak_nodes, nw_blocks)
+    weak_sizes = _equal_sizes(params.num_weak_nodes, kw.shape[0])
     if weak_sizes.min() == 0:
         raise SpeclusterError("too few weak nodes for the weak block count")
-    b = np.zeros((k + nw_blocks, k + nw_blocks))
-    b[:k, :k] = params.q
-    b[:k, :k][np.diag_indices(k)] = params.p_strong
-    b[:k, k:] = params.b_sw
-    b[k:, :k] = params.b_sw
-    b[k:, k:] = kw
-    sizes = [params.strong_size] * k + list(weak_sizes)
-    return BlockModel.from_sizes(sizes, b)
+    return _strong_weak_model(params, kw, weak_sizes)
 
 
 def strong_weak_spectrum(params, tau):
@@ -478,17 +472,20 @@ def strong_weak_spectrum(params, tau):
 
 
 def _parse_kv_file(path):
+    """The file's 'key = value' lines as a dict, keys lower-cased; text
+    after '#' is a comment."""
     items = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            items[key.strip().lower()] = value.strip()
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        items[key.strip().lower()] = value.strip()
     return items
+
+
+def _numbers(items, key, kind):
+    """The comma- or space-separated list under key, each entry read by kind."""
+    return [kind(v) for v in items[key].replace(",", " ").split()]
 
 
 def _sizes_from_weights(n, weights):
@@ -512,22 +509,18 @@ def load_model_config(path):
 
     Keys: n, k, sizes (comma list) or weights (comma list), b (row-major
     K*K comma list), optional theta_file (one positive weight per line,
-    producing a degree-corrected model).
+    producing a degree-corrected model).  Text after '#' is a comment.
     """
     path = Path(path)
     items = _parse_kv_file(path)
-
-    def numbers(key, kind):
-        return [kind(v) for v in items[key].replace(",", " ").split()]
-
     try:
         n = int(items["n"])
         k = int(items["k"])
-        b_entries = numbers("b", float)
+        b_entries = _numbers(items, "b", float)
         if "sizes" in items:
-            sizes = np.asarray(numbers("sizes", int), dtype=np.int64)
+            sizes = np.asarray(_numbers(items, "sizes", int), dtype=np.int64)
         elif "weights" in items:
-            sizes = _sizes_from_weights(n, numbers("weights", float))
+            sizes = _sizes_from_weights(n, _numbers(items, "weights", float))
         else:
             raise ConfigError(f"{path}: need sizes or weights")
     except KeyError as exc:

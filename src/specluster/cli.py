@@ -64,7 +64,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=MODEL_KINDS, default="sbm")
     p.add_argument("--norm", choices=NORM_KINDS, default="spectral")
-    p.add_argument("--truth", help="reference partition file (enables oracle and NMI columns)")
+    p.add_argument("--truth", help="reference partition file (enables oracle and NMI columns, sets n)")
     p.add_argument("--out", required=True, help="scan CSV output path")
 
     p = sub.add_parser(
@@ -105,9 +105,9 @@ def _cmd_rsc(args):
 
 
 def _cmd_scan(args):
-    g = load_edge_list(args.graph)
+    truth = load_partition(args.truth) if args.truth else None
+    g = load_edge_list(args.graph, n_hint=None if truth is None else truth.n)
     grid = parse_tau_grid_spec(args.tau_grid) if args.tau_grid else default_tau_grid(g)
-    truth = load_partition(args.truth, n=g.n) if args.truth else None
     criteria = ("dkest", "gn", "oracle") if truth is not None else ("dkest", "gn")
     scan = tau_scan(
         g,

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SpeclusterError
 from .spectral import RegularizedLaplacian, top_eigenpairs
-from .util import seed_sequence
+from .util import data_lines, seed_sequence
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
@@ -32,31 +32,28 @@ class Partition:
         return self.labels.size
 
 
-def load_partition(path, n=None):
+def load_partition(path):
     """Partition file: one integer label per line, line i = cluster of node i.
 
     Text after '#' is a comment.  A line that is not an integer label, or
     whose label is outside int64, raises a SpeclusterError naming the line;
-    a file with no label raises one naming the file.
+    a file with no label raises one naming the file.  The partition covers
+    as many nodes as the file has labels: a caller with a graph of its own
+    loads the partition first and gives its n to load_edge_list as n_hint,
+    so a graph whose last nodes have no edge keeps them.
     """
     labels = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            field = raw.split("#", 1)[0].strip()
-            if not field:
-                continue
-            try:
-                label = int(field)
-            except ValueError:
-                raise SpeclusterError(f"{path}:{lineno}: not an integer label: {field!r}") from None
-            if not _INT64_MIN <= label <= _INT64_MAX:
-                raise SpeclusterError(f"{path}:{lineno}: label outside int64: {field!r}")
-            labels.append(label)
+    for lineno, field in data_lines(path):
+        try:
+            label = int(field)
+        except ValueError:
+            raise SpeclusterError(f"{path}:{lineno}: not an integer label: {field!r}") from None
+        if not _INT64_MIN <= label <= _INT64_MAX:
+            raise SpeclusterError(f"{path}:{lineno}: label outside int64: {field!r}")
+        labels.append(label)
     if not labels:
         raise SpeclusterError(f"{path}: no labels")
     labels = np.array(labels, dtype=np.int64)
-    if n is not None and labels.size != n:
-        raise SpeclusterError(f"partition has {labels.size} labels, expected {n}")
     return Partition(labels, int(labels.max()) + 1)
 
 
@@ -257,8 +254,9 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
     """Best-of-restarts Lloyd iteration with k-means++ seeding.
 
     Deterministic given seed; ties between restarts resolve to the lowest
-    restart index.  Returns the partition and its objective value.  Points
-    must be finite; k, restarts and max_iter must be at least 1.
+    restart index.  Returns the partition and its objective value.  points
+    is an (n, d) array of finite values; k, restarts and max_iter must be
+    at least 1.
 
     Each Lloyd step finds the nearest centers from |c|^2 - 2 c.x alone,
     with labels in one byte per point up to K = 256 (see _assign), and
@@ -290,8 +288,6 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
         if value < 1:
             raise SpeclusterError(f"k-means needs {name} >= 1, got {value}")
     x = np.asarray(points, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     n = x.shape[0]
     if n < k:
         raise SpeclusterError(f"cannot form {k} clusters from {n} points")

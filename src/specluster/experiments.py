@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockmodel import BlockModel, _equal_sizes, _parse_kv_file, sample
+from .blockmodel import BlockModel, _equal_sizes, _numbers, _parse_kv_file, sample
 from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
 from .selection import TauRecord, _check_kinds, tau_scan
@@ -31,8 +31,6 @@ def parse_tau_grid_spec(spec):
         raise ConfigError(f"tau grid spec {spec!r}: {exc}") from None
     if not (0 < lo <= hi < np.inf) or points < 1:
         raise ConfigError(f"tau grid spec {spec!r} needs 0 < min <= max < inf and points >= 1")
-    if points == 1:
-        return np.array([lo])
     return np.geomspace(lo, hi, points)
 
 
@@ -90,7 +88,7 @@ def parse_experiment_config(path):
     try:
         n = int(items["n"])
         k = int(items["k"])
-        weights = tuple(float(v) for v in items["w"].replace(",", " ").split())
+        weights = tuple(_numbers(items, "w", float))
         beta = float(items["beta"])
         lam = float(items["lambda"])
         grid = parse_tau_grid_spec(items["tau_grid"])

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EdgeListParseError, SpeclusterError
+from .util import data_lines
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Largest n and CSR entry count whose graph gets int32 indptr and indices.
@@ -154,15 +155,19 @@ def load_edge_list(path, n_hint=None):
     """Read an edge-list file.
 
     Duplicate pairs and self loops are dropped with a counted warning.
-    n is max index + 1, or n_hint if that is larger.  A file with no valid
-    edges is an error, as is any malformed line (reported with its number).
+    n is max index + 1, or n_hint if that is larger: a file cannot show
+    nodes past its largest index that have no edge, so a caller that knows
+    the node count (say, from a partition file's labels) passes it.  A
+    file with no valid edges is an error, as is any malformed line
+    (reported with its number).
 
     Text after '#' is a comment, and a line with nothing before its '#'
     is skipped.  ASCII text is parsed in one np.loadtxt call.  Text that
     call cannot take exactly (non-ASCII characters, a field loadtxt
-    rejects, a negative index, no pairs at all) is parsed again
-    line by line, which accepts whatever int() does and reports the first
-    bad line; both parsers give the same graph, warning and error.
+    rejects, a negative index, no pairs at all) is parsed again line by
+    line through util.data_lines, which accepts whatever int() does and
+    reports the first bad line; both parsers give the same graph, warning
+    and error.
     Each pair's two directed keys (see build_graph) are sorted once; a
     pair given t times leaves t - 1 copies of each key, which are the
     t - 1 duplicates dropped, and the distinct keys are the CSR.  The
@@ -220,23 +225,19 @@ def _parse_lines(path):
     """The (m, 2) pairs of the file, parsed line by line; raises
     EdgeListParseError at the first malformed line."""
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(path, lineno, f"non-integer field in {parts!r}") from None
-            if a < 0 or b < 0:
-                raise EdgeListParseError(path, lineno, "negative node index")
-            if a > _INT64_MAX or b > _INT64_MAX:
-                raise EdgeListParseError(path, lineno, "node index too large")
-            pairs.append((a, b))
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(path, lineno, f"expected 2 fields, got {len(parts)}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(path, lineno, f"non-integer field in {parts!r}") from None
+        if a < 0 or b < 0:
+            raise EdgeListParseError(path, lineno, "negative node index")
+        if a > _INT64_MAX or b > _INT64_MAX:
+            raise EdgeListParseError(path, lineno, "node index too large")
+        pairs.append((a, b))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

@@ -1,5 +1,5 @@
-"""Small shared helpers: seeding, provenance-stamped CSV artifacts and a
-map over forked processes."""
+"""Small shared helpers: seeding, the line reader of every input text
+file, provenance-stamped CSV artifacts and a map over forked processes."""
 
 import hashlib
 import multiprocessing
@@ -38,16 +38,23 @@ def config_digest(items):
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def data_lines(path):
+    """(line number, text) for each line of a text file that holds data:
+    text is what comes before the line's first '#', stripped, and lines
+    where that is empty are skipped.  Line numbers count from 1."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
 def fmt(value):
-    """Deterministic CSV formatting for floats and ints."""
+    """Deterministic CSV formatting for floats and ints: repr of the float
+    (nan, inf and -inf included), or the integer's digits."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    return repr(float(value))
 
 
 def write_artifact_csv(path, config, seed, columns, rows, comments):

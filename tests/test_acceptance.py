@@ -391,8 +391,8 @@ _POLBLOGS_LABELS = os.environ.get(
     reason="political blogs data not supplied",
 )
 def test_criterion_11_political_blogs_optional():
-    g = sp.load_edge_list(_POLBLOGS_EDGES)
-    truth = sp.load_partition(_POLBLOGS_LABELS, n=g.n)
+    truth = sp.load_partition(_POLBLOGS_LABELS)
+    g = sp.load_edge_list(_POLBLOGS_EDGES, n_hint=truth.n)
     part0 = sp.regularized_spectral_clustering(g, 2, 0.0, seed=0)
     acc0 = 1.0 - sp.clustering_error(part0, truth).misclassified_fraction
     grid = np.geomspace(0.25, 10.0 * g.n, 25)

@@ -526,6 +526,18 @@ def test_model_config_roundtrip(tmp_path):
     assert model.block_matrix[0, 1] == 0.1
 
 
+def test_model_config_trailing_comments(tmp_path):
+    (tmp_path / "theta.txt").write_text("1\n0.5\n1\n0.5\n1\n0.5\n")
+    lines = ["n = 6", "k = 2", "sizes = 4,2", "b = 0.5,0.1,0.1,0.4", "theta_file = theta.txt"]
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("".join(f"{line}\n" for line in lines))
+    commented.write_text("".join(f"{line}  # note {i}\n" for i, line in enumerate(lines)))
+    a, b = sp.load_model_config(plain), sp.load_model_config(commented)
+    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.base.membership, b.base.membership)
+    assert np.array_equal(a.base.block_matrix, b.base.block_matrix)
+
+
 def test_model_config_weights(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("n = 10\nk = 2\nweights = 3,2\nb = 0.5,0.1,0.1,0.4\n")

@@ -73,6 +73,50 @@ def test_scan_subcommand(tmp_path):
     assert lines[-1].startswith("# chosen dkest=")
 
 
+def write_isolated_last_node_graph(tmp_path):
+    """Two 30-node blocks, each a ring with chords; node 59 has no edge, so
+    the edge list's highest index is 58."""
+    edges = tmp_path / "edges.txt"
+    pairs = [(i, j) for i in range(59) for j in range(i + 1, 59) if (i < 30) == (j < 30) and j - i in (1, 2, 5)]
+    pairs += [(0, 30), (15, 45)]
+    edges.write_text("".join(f"{i} {j}\n" for i, j in pairs))
+    return edges
+
+
+def scan_rows(path):
+    # the data rows without the wall-clock seconds column
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_scan_truth_sets_the_node_count(tmp_path):
+    edges = write_isolated_last_node_graph(tmp_path)
+    labels = tmp_path / "truth.txt"
+    sp.save_partition(sp.Partition([0] * 30 + [1] * 30, 2), labels)
+    out = tmp_path / "scan.csv"
+    assert main([
+        "scan", str(edges), "--k", "2", "--truth", str(labels), "--tau-grid", "1:60:3", "--out", str(out),
+    ]) == 0
+    g = sp.load_edge_list(edges, n_hint=60)
+    assert g.n == 60 and g.degrees[59] == 0
+    expected = tmp_path / "expected.csv"
+    sp.tau_scan(
+        g, 2, sp.parse_tau_grid_spec("1:60:3"), criteria=("dkest", "gn", "oracle"), truth=sp.load_partition(labels)
+    ).to_csv(expected)
+    assert scan_rows(out) == scan_rows(expected)
+
+
+def test_scan_refuses_a_truth_shorter_than_the_graph(tmp_path, capsys):
+    edges = write_isolated_last_node_graph(tmp_path)
+    labels = tmp_path / "truth.txt"
+    sp.save_partition(sp.Partition([0] * 30 + [1] * 28, 2), labels)
+    code = main([
+        "scan", str(edges), "--k", "2", "--truth", str(labels), "--tau-grid", "1:60:3",
+        "--out", str(tmp_path / "scan.csv"),
+    ])
+    assert code == 2
+    assert "reference partition covers 58 nodes; the graph has 59" in capsys.readouterr().err
+
+
 def test_theory_subcommand(tmp_path, capsys):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("n = 3000\nk = 2\nsizes = 1500,1500\nb = 0.01,0.0025,0.0025,0.003\n")

@@ -629,10 +629,8 @@ def test_partition_file_roundtrip(tmp_path):
     part = sp.Partition(np.array([0, 1, 1, 0, -1]), 2)
     path = tmp_path / "labels.txt"
     sp.save_partition(part, path)
-    loaded = sp.load_partition(path, n=5)
+    loaded = sp.load_partition(path)
     assert np.array_equal(loaded.labels, part.labels)
-    with pytest.raises(sp.SpeclusterError):
-        sp.load_partition(path, n=7)
 
 
 def test_partition_file_non_ascii_text(tmp_path):
@@ -642,7 +640,7 @@ def test_partition_file_non_ascii_text(tmp_path):
     with pytest.raises(sp.SpeclusterError, match=r"labels.txt:2: "):
         sp.load_partition(path)
     path.write_text("# r\u00e9seau\n0\n1  # \u00e9tiquette\n\n1\n", encoding="utf-8")
-    assert sp.load_partition(path, n=3).labels.tolist() == [0, 1, 1]
+    assert sp.load_partition(path).labels.tolist() == [0, 1, 1]
     path.write_text("# r\u00e9seau\n0\n99999999999999999999\n", encoding="utf-8")
     with pytest.raises(sp.SpeclusterError, match=r"labels.txt:3: label outside int64"):
         sp.load_partition(path)

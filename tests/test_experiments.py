@@ -147,6 +147,20 @@ def test_parse_experiment_config(tmp_path):
         sp.parse_experiment_config(bad)
 
 
+def test_experiment_config_trailing_comments(tmp_path):
+    lines = [
+        "n = 60", "k = 2", "w = 1,1", "beta = 5", "lambda = 12", "tau_grid = 1:600:4",
+        "replicates = 2", "seed = 7", "model = dsbm", "norm = frobenius", "out = out.csv",
+    ]
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("".join(f"{line}\n" for line in lines))
+    commented.write_text("".join(f"{line} # note {i}\n" for i, line in enumerate(lines)))
+    a, b = sp.parse_experiment_config(plain), sp.parse_experiment_config(commented)
+    assert np.array_equal(a.tau_grid, b.tau_grid)
+    assert a.digest_items() == b.digest_items()
+    assert a.output_path == b.output_path == "out.csv"
+
+
 @pytest.mark.parametrize("line", ["replicates = two", "seed = 1.5", "n = sixty", "beta = x"])
 def test_bad_config_value_names_the_file(tmp_path, line):
     path = tmp_path / "exp.cfg"

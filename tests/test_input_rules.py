@@ -1,16 +1,22 @@
 """Each input rule is checked by one function, and every entry point that
 takes the input gives that function's message."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specluster as sp
-from conftest import two_block_benchmark_model, two_cliques
+from conftest import strong_weak_benchmark_params, two_block_benchmark_model, two_cliques
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from specluster import spectral
+from specluster.blockmodel import PopulationLaplacian, full_model
 from specluster.cli import _build_parser
+from specluster.graph import build_graph
 from specluster.selection import MODEL_KINDS, NORM_KINDS
-from specluster.spectral import RegularizedLaplacian
+from specluster.spectral import RegularizedLaplacian, top_eigenpairs
 
 RULE_MESSAGES = (
     "tau must be non-negative and finite",
@@ -23,12 +29,22 @@ RULE_MESSAGES = (
 )
 
 
+def _owners(text):
+    """{module file name: times text is written in it} over src/specluster."""
+    src = Path(sp.__file__).parent
+    counts = {path.name: path.read_text().count(text) for path in sorted(src.glob("*.py"))}
+    return {name: count for name, count in counts.items() if count}
+
+
 @pytest.mark.parametrize("message", RULE_MESSAGES)
 def test_each_rule_message_is_written_once(message):
-    src = Path(sp.__file__).parent
-    counts = {path.name: path.read_text().count(message) for path in sorted(src.glob("*.py"))}
-    owners = {name: count for name, count in counts.items() if count}
+    owners = _owners(message)
     assert sum(owners.values()) == 1, f"{message!r} is written in {owners}"
+
+
+def test_the_comment_rule_is_written_once():
+    # edge lists, partition files and both config formats read through util.data_lines
+    assert _owners('split("#", 1)') == {"util.py": 1}
 
 
 def test_every_tau_entry_point_gives_the_same_message_for_nan():
@@ -53,3 +69,166 @@ def test_cli_kind_choices_are_the_selection_kinds():
     choices = {action.dest: tuple(action.choices) for action in scan._actions if action.choices}
     assert choices["model"] == MODEL_KINDS
     assert choices["norm"] == NORM_KINDS
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "input.cfg"
+    path.write_text(text)
+    return path
+
+
+def _experiment(**overrides):
+    base = dict(n=10, k=2, inside_weights=(1.0, 1.0), out_in_ratio=2.0, target_degree=3.0, tau_grid=[1.0])
+    return sp.ExperimentConfig(**{**base, **overrides})
+
+
+_ZERO_DEGREE_MODEL = sp.BlockModel.from_sizes([2, 2], [[0.0, 0.0], [0.0, 0.5]])
+
+# (call of tmp_path, error type, message pattern): the input checks no other test reaches
+INPUT_CHECKS = {
+    "block matrix not square": (
+        lambda tmp: sp.BlockModel(np.zeros(2, dtype=int), np.full((2, 3), 0.5)),
+        sp.SpeclusterError,
+        "block matrix must be square",
+    ),
+    "membership out of range": (
+        lambda tmp: sp.BlockModel(np.array([0, 2]), np.eye(2) * 0.5),
+        sp.SpeclusterError,
+        "membership labels out of range",
+    ),
+    "zero degree, dense Laplacian": (
+        lambda tmp: sp.population_laplacian(_ZERO_DEGREE_MODEL, 0.0),
+        sp.SingularLaplacianError,
+        "a population degree plus tau is zero",
+    ),
+    "zero degree, matrix-free Laplacian": (
+        lambda tmp: PopulationLaplacian(_ZERO_DEGREE_MODEL, 0.0),
+        sp.SingularLaplacianError,
+        "a population degree plus tau is zero",
+    ),
+    "zero degree, reduced spectrum": (
+        lambda tmp: sp.reduced_spectrum(_ZERO_DEGREE_MODEL, 0.0),
+        sp.SingularLaplacianError,
+        "a population degree plus tau is zero",
+    ),
+    "matrix-free degree-corrected": (
+        lambda tmp: PopulationLaplacian(
+            sp.DegreeCorrectedModel(two_block_benchmark_model(20), np.ones(20)), 1.0
+        ),
+        sp.SpeclusterError,
+        "matrix-free form only supports plain block models",
+    ),
+    "strong-weak q above p": (
+        lambda tmp: sp.StrongWeakParams(2, 10, p_strong=0.1, q=0.2, b_sw=0.1, num_weak_nodes=5),
+        sp.SpeclusterError,
+        "need 0 <= q <= p_strong <= 1",
+    ),
+    "strong-weak b_sw above 1": (
+        lambda tmp: sp.StrongWeakParams(2, 10, p_strong=0.2, q=0.1, b_sw=1.5, num_weak_nodes=5),
+        sp.SpeclusterError,
+        r"probabilities must lie in \[0, 1\]",
+    ),
+    "full model without weak matrix": (
+        lambda tmp: full_model(sp.StrongWeakParams(2, 10, p_strong=0.2, q=0.1, b_sw=0.1, num_weak_nodes=5)),
+        sp.SpeclusterError,
+        "full_model needs weak_matrix",
+    ),
+    "full model, too few weak nodes": (
+        lambda tmp: full_model(replace(strong_weak_benchmark_params(), num_weak_nodes=2)),
+        sp.SpeclusterError,
+        "too few weak nodes for the weak block count",
+    ),
+    "config line without '='": (
+        lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk 2\n")),
+        sp.ConfigError,
+        "input.cfg:2: expected 'key = value'",
+    ),
+    "model config without sizes": (
+        lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk = 2\nb = 0.5,0.1,0.1,0.4\n")),
+        sp.ConfigError,
+        "input.cfg: need sizes or weights",
+    ),
+    "model config, wrong block count": (
+        lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk = 1\nsizes = 3,3\nb = 0.5\n")),
+        sp.ConfigError,
+        "input.cfg: expected 1 block sizes, got 2",
+    ),
+    "experiment inside weight zero": (
+        lambda tmp: _experiment(inside_weights=(1.0, 0.0)),
+        sp.ConfigError,
+        "inside weights must be positive",
+    ),
+    "experiment target degree zero": (
+        lambda tmp: _experiment(target_degree=0.0),
+        sp.ConfigError,
+        "target mean degree must be positive",
+    ),
+    "experiment zero expected degree": (
+        lambda tmp: sp.build_experiment_model(_experiment(k=1, inside_weights=(1.0,), out_in_ratio=0.0)),
+        sp.InfeasibleConfigError,
+        "degenerate configuration: zero expected degree",
+    ),
+    "graph negative index": (
+        lambda tmp: build_graph(3, [(0, -1)]),
+        sp.SpeclusterError,
+        "negative node index in edge list",
+    ),
+    "degree extremes of no nodes": (
+        lambda tmp: sp.degree_extremes(build_graph(0, [])),
+        sp.SpeclusterError,
+        "empty graph",
+    ),
+    "reference labels no nodes": (
+        lambda tmp: sp.clustering_error(sp.Partition([0, 1], 2), sp.Partition([-1, -1], 1)),
+        sp.SpeclusterError,
+        "reference partition labels no nodes",
+    ),
+    "scan unknown criterion": (
+        lambda tmp: sp.tau_scan(two_cliques(4), 2, [1.0], criteria=("dkest", "best")),
+        sp.SpeclusterError,
+        "unknown criterion 'best'",
+    ),
+    "scan record off the grid": (
+        lambda tmp: sp.tau_scan(two_cliques(4), 2, [1.0], criteria=("gn",)).record_at(2.0),
+        KeyError,
+        "2.0",
+    ),
+    "eigensolve of a non-square array": (
+        lambda tmp: top_eigenpairs(np.ones((2, 3)), 1),
+        sp.SpeclusterError,
+        "expected a square matrix",
+    ),
+    "eigensolve of a non-operator": (
+        lambda tmp: top_eigenpairs([[1.0]], 1),
+        sp.SpeclusterError,
+        "cannot interpret list as a linear operator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_refuses(tmp_path, case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
+class _Scaling:
+    """2 x, as an operator without a dense path, so the eigensolve goes to ARPACK."""
+
+    shape = (8, 8)
+
+    def apply(self, x):
+        return 2.0 * x
+
+
+def test_eigensolve_reports_arpack_no_convergence_with_residuals(monkeypatch):
+    vecs = np.eye(8)[:, :2]
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([2.0, 1.0]), vecs)
+
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    with pytest.raises(sp.ConvergenceError, match="ARPACK did not reach tol=1e-08") as info:
+        top_eigenpairs(_Scaling(), 2)
+    assert info.value.residuals.tolist() == [0.0, 1.0]

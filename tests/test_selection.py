@@ -756,7 +756,7 @@ _KARATE_GRIDS = {
 @pytest.mark.parametrize("case", list(_KARATE_GRIDS))
 def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kind):
     g = sp.load_edge_list(_DATA / "karate_edges.txt")
-    truth = sp.load_partition(_DATA / "karate_labels.txt", n=g.n)
+    truth = sp.load_partition(_DATA / "karate_labels.txt")
     grid = _KARATE_GRIDS[case]
     grid = sp.default_tau_grid(g) if grid is None else grid
     calls = []
@@ -1197,7 +1197,7 @@ def test_karate_club_dkest_choice(model_kind, norm_kind):
     # Zachary's karate club, a real network with two known factions; the
     # DKest choice misplaces at most one of its 34 members for every fit
     g = sp.load_edge_list(_DATA / "karate_edges.txt")
-    truth = sp.load_partition(_DATA / "karate_labels.txt", n=g.n)
+    truth = sp.load_partition(_DATA / "karate_labels.txt")
     assert (g.n, g.num_edges) == (34, 78)
     scan = sp.tau_scan(
         g,
