@@ -471,15 +471,24 @@ def strong_weak_spectrum(params, tau):
 # Model config files
 
 
-def _parse_kv_file(path):
+MODEL_CONFIG_KEYS = ("n", "k", "sizes", "weights", "b", "theta_file")
+
+
+def _parse_kv_file(path, known):
     """The file's 'key = value' lines as a dict, keys lower-cased; text
-    after '#' is a comment."""
-    items = {}
+    after '#' is a comment.  A key outside known, or one given twice, is
+    refused with the line that holds it."""
+    items, first_line = {}, {}
     for lineno, line in data_lines(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        items[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'; expected one of {', '.join(known)}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key '{key}' repeats line {first_line[key]}")
+        items[key], first_line[key] = value.strip(), lineno
     return items
 
 
@@ -509,10 +518,11 @@ def load_model_config(path):
 
     Keys: n, k, sizes (comma list) or weights (comma list), b (row-major
     K*K comma list), optional theta_file (one positive weight per line,
-    producing a degree-corrected model).  Text after '#' is a comment.
+    producing a degree-corrected model).  Text after '#' is a comment.  A
+    key given twice, or any other key, is a ConfigError.
     """
     path = Path(path)
-    items = _parse_kv_file(path)
+    items = _parse_kv_file(path, MODEL_CONFIG_KEYS)
     try:
         n = int(items["n"])
         k = int(items["k"])

@@ -82,9 +82,18 @@ class ExperimentConfig:
         }
 
 
+EXPERIMENT_CONFIG_KEYS = ("n", "k", "w", "beta", "lambda", "tau_grid", "replicates", "seed", "model", "norm", "out")
+
+
 def parse_experiment_config(path):
+    """An ExperimentConfig from a flat key=value file.
+
+    Keys: EXPERIMENT_CONFIG_KEYS; replicates, seed, model, norm and out
+    are optional.  Text after '#' is a comment.  A key given twice, or any
+    other key, is a ConfigError.
+    """
     path = Path(path)
-    items = _parse_kv_file(path)
+    items = _parse_kv_file(path, EXPERIMENT_CONFIG_KEYS)
     try:
         n = int(items["n"])
         k = int(items["k"])

@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import maximum_bipartite_matching, min_weight_full_bipartite_matching
 
 from .errors import EmptyClusterError, SpeclusterError
 
@@ -54,41 +52,95 @@ def _bottleneck_cost(o, truth_sizes, est_sizes):
     return cost
 
 
-def _square_csr(data, indices, row_counts):
-    """k x k CSR from its column indices in row-major order and the number
-    of entries per row, without scanning a dense matrix for nonzeros."""
-    k = row_counts.size
-    indptr = np.zeros(k + 1, dtype=np.int32)
-    np.cumsum(row_counts, out=indptr[1:])
-    return sparse.csr_array((data, indices.astype(np.int32), indptr), shape=(k, k))
+def _has_permutation(allowed):
+    """Whether the square boolean matrix allowed holds a permutation in its
+    True cells, i.e. its bipartite graph has a perfect matching (Kuhn's
+    augmenting paths)."""
+    options = [np.flatnonzero(row).tolist() for row in allowed]
+    holder = [-1] * len(options)  # the row each column is matched to
+
+    def augment(row, seen):
+        for col in options[row]:
+            if col not in seen:
+                seen.add(col)
+                if holder[col] < 0 or augment(holder[col], seen):
+                    holder[col] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(len(options)))
 
 
-def _perfect_matching(mask):
-    cols = np.nonzero(mask)[1]
-    graph = _square_csr(np.ones(cols.size), cols, np.count_nonzero(mask, axis=1))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    if np.all(match >= 0):
-        return match
-    return None
+def _first_permutation(allowed):
+    """The lexicographically first permutation p with allowed[a, p[a]] for
+    every row a; allowed must hold one.  Row by row, the least free column
+    whose choice leaves the later rows a permutation of the free columns."""
+    free = np.ones(allowed.shape[1], dtype=bool)
+    perm = []
+    for row in range(allowed.shape[0]):
+        for col in np.flatnonzero(allowed[row] & free):
+            free[col] = False
+            if _has_permutation(allowed[row + 1 :][:, free]):
+                perm.append(int(col))
+                break
+            free[col] = True
+    return tuple(perm)
 
 
 def _minimize_matching(cost):
-    """Bottleneck assignment: binary search over thresholds plus bipartite
-    feasibility."""
+    """Bottleneck assignment: the least threshold t whose cells cost <= t
+    hold a permutation (binary search over the distinct finite costs, each
+    probe a perfect-matching test), and the lexicographically first
+    permutation inside those cells, so ties between optimal permutations
+    go to the one that sends the lowest rows to the lowest columns.  With
+    no finite permutation the error is inf and the identity is returned."""
     finite = np.unique(cost[np.isfinite(cost)])
     lo, hi = 0, finite.size - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        match = _perfect_matching(cost <= finite[mid])
-        if match is not None:
-            best = (finite[mid], match)
-            hi = mid - 1
+        if _has_permutation(cost <= finite[mid]):
+            best, hi = finite[mid], mid - 1
         else:
             lo = mid + 1
     if best is None:
         return np.inf, tuple(range(cost.shape[0]))
-    return float(best[0]), tuple(int(v) for v in best[1])
+    return float(best), _first_permutation(cost <= best)
+
+
+def _max_agreement(agree):
+    """The largest sum of agree[a, p[a]] over permutations p of the square
+    integer matrix agree: the Hungarian method (Kuhn 1955) in its
+    shortest-augmenting-path form, adding one row at a time with dual
+    potentials u (rows) and v (columns) on the cost -agree.  Every
+    quantity is an integer below 2**53, so float64 keeps it exact."""
+    k = agree.shape[0]
+    cost = -agree.astype(np.float64)
+    u, v = np.zeros(k + 1), np.zeros(k + 1)  # index 0 is the free root
+    owner = np.zeros(k + 1, dtype=np.int64)  # 1-based row of each 1-based column, 0 if free
+    via = np.zeros(k + 1, dtype=np.int64)
+    for row in range(1, k + 1):
+        owner[0], col = row, 0
+        slack = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while owner[col]:
+            used[col] = True
+            r = owner[col]
+            reduced = cost[r - 1] - u[r] - v[1:]
+            closer = ~used[1:] & (reduced < slack[1:])
+            slack[1:][closer] = reduced[closer]
+            via[1:][closer] = col
+            nxt = 1 + int(np.argmin(np.where(used[1:], np.inf, slack[1:])))
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    return int(agree[owner[1:] - 1, np.arange(k)].sum())
 
 
 def clustering_error(est, truth):
@@ -99,12 +151,10 @@ def clustering_error(est, truth):
     A size mismatch in cluster counts is handled by padding the smaller
     side with empty clusters.  The permutation search is exact.
 
-    The misclassified share comes from the agreement-maximizing matching,
-    solved exactly by csgraph's LAPJVsp (min_weight_full_bipartite_matching)
-    on agree + 1.  csgraph reads a zero entry as a missing edge, so the
-    + 1 keeps every pair of clusters an edge; it adds k to every full
-    matching, so the optimal matching and its integer agreement are those
-    of agree itself.
+    Among permutations with the least error, the lexicographically first
+    is returned.  The misclassified share comes from the
+    agreement-maximizing matching, solved exactly by the Hungarian method
+    on the integer contingency table.
     """
     o, mask = _contingency(est, truth)
     truth_sizes = np.bincount(truth.labels[mask], minlength=truth.k)
@@ -120,12 +170,7 @@ def clustering_error(est, truth):
     k = cost.shape[0]
     agree = np.zeros((k, k), dtype=np.int64)
     agree[: o.shape[0], : o.shape[1]] = o
-    weights = _square_csr(
-        (agree + 1).ravel().astype(np.float64), np.tile(np.arange(k), k), np.full(k, k)
-    )
-    rows, cols = min_weight_full_bipartite_matching(weights, maximize=True)
-    labeled = int(truth_sizes.sum())
-    frac = 1.0 - agree[rows, cols].sum() / labeled
+    frac = 1.0 - _max_agreement(agree) / int(truth_sizes.sum())
     return ErrorReport(
         error=float(error), permutation=tuple(perm), misclassified_fraction=float(frac)
     )

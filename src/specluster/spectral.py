@@ -4,24 +4,24 @@ The regularized adjacency A + tau J (J = all-ones / n) is dense if
 materialized, so the operator keeps A sparse and applies the tau term as a
 rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
 
-The top-K eigenpairs above DENSE_FALLBACK nodes come from scipy's eigsh
-(ARPACK's implicitly restarted Lanczos) on a LinearOperator around that
-matvec, each pair checked by an explicit residual.  The spectral norm of a
-difference comes from one hand-written Lanczos run, the plain three-term
-recurrence, stopped on ARPACK's residual estimate read from its
-tridiagonal, or, with stop_above, as soon as a Ritz value proves the norm
-exceeds a threshold.  A Ritz value is never above the norm.  Each norm
-run starts cold from its seeded draw, so its value depends only on the
-operators, seed and stop_above.  A StartVector carries the direction one
-eigensolve found into the start of the next, so a sequence of nearby
+Both Krylov computations are written here, on numpy alone.  The top-K
+eigenpairs above DENSE_FALLBACK nodes come from a thick-restart Lanczos
+run (Wu & Simon 2000): a basis of LANCZOS_BASIS vectors kept orthogonal
+by classical Gram-Schmidt with a DGKS correction, restarted from its
+K + LANCZOS_KEEP_EXTRA best Ritz vectors, each returned pair checked by an
+explicit residual.  The spectral norm of a difference comes from one plain
+three-term Lanczos recurrence, stopped on ARPACK's residual estimate read
+from its tridiagonal, or, with stop_above, as soon as a Ritz value proves
+the norm exceeds a threshold.  A Ritz value is never above the norm.  Each
+norm run starts cold from its seeded draw, so its value depends only on
+the operators, seed and stop_above.  A StartVector carries the direction
+one eigensolve found into the start of the next, so a sequence of nearby
 operators (a tau grid) needs fewer eigensolve matvecs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
 from .util import rng_from
@@ -30,6 +30,10 @@ DENSE_FALLBACK = 512
 NORM_TOL = 1e-6  # spectral_norm_diff stops once its Ritz residual estimate is at most this times the value
 LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after LANCZOS_EVERY_STEP_CHECKS
 LANCZOS_EVERY_STEP_CHECKS = 20  # a norm run reads its Ritz values at every step up to this one
+LANCZOS_BASIS = 20  # eigensolve basis vectors for K <= 9 (ARPACK's ncv as scipy's eigsh chose it)
+LANCZOS_KEEP_EXTRA = 9  # Ritz vectors a restart keeps beyond the K wanted
+MAX_RESTARTS = 10_000  # eigensolve restarts before ConvergenceError
+DGKS = 0.717  # a Gram-Schmidt pass keeping less than this share of the norm is repeated (ARPACK's constant)
 
 
 def check_taus(taus):
@@ -139,14 +143,102 @@ def _residuals(mv, vals, vecs):
     return np.array([np.linalg.norm(mv(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vals.size)])
 
 
+def _orthogonalize(basis, w):
+    """w less its projection on the orthonormal rows of basis, in place.
+
+    Classical Gram-Schmidt, repeated once when the first pass keeps less
+    than DGKS of the norm (Daniel, Gragg, Kaufman & Stewart 1976), as
+    ARPACK does.  Returns the projection coefficients and the norm left,
+    or None for the norm when the second pass loses as much again: then w
+    is rounding noise inside the span, not a new direction.
+    """
+    before = w @ w
+    coef = basis @ w
+    w -= coef @ basis
+    left = w @ w
+    if left > DGKS**2 * before:
+        return coef, np.sqrt(left)
+    fix = basis @ w
+    w -= fix @ basis
+    coef += fix
+    again = w @ w
+    return coef, (np.sqrt(again) if again > DGKS**2 * left else None)
+
+
+def _thick_restart_lanczos(mv, v0, k, tol, rng):
+    """Top-k Ritz values (descending) and vectors (columns) of mv from v0.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000) with full reorthogonalization: the basis holds m vectors, m =
+    LANCZOS_BASIS or 2k + 1 if larger, at most n.  Once full, the
+    projected matrix's eigenpairs give the Ritz pairs, and the run stops
+    when every wanted one's residual estimate beta |y_m| is at most
+    tol / 100.  Otherwise it restarts from the k + LANCZOS_KEEP_EXTRA
+    largest Ritz vectors plus the residual direction; the projected matrix
+    then holds their Ritz values on its diagonal and the residual's
+    couplings beta y_m in its row and column.  A breakdown (the new
+    direction lies in the span) continues from a fresh draw of rng
+    orthogonalized against the basis, as ARPACK does, with coupling 0.
+    Raises ConvergenceError with the explicit residuals of the current
+    Ritz pairs after MAX_RESTARTS restarts.
+    """
+    n = v0.size
+    m = min(n, max(2 * k + 1, LANCZOS_BASIS))
+    keep = min(k + LANCZOS_KEEP_EXTRA, m - 1)
+    basis = np.empty((m + 1, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    t = np.zeros((m, m))
+    first = 0
+    for restart in range(MAX_RESTARTS + 1):
+        for j in range(first, m):
+            w = mv(basis[j])
+            alpha = 0.0
+            if j > first:  # the three-term step; the pass below only corrects it
+                w -= t[j, j - 1] * basis[j - 1]
+                alpha = basis[j] @ w
+                w -= alpha * basis[j]
+            coef, beta = _orthogonalize(basis[: j + 1], w)
+            t[j, j] = alpha + coef[j]
+            if j + 1 == n:
+                beta = 0.0  # the basis spans the space
+            elif beta is None:
+                w = rng.standard_normal(n)
+                _orthogonalize(basis[: j + 1], w)
+                _orthogonalize(basis[: j + 1], w)
+                w /= np.linalg.norm(w)
+                beta = 0.0
+            else:
+                w /= beta
+            basis[j + 1] = w
+            if j + 1 < m:
+                t[j, j + 1] = t[j + 1, j] = beta
+        theta, y = np.linalg.eigh(t)
+        top = np.arange(m - 1, m - 1 - keep, -1)  # eigh sorts ascending
+        if np.all(beta * np.abs(y[-1, top[:k]]) <= tol / 100):
+            break
+        if restart == MAX_RESTARTS:
+            vals, vecs = theta[top[:k]], basis[:m].T @ y[:, top[:k]]
+            raise ConvergenceError(
+                f"Lanczos did not reach tol={tol} in {MAX_RESTARTS} restarts",
+                residuals=_residuals(mv, vals, vecs),
+            )
+        basis[:keep] = y[:, top].T @ basis[:m]
+        basis[keep] = basis[m]
+        t[:] = 0.0
+        t.flat[: keep * (m + 1) : m + 1] = theta[top]
+        t[keep, :keep] = t[:keep, keep] = beta * y[-1, top]
+        first = keep
+    return theta[top[:k]], basis[:m].T @ y[:, top[:k]]
+
+
 def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     """K algebraically-largest eigenpairs of a symmetric operator.
 
     Uses dense symmetric eigendecomposition for arrays and operators with
-    to_dense up to DENSE_FALLBACK nodes, and ARPACK's implicitly restarted
-    Lanczos (scipy eigsh) otherwise, from a start vector drawn from seed.
-    Every returned pair is checked explicitly: any residual above tol
-    raises ConvergenceError.  Deterministic given seed and start.
+    to_dense up to DENSE_FALLBACK nodes, and the package's thick-restart
+    Lanczos (_thick_restart_lanczos) otherwise, from a start vector drawn
+    from seed.  Every returned pair is checked explicitly: any residual
+    above tol raises ConvergenceError.  Deterministic given seed and start.
 
     The gate is absolute and bounds residuals only.  It does not bound the
     error of the vectors: by Davis-Kahan the angle between the returned
@@ -173,20 +265,10 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
 
     if k == n:
         raise SpeclusterError(f"k={k} needs k < n for an operator without a dense path")
-    lin = LinearOperator((n, n), matvec=mv, dtype=np.float64)
     rng = rng_from(seed)
     if start is None:
         start = StartVector()
-    try:
-        vals, vecs = eigsh(lin, k, which="LA", tol=tol, v0=start.draw(rng, n), rng=rng)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK did not reach tol={tol}",
-            residuals=_residuals(mv, exc.eigenvalues, exc.eigenvectors),
-        ) from None
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _thick_restart_lanczos(mv, start.draw(rng, n), k, tol, rng)
     res = _residuals(mv, vals, vecs)
     if not np.all(res <= tol):
         raise ConvergenceError(f"eigenpair residuals {res.max():.3g} exceed tol={tol}", residuals=res)
@@ -195,24 +277,52 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     return EigenBasis(values=vals, vectors=vecs, residuals=res)
 
 
-def _tridiagonal_eigenpair(d, e, i):
-    """The i-th smallest eigenvalue (as a length-1 array) and its unit
-    eigenvector (as a column) of the symmetric tridiagonal with diagonal d
-    and off-diagonal e.
+def _extreme_ritz_pair(alpha, beta, scale):
+    """The largest |eigenvalue| theta of the unreduced symmetric tridiagonal
+    with diagonal alpha and off-diagonal beta (lists of floats), and s, the
+    |last entry| of its unit eigenvector.
 
-    Bitwise what scipy's eigh_tridiagonal(d, e, select="i",
-    select_range=(i, i)) returns: the same LAPACK bisection (dstebz) and
-    inverse iteration (dstein), without its input validation, which cost
-    most of its time on the short tridiagonals of a norm run.
+    eigvalsh gives both ends of the spectrum; it reads the lower triangle
+    only, so the dense matrix gets its diagonal and subdiagonal through
+    strided views and nothing else.  The end of larger magnitude, lam,
+    then gets the twisted factorization of T - lam I (Dhillon & Parlett
+    2004): pivots from the top, d_{i+1} = c_{i+1} - beta_i^2 / d_i with c =
+    alpha - lam, and from the bottom, u_i likewise, meet at the twist r
+    where |gamma_r| = |d_r + u_r - c_r| is least.  The null vector x with
+    x_r = 1 follows from x_i = -(beta_i / d_i) x_{i+1} above r and x_{i+1}
+    = -(beta_i / u_{i+1}) x_i below, so s = |x_last| / ||x||, accurate
+    wherever the eigenvector is small (a last entry from the bottom pivot
+    alone is not).  (T - lam I) x = gamma_r e_r, so the Rayleigh quotient
+    lam + gamma_r / ||x||^2 is theta's signed value: one Rayleigh-quotient
+    step, which brings eigvalsh's few tens of ulps to LAPACK bisection's
+    few.  A pivot that rounds to zero is replaced by 1e-16 * scale, scale
+    at least the largest |entry| and positive.
     """
-    if d.size == 1:
-        return d.copy(), np.ones((1, 1))
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i + 1, i + 1, 0.0, "B")
-    if info == 0:
-        v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    if info:
-        raise np.linalg.LinAlgError(f"tridiagonal eigenpair {i} failed: LAPACK info {info}")
-    return w[:m], v
+    size = len(alpha)
+    if size == 1:
+        return abs(alpha[0]), 1.0
+    tri = np.zeros((size, size))
+    tri.flat[:: size + 1] = alpha
+    tri.flat[size :: size + 1] = beta
+    lo, hi = np.linalg.eigvalsh(tri)[[0, -1]].tolist()
+    lam = lo if abs(lo) >= abs(hi) else hi
+    c = (np.asarray(alpha) - lam).tolist()
+    b2 = np.square(beta).tolist()
+    floor = 1e-16 * scale
+    down = [c[0] or floor]
+    for ci, bi in zip(c[1:], b2):
+        down.append(ci - bi / down[-1] or floor)
+    up = [c[-1] or floor]
+    for ci, bi in zip(c[-2::-1], b2[::-1]):
+        up.append(ci - bi / up[-1] or floor)
+    down, up, beta = np.array(down), np.array(up[::-1]), np.asarray(beta)
+    gamma = down + up - c
+    r = int(np.argmin(np.abs(gamma)))
+    above = np.cumprod(beta[r - 1 :: -1] / down[r - 1 :: -1]) if r else beta[:0]
+    below = np.cumprod(beta[r:] / up[r + 1 :])
+    norm2 = 1.0 + above @ above + below @ below
+    last = below[-1] if below.size else 1.0
+    return float(abs(lam + gamma[r] / norm2)), float(abs(last) / np.sqrt(norm2))
 
 
 def _lanczos_norm(mv, v0, stop_above):
@@ -242,20 +352,17 @@ def _lanczos_norm(mv, v0, stop_above):
         w = mv(q)
         if j:
             w -= beta[-1] * q_prev
-        alpha.append(q @ w)
+        alpha.append(float(q @ w))
         w -= alpha[-1] * q
-        b = np.linalg.norm(w)
+        b = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha[-1]), b)
         invariant = b <= 1e-12 * scale or j + 1 == n
         if invariant or j + 1 >= LANCZOS_FIRST_CHECK and (
             j < LANCZOS_EVERY_STEP_CHECKS or (j + 1) % LANCZOS_FIRST_CHECK == 0
         ):
-            d, e = np.array(alpha), np.array(beta)
-            ends = [_tridiagonal_eigenpair(d, e, i) for i in (0, j)]
-            vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
-            theta = abs(vals[0])
-            if invariant or theta > stop_above or b * abs(vecs[-1, 0]) <= NORM_TOL * theta:
-                return float(theta)
+            theta, s = _extreme_ritz_pair(alpha, beta, scale)
+            if invariant or theta > stop_above or b * s <= NORM_TOL * theta:
+                return theta
         beta.append(b)
         w /= b
         q_prev, q = q, w

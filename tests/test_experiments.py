@@ -161,12 +161,18 @@ def test_experiment_config_trailing_comments(tmp_path):
     assert a.output_path == b.output_path == "out.csv"
 
 
+def _config_with(line):
+    """A valid experiment config with line in place of its key's line (a key
+    may be given once), or added."""
+    lines = ["n = 60", "k = 2", "w = 1,1", "beta = 5", "lambda = 12", "tau_grid = 1:600:4"]
+    key = line.split("=")[0].strip()
+    return "".join(f"{kept}\n" for kept in lines if kept.split("=")[0].strip() != key) + line + "\n"
+
+
 @pytest.mark.parametrize("line", ["replicates = two", "seed = 1.5", "n = sixty", "beta = x"])
 def test_bad_config_value_names_the_file(tmp_path, line):
     path = tmp_path / "exp.cfg"
-    path.write_text(
-        "n = 60\nk = 2\nw = 1,1\nbeta = 5\nlambda = 12\ntau_grid = 1:600:4\n" + line + "\n"
-    )
+    path.write_text(_config_with(line))
     with pytest.raises(sp.ConfigError, match="exp.cfg: invalid literal|exp.cfg: could not convert"):
         sp.parse_experiment_config(path)
 
@@ -182,7 +188,7 @@ def test_bad_config_value_names_the_file(tmp_path, line):
 )
 def test_invalid_config_value_names_the_file(tmp_path, line, message):
     path = tmp_path / "exp.cfg"
-    path.write_text("n = 60\nk = 2\nw = 1,1\nbeta = 5\nlambda = 12\ntau_grid = 1:600:4\n" + line + "\n")
+    path.write_text(_config_with(line))
     with pytest.raises(sp.ConfigError, match=f"exp.cfg: {message}"):
         sp.parse_experiment_config(path)
 

@@ -9,7 +9,6 @@ import pytest
 
 import specluster as sp
 from conftest import strong_weak_benchmark_params, two_block_benchmark_model, two_cliques
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from specluster import spectral
 from specluster.blockmodel import PopulationLaplacian, full_model
@@ -26,6 +25,8 @@ RULE_MESSAGES = (
     "partitions cover different node counts",
     "workers must be None or an integer of at least 1",
     "a population degree plus tau is zero",
+    "unknown config key",
+    "repeats line",
 )
 
 
@@ -213,22 +214,51 @@ def test_input_check_refuses(tmp_path, case):
         call(tmp_path)
 
 
-class _Scaling:
-    """2 x, as an operator without a dense path, so the eigensolve goes to ARPACK."""
+_MODEL_CONFIG = "n = 6\nk = 2\nsizes = 4,2\nb = 0.5,0.1,0.1,0.4\n"
+_EXPERIMENT_CONFIG = "n = 60\nk = 2\nw = 1,1\nbeta = 5\nlambda = 12\ntau_grid = 1:600:4\n"
 
-    shape = (8, 8)
+
+@pytest.mark.parametrize(
+    "load, text",
+    [(sp.load_model_config, _MODEL_CONFIG), (sp.parse_experiment_config, _EXPERIMENT_CONFIG)],
+)
+def test_config_refuses_unknown_and_repeated_keys(tmp_path, load, text):
+    load(_config(tmp_path, text))  # the base file is accepted
+    with pytest.raises(sp.ConfigError, match=r"input.cfg:5: unknown config key 'replicate'; expected one of n, k, "):
+        load(_config(tmp_path, "n = 60\nk = 2\n\n# a note\nreplicate = 5\n" + text))
+    with pytest.raises(sp.ConfigError, match=r"input.cfg:3: config key 'n' repeats line 2"):
+        load(_config(tmp_path, "# header\nN = 80\n" + text))
+
+
+def test_experiment_config_refuses_a_mistyped_key_after_a_repeat(tmp_path):
+    # a mistyped replicates and a second n parsed to n=80, replicates=1 when
+    # the last value of a key won and unknown keys were dropped
+    text = _EXPERIMENT_CONFIG + "replicate = 5\nn = 80\n"
+    with pytest.raises(sp.ConfigError, match="input.cfg:7: unknown config key 'replicate'"):
+        sp.parse_experiment_config(_config(tmp_path, text))
+    with pytest.raises(sp.ConfigError, match="input.cfg:7: config key 'n' repeats line 1"):
+        sp.parse_experiment_config(_config(tmp_path, _EXPERIMENT_CONFIG + "n = 80\n"))
+
+
+class _Spread:
+    """diag(1, 2, ..., 600) as an operator without a dense path, so the
+    eigensolve goes to Lanczos, whose 20-vector basis cannot resolve the
+    top pair of so evenly spread a spectrum without restarts."""
+
+    shape = (600, 600)
+    diagonal = np.arange(1.0, 601.0)
 
     def apply(self, x):
-        return 2.0 * x
+        return self.diagonal * x
 
 
-def test_eigensolve_reports_arpack_no_convergence_with_residuals(monkeypatch):
-    vecs = np.eye(8)[:, :2]
-
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([2.0, 1.0]), vecs)
-
-    monkeypatch.setattr(spectral, "eigsh", no_convergence)
-    with pytest.raises(sp.ConvergenceError, match="ARPACK did not reach tol=1e-08") as info:
-        top_eigenpairs(_Scaling(), 2)
-    assert info.value.residuals.tolist() == [0.0, 1.0]
+def test_eigensolve_reports_the_restart_cap_with_residuals(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_RESTARTS", 1)
+    with pytest.raises(sp.ConvergenceError, match="Lanczos did not reach tol=1e-08 in 1 restarts") as info:
+        top_eigenpairs(_Spread(), 2)
+    residuals = info.value.residuals
+    assert residuals.shape == (2,) and np.all(residuals > 1e-8) and np.all(np.isfinite(residuals))
+    # with the cap lifted the same solve converges
+    monkeypatch.undo()
+    basis = top_eigenpairs(_Spread(), 2)
+    assert basis.values == pytest.approx([600.0, 599.0], abs=1e-9)

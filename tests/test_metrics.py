@@ -7,12 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scipy import sparse
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
 import specluster as sp
 from conftest import complete_graph, path_graph, two_block_benchmark_model, two_cliques
-from specluster import metrics
 from specluster.graph import build_graph
 from specluster.metrics import _bottleneck_cost, _contingency, _minimize_matching, block_counts, modularity
 from specluster.selection import estimate_block_matrix
@@ -21,24 +17,32 @@ from specluster.selection import estimate_block_matrix
 def exhaustive_bottleneck(est, truth):
     """Independent oracle: min over permutations of the worst per-cluster
     normalized symmetric difference."""
-    n = truth.labels.size
     mask = truth.labels >= 0
     k = max(est.k, truth.k)
+    refs = [set(np.flatnonzero(mask & (truth.labels == a))) for a in range(k)]
+    gots = [set(np.flatnonzero(est.labels == b)) for b in range(k)]  # empty beyond est.k
     best = np.inf
     for perm in itertools.permutations(range(k)):
         worst = 0.0
         for a in range(k):
-            ref = set(np.flatnonzero(mask & (truth.labels == a)))
+            ref, got = refs[a], gots[perm[a]]
             if not ref:
-                got0 = set(np.flatnonzero(est.labels == perm[a])) if perm[a] < est.k else set()
-                worst = max(worst, 0.0 if not got0 else np.inf)
+                worst = max(worst, 0.0 if not got else np.inf)
                 continue
-            got = set(np.flatnonzero(est.labels == perm[a])) if perm[a] < est.k else set()
             missing = len(ref - got)
             intruding = len(got - ref)
             worst = max(worst, (missing + intruding) / len(ref))
         best = min(best, worst)
     return best
+
+
+def first_optimal_permutation(cost):
+    """The tie rule's oracle: the first permutation, in lexicographic order,
+    whose worst cell is the least over all permutations."""
+    k = cost.shape[0]
+    perms = list(itertools.permutations(range(k)))
+    worst = [max(cost[a, p[a]] for a in range(k)) for p in perms]
+    return perms[worst.index(min(worst))]
 
 
 def exhaustive_misclassified(est, truth):
@@ -47,13 +51,10 @@ def exhaustive_misclassified(est, truth):
     package's arithmetic so the two can be compared with ==."""
     mask = truth.labels >= 0
     k = max(est.k, truth.k)
+    pairs = list(zip(truth.labels[mask].tolist(), est.labels[mask].tolist()))
     best = -1
     for perm in itertools.permutations(range(k)):
-        right = 0
-        for i in np.flatnonzero(mask):
-            if perm[truth.labels[i]] == est.labels[i]:
-                right += 1
-        best = max(best, right)
+        best = max(best, sum(perm[t] == e for t, e in pairs))
     return 1.0 - best / int(mask.sum())
 
 
@@ -92,14 +93,15 @@ def test_error_crossed_pairs():
 
 
 def _oracle_cases(rng):
-    """Random pairs, plus the shapes where a matching solver can slip:
-    unlabeled reference nodes, a one-cluster side, tied optima and
-    contingency tables with zero cells."""
+    """Random pairs up to K = 7, plus the shapes where a matching solver can
+    slip: unlabeled reference nodes, a one-cluster side, padding of either
+    side, empty estimated clusters, tied optima and contingency tables with
+    zero cells."""
     cases = []
     for _ in range(60):
         n = int(rng.integers(6, 40))
-        k_truth = int(rng.integers(2, 7))
-        k_est = int(rng.integers(2, 7))
+        k_truth = int(rng.integers(2, 8))
+        k_est = int(rng.integers(2, 8))
         cases.append(random_partition_pair(rng, n, k_est, k_truth))
     for _ in range(20):
         est, truth = random_partition_pair(rng, 30, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
@@ -109,14 +111,23 @@ def _oracle_cases(rng):
         hide[keep] = False
         labels[hide] = -1
         cases.append((est, sp.Partition(labels, truth.k)))
+    for _ in range(20):
+        # estimated clusters that hold no node, inside and beyond the reference's k
+        k_truth = int(rng.integers(2, 6))
+        k_est = int(rng.integers(k_truth, 8))
+        est, truth = random_partition_pair(rng, 24, k_truth, k_truth)
+        used = rng.choice(k_est, size=k_truth, replace=False)
+        cases.append((sp.Partition(used[est.labels], k_est), truth))
     three = sp.Partition(np.repeat([0, 1, 2], 4), 3)
     one = sp.Partition(np.zeros(12, dtype=int), 1)
     cases += [(one, three), (three, one)]
     # every cell 2 (all-equal table), and every matching ties
     cases.append((sp.Partition(np.tile([0, 1, 2], 6), 3), sp.Partition(np.repeat([0, 1, 2], 6), 3)))
     cases.append((sp.Partition(np.array([0, 1, 0, 1]), 2), sp.Partition(np.array([0, 0, 1, 1]), 2)))
+    for k in (4, 7):  # every estimated cluster spread evenly over every reference one
+        cases.append((sp.Partition(np.tile(np.arange(k), k), k), sp.Partition(np.repeat(np.arange(k), k), k)))
     # diagonal and permutation tables: all but k cells are zero
-    for k in (2, 3, 5):
+    for k in (2, 3, 5, 7):
         truth = sp.Partition(np.repeat(np.arange(k), 3), k)
         cases.append((truth, truth))
         cases.append((sp.Partition(rng.permutation(k)[truth.labels], k), truth))
@@ -126,31 +137,23 @@ def _oracle_cases(rng):
     return cases
 
 
-def _parent_probe(mask):
-    """The bottleneck probe as first written, with scipy scanning the dense
-    mask for its CSR; the oracle for the index-array CSR."""
-    match = maximum_bipartite_matching(sparse.csr_matrix(mask), perm_type="column")
-    return match if np.all(match >= 0) else None
-
-
-def test_error_matches_exhaustive_oracle(rng, monkeypatch):
+def test_error_matches_exhaustive_oracle(rng):
     for est, truth in _oracle_cases(rng):
         report = sp.clustering_error(est, truth)
         assert report.error == pytest.approx(exhaustive_bottleneck(est, truth), abs=1e-12)
         assert report.misclassified_fraction == exhaustive_misclassified(est, truth)
-        # the stored permutation attains the stored error
         cost = _bottleneck_cost(
             _contingency(est, truth)[0],
             np.bincount(truth.labels[truth.labels >= 0], minlength=truth.k),
             np.bincount(est.labels, minlength=est.k),
         )
-        attained = max(cost[a, report.permutation[a]] for a in range(len(report.permutation)))
-        assert attained == pytest.approx(report.error, abs=1e-12)
-        # the probe's CSR leaves the bottleneck path's answer as it was
-        with monkeypatch.context() as patch:
-            patch.setattr(metrics, "_perfect_matching", _parent_probe)
-            first = sp.clustering_error(est, truth)
-        assert (first.error, first.permutation) == (report.error, report.permutation)
+        if np.isfinite(report.error):
+            # the tie rule: the lexicographically first optimal permutation
+            assert report.permutation == first_optimal_permutation(cost)
+            attained = max(cost[a, report.permutation[a]] for a in range(len(report.permutation)))
+            assert attained == report.error
+        else:
+            assert report.permutation == tuple(range(cost.shape[0]))
 
 
 def test_matching_path_equals_exhaustive(rng):
@@ -158,15 +161,17 @@ def test_matching_path_equals_exhaustive(rng):
     # check it against the exhaustive oracle on small instances
     for _ in range(40):
         n = int(rng.integers(8, 30))
-        est, truth = random_partition_pair(rng, n, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+        est, truth = random_partition_pair(rng, n, int(rng.integers(2, 8)), int(rng.integers(2, 8)))
         o, _ = _contingency(est, truth)
         cost = _bottleneck_cost(
             o,
             np.bincount(truth.labels, minlength=truth.k),
             np.bincount(est.labels, minlength=est.k),
         )
-        got, _ = _minimize_matching(cost)
+        got, perm = _minimize_matching(cost)
         assert got == pytest.approx(exhaustive_bottleneck(est, truth), abs=1e-12)
+        if np.isfinite(got):
+            assert perm == first_optimal_permutation(cost)
 
 
 def test_error_with_partial_truth():
@@ -304,9 +309,19 @@ def test_empty_truth_cluster_rejected():
         sp.clustering_error(est, truth)
 
 
-# scipy subpackages that scipy.optimize pulls in (~17 MB of RSS and ~0.2 s
-# of start-up); none of them is needed to import specluster or to score a scan
-_HEAVY_SCIPY = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft")
+# scipy subpackages that specluster does without: scipy.optimize pulls in
+# the next three (~17 MB of RSS and ~0.2 s of start-up), and the last three
+# (~11 MB) served the eigensolve, the norm's tridiagonal and the matchings;
+# none of them is needed to import specluster or to score a scan
+_HEAVY_SCIPY = (
+    "scipy.optimize",
+    "scipy.special",
+    "scipy.spatial",
+    "scipy.fft",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "scipy.sparse.csgraph",
+)
 
 
 def test_import_and_scored_scan_leave_heavy_scipy_unloaded():

@@ -463,14 +463,14 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
 
 @pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
 def test_dsbm_dkest_runs_no_eigensolver_for_mu_k(monkeypatch, norm_kind):
-    # above DENSE_FALLBACK nodes a Krylov mu_k would call eigsh; the
-    # spectral numerator runs its own Lanczos loop and calls none
+    # above DENSE_FALLBACK nodes a Krylov mu_k would run the thick-restart
+    # Lanczos; the spectral numerator runs its own three-term loop instead
     g, part = hub_joined_graph()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigsh called")
+        raise AssertionError("eigensolver called")
 
-    monkeypatch.setattr(spectral, "eigsh", refuse)
+    monkeypatch.setattr(spectral, "_thick_restart_lanczos", refuse)
     for tau in (0.5, 60.0):
         got = dkest_statistic(g, part, tau, model_kind="dsbm", norm_kind=norm_kind)
         assert np.isfinite(got) and got > 0
@@ -664,11 +664,11 @@ def pinned_experiment_csv(tmp_path):
 
 
 _PINNED_SCAN_OUTPUTS = {
-    "experiment-csv": "55a31eeea1118038908e31926f40714966a197f11eeeee5a843c2723bb3964ac",
-    "sbm-spectral": "ae5018cc69a4a229276a2e8933c7bdce92c94922a423be725a1e4dcdb34ff678",
+    "experiment-csv": "7fa6256d78b65ca61242442f1628e9d6a471b2d2f345db85d423ded6ba8c1083",
+    "sbm-spectral": "6f94c03cbf0b955e87f96507265cd23ef5103caf20f1c9a48c6e49521506a3de",
     "dsbm-frobenius": "813288fdf59597125919f5589576c0e1660bb8362abecbe6ba48bd72c6e42335",
     # the same graph scanned on two eig chains: its records equal the one-chain scan's
-    "sbm-spectral-halves": "ae5018cc69a4a229276a2e8933c7bdce92c94922a423be725a1e4dcdb34ff678",
+    "sbm-spectral-halves": "6f94c03cbf0b955e87f96507265cd23ef5103caf20f1c9a48c6e49521506a3de",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import specluster as sp
-from specluster.blockmodel import PopulationLaplacian
+from specluster.blockmodel import PopulationLaplacian, full_model
 from specluster.graph import build_graph
 from specluster import spectral
 from specluster.spectral import (
@@ -15,7 +15,7 @@ from specluster.spectral import (
     spectral_norm_diff,
     top_eigenpairs,
 )
-from conftest import complete_graph, path_graph, two_block_benchmark_model
+from conftest import complete_graph, path_graph, strong_weak_benchmark_params, two_block_benchmark_model
 
 
 class MatrixFree:
@@ -129,7 +129,7 @@ def test_full_spectrum_small_dense():
 
 
 def test_matrix_free_full_spectrum_rejected():
-    # ARPACK needs k < n, and a matrix-free operator has no dense path
+    # Lanczos needs k < n, and a matrix-free operator has no dense path
     g = sample_graph(n=30, seed=5)
     with pytest.raises(sp.SpeclusterError, match="k < n"):
         top_eigenpairs(MatrixFree(dense_regularized(g, 1.0)), 30)
@@ -186,12 +186,78 @@ def test_second_eigenvector_separates_blocks_at_large_tau():
 def test_convergence_error_carries_residuals():
     g = sample_graph(n=600, seed=9, p_in=0.1, p_out=0.05)
     op = RegularizedLaplacian(g, 1.0)
-    # ARPACK reports convergence, and the explicit residual check rejects
+    # Lanczos reports convergence, and the explicit residual check rejects
     # a tol that no double-precision residual can reach
     with pytest.raises(sp.ConvergenceError) as err:
         top_eigenpairs(op, 3, tol=1e-18)
     assert err.value.residuals is not None
     assert np.any(err.value.residuals > 1e-18)
+
+
+def _sin_to_span(vectors, span):
+    """Sine of the largest principal angle from vectors' columns to the
+    span of span's orthonormal columns."""
+    return np.linalg.norm(vectors - span @ (span.T @ vectors), 2)
+
+
+def _assert_matches_dense(basis, dense):
+    # top-K values within the gate, and the subspace within Davis-Kahan's
+    # residual / gap of dense eigh's
+    k = basis.values.size
+    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    assert np.allclose(basis.values, vals[:k], rtol=0, atol=1e-8)
+    gap = vals[k - 1] - vals[k]
+    assert _sin_to_span(basis.vectors, vecs[:, :k]) <= 2 * np.sqrt(k) * basis.residuals.max() / gap + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lanczos_matches_dense_eigh(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(DENSE_FALLBACK + 1, 1000))
+    blocks = int(rng.integers(2, 5))
+    b = np.full((blocks, blocks), rng.uniform(0.002, 0.01)) + np.diag(np.full(blocks, rng.uniform(0.02, 0.06)))
+    sizes = [n // blocks] * (blocks - 1) + [n - (blocks - 1) * (n // blocks)]
+    g = sp.sample(sp.BlockModel.from_sizes(sizes, b), seed)
+    tau = float(rng.choice([0.0, 1.0, 30.0, float(n)])) if g.degrees.min() > 0 else 1.0
+    op = RegularizedLaplacian(g, tau)
+    _assert_matches_dense(top_eigenpairs(op, int(rng.integers(2, 6)), seed=seed), op.to_dense())
+
+
+def test_lanczos_matches_dense_eigh_on_clustered_top_eigenvalues():
+    # the strong/weak benchmark at a large tau: below the leading 1, the
+    # next eigenvalues lie within 4e-4 of each other, with gaps down to 3e-5
+    g = sp.sample(full_model(strong_weak_benchmark_params()), 0)
+    op = RegularizedLaplacian(g, 2000.0)
+    dense = op.to_dense()
+    for k in (2, 3, 5):
+        _assert_matches_dense(top_eigenpairs(op, k), dense)
+
+
+def test_lanczos_finds_every_copy_of_a_repeated_eigenvalue():
+    # three disjoint components: at tau = 0 eigenvalue 1 has multiplicity
+    # three, its eigenspace spanned by sqrt(degree) on each component.  A
+    # Krylov space holds one direction of it; the other copies enter
+    # through rounding and restarts
+    model = sp.BlockModel.from_sizes([300] * 3, np.diag([0.05] * 3))
+    g = sp.sample(model, 1)
+    op = RegularizedLaplacian(g, 0.0)
+    vals, vecs = np.linalg.eigh(op.to_dense())
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    assert vals[3] < 1 - 0.1  # each component is connected
+    ones = np.zeros((g.n, 3))
+    for c in range(3):
+        on = model.membership == c
+        ones[on, c] = np.sqrt(g.degrees[on]) / np.sqrt(g.degrees[on].sum())
+    for k in (2, 3, 4):
+        for seed in range(3):
+            basis = top_eigenpairs(op, k, seed=seed)
+            top = min(k, 3)
+            assert np.allclose(basis.values[:top], 1.0, rtol=0, atol=1e-10)
+            assert _sin_to_span(basis.vectors[:, :top], ones) <= 1e-8
+            if k == 4:
+                assert basis.values[3] == pytest.approx(vals[3], abs=1e-8)
+                assert _sin_to_span(basis.vectors[:, 3:], vecs[:, 3:4]) <= 1e-6
 
 
 def test_k_out_of_range():
@@ -256,7 +322,11 @@ def test_norm_never_exceeds_the_dense_norm_on_small_differences(kind):
                 assert bound <= exact * (1 + 1e-12)
 
 
-def test_tridiagonal_eigenpair_is_bitwise_eigh_tridiagonal():
+def test_extreme_ritz_pair_agrees_with_eigh_tridiagonal():
+    # the norm's theta and s against LAPACK's bisection and inverse
+    # iteration: theta to 4 ulp of max |T| on every input, and s to 1e-10
+    # wherever T is unreduced (every off-diagonal nonzero), as every
+    # tridiagonal of a norm run is
     rng = np.random.default_rng(60)
     for size in range(1, 61):
         for trial in range(6):
@@ -267,11 +337,15 @@ def test_tridiagonal_eigenpair_is_bitwise_eigh_tridiagonal():
             if trial == 2:
                 d[:] = 0.0  # a zero difference: every Ritz value is 0
                 e[:] = 0.0
-            for i in (0, size - 1):
-                want = eigh_tridiagonal(d, e, select="i", select_range=(i, i))
-                got = spectral._tridiagonal_eigenpair(d, e, i)
-                for a, b in zip(got, want):
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            scale = max(np.abs(d).max(), e.max(initial=0.0))
+            if scale == 0.0 and size > 1:
+                continue  # a run on a zero difference stops at its first step
+            theta, s = spectral._extreme_ritz_pair(d.tolist(), e.tolist(), scale)
+            ends = [eigh_tridiagonal(d, e, select="i", select_range=(i, i)) for i in (0, size - 1)]
+            vals, vecs = max(ends, key=lambda pair: abs(pair[0][0]))
+            assert abs(theta - abs(vals[0])) <= 4 * np.spacing(scale)
+            if trial not in (1, 2):
+                assert abs(s - abs(vecs[-1, 0])) <= 1e-10
 
 
 def test_spectral_norm_diff_dimension_mismatch():
@@ -302,7 +376,7 @@ def test_norm_memory_is_far_below_dense():
 
 def test_rank_one_operator_above_dense_fallback():
     # a rank-one operator exhausts its Krylov space after two vectors: the
-    # eigensolve's ARPACK must restart from a fresh direction, and the
+    # eigensolve's Lanczos must restart from a fresh direction, and the
     # norm's Lanczos run stops at that breakdown (a residual of rounding
     # noise normalized into a third basis vector once grew the
     # tridiagonal's top eigenvalue to ~10, above the norm)
