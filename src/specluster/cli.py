@@ -54,9 +54,9 @@ def _build_parser():
         "scan",
         help="scan the tau selectors over a grid",
         description="Scan the tau selectors over a grid.  On a graph of at least "
-        f"{FORK_MIN_NODES} nodes the grid's clustering runs in up to one process per CPU "
-        "(two at most); the CSV is byte-identical to a one-process run, and peak memory is "
-        "per process, since each process clusters half the grid on the shared graph.",
+        f"{FORK_MIN_NODES} nodes every grid point but the one nearest the mean degree runs "
+        "in up to one process per CPU; the CSV is byte-identical to a one-process run, and peak memory is "
+        "per process, since each process clusters its points on the shared graph.",
     )
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--k", type=int, required=True)

@@ -319,10 +319,10 @@ def regularized_spectral_clustering(g, k, tau, seed=0, start=None):
     then K-means on the embedding rows (no row normalization).
 
     Labels are canonical: clusters are numbered in order of their first
-    node, so node 0 is in cluster 0.  start, a spectral.StartVector, is
+    node, so node 0 is in cluster 0.  start, an n-vector or None, is
     passed to top_eigenpairs to warm-start the eigensolve (tau_scan
-    carries one along its grid); the partition depends on it only through
-    the eigenvectors' last digits.
+    anchors every point but its pivot); the partition depends on it only
+    through the eigenvectors' last digits.
     """
     op = RegularizedLaplacian(g, tau)
     s_eig, s_km = seed_sequence(seed).spawn(2)

@@ -25,10 +25,11 @@ with the fit, which apply, mu_k and the Frobenius numerator all read.
 
 The spectral numerator comes from spectral_norm_diff's Lanczos run, solved
 to its residual estimate except at grid points where the same run shows,
-early, that the point cannot be chosen.  mu_K never needs an eigensolver
-unless a degree-corrected fit clamps pairs on so many hub nodes that its
-reduction would exceed DENSE_FALLBACK columns; only then does it run the
-checked Krylov eigensolver.
+early, that the point cannot be chosen; TauRecord.dkest_bound marks
+those.  mu_K never needs an eigensolver unless a degree-corrected fit
+clamps pairs on so many hub nodes that its reduction would exceed
+DENSE_FALLBACK columns; only then does it run the checked Krylov
+eigensolver.
 """
 
 import time
@@ -39,15 +40,15 @@ import numpy as np
 from scipy import sparse
 
 from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
-from .clustering import Partition, regularized_spectral_clustering
+from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
-from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, StartVector, check_taus, spectral_norm_diff, top_eigenpairs
+from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, check_taus, spectral_norm_diff, top_eigenpairs
 from .util import fmt, fork_map, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
-# smallest graph whose scan splits its grid into two eig chains and forks
-# them: an 8-point scan at n = 3000 ran slower forked on 2 cores
+# smallest graph whose scan forks its second round (an 8-point scan at
+# n = 3000 ran slower forked on 2 cores); no record depends on it
 FORK_MIN_NODES = 5000
 MODEL_KINDS = ("sbm", "dsbm")
 NORM_KINDS = ("spectral", "frobenius")
@@ -307,8 +308,9 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
     exceeds above * (1 + NORM_TOL), that bound over mu_K is returned: a
     certified lower bound on the statistic, not a value within any stated
     tolerance of it.  Otherwise the result is bitwise that of the call
-    with above=None, which is what tau_scan records at every
-    full-precision point.  The Frobenius numerator ignores above.
+    with above=None, which is what tau_scan records wherever
+    TauRecord.dkest_bound is not set.  The Frobenius numerator ignores
+    above.
     """
     _check_kinds(model_kind, norm_kind)
     bhat, counts = estimate_block_matrix(g, part)
@@ -341,19 +343,17 @@ class TauRecord:
     """One grid point of a tau_scan.
 
     dkest is the full-precision statistic, bitwise a lone dkest_statistic
-    call, wherever the point could still be the argmin when the scan's
-    DKest walk, in _walk_order's order, reached it.
-    Elsewhere, with a spectral numerator, it may be a certified lower
-    bound from a Lanczos run stopped early: above the scan's minimum
-    DKest, and not within a stated tolerance of the statistic.  Which of
-    the two it is depends on the points the walk reached earlier only
-    through the running minimum.  It is inf when the fitted gap vanished.
-    seconds covers the point's clustering, scores and DKest, which run in
-    the scan's two phases.
+    call on the point's partition, unless dkest_bound is set.  Then, with
+    a spectral numerator, it is a certified lower bound from a Lanczos run
+    stopped once the statistic showed itself above the pivot's by more
+    than NORM_TOL, not within a stated tolerance of the statistic.  dkest
+    is inf when the fitted gap vanished.  seconds covers the point's
+    clustering, scores and DKest.
     """
 
     tau: float
     dkest: float = np.nan
+    dkest_bound: bool = False
     gn_modularity: float = np.nan
     nmi: float = np.nan
     misclassified_fraction: float = np.nan
@@ -407,39 +407,48 @@ def default_tau_grid(g, points=20):
     return grid
 
 
-def _walk_order(grid, mean_degree):
-    """Indices of an ascending grid in the order tau_scan walks DKest.
-
-    The walk starts at the pivot, the grid point nearest mean_degree on a
-    log scale (the regularizer Qin & Rohe 2013 recommend; ties go to the
-    lower tau, and the first point is the pivot when no log distance is
-    finite).  The points below the pivot follow in descending order, then
-    the points above it in ascending order.
-    """
+def _pivot(grid, mean_degree):
+    """Index of the grid point nearest mean_degree on a log scale, the
+    regularizer Qin & Rohe 2013 recommend.  Ties go to the lower tau, and
+    the first point is the pivot when no log distance is finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = np.abs(np.log(grid) - np.log(mean_degree))
-    pivot = int(np.argmin(np.where(np.isfinite(dist), dist, np.inf)))
-    return [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, grid.size)]
+    return int(np.argmin(np.where(np.isfinite(dist), dist, np.inf)))
 
 
-def _cluster_points(g, k, criteria, truth, seed, taus):
-    """Phase 1 of tau_scan over ascending grid points: (record, labels)
-    per point, the eigensolves on one StartVector chain from a cold
-    start."""
-    points = []
-    eig_start = StartVector()
-    for tau in taus:
-        start = time.perf_counter()
-        rec = TauRecord(tau=float(tau))
-        part = regularized_spectral_clustering(g, k, tau, seed=seed, start=eig_start)
-        if "gn" in criteria:
-            rec.gn_modularity = modularity(g, part)
-        if truth is not None:
-            rec.nmi = nmi(part, truth)
-            rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
-        rec.seconds = time.perf_counter() - start
-        points.append((rec, part.labels.astype(np.min_scalar_type(k - 1))))
-    return points
+def _grid_point(g, k, criteria, truth, model_kind, norm_kind, seed, pivot, tau):
+    """One grid point of tau_scan: its record and its partition.
+
+    pivot is None at the pivot itself, whose eigensolve starts cold and
+    whose DKest is solved in full.  Elsewhere it is the pivot's (record,
+    partition): the eigensolve starts from its seeded draw plus the anchor
+    sqrt(d + tau) (1 + pivot labels), and a spectral DKest gets the
+    pivot's value as above when that value is finite.
+    """
+    start = time.perf_counter()
+    rec = TauRecord(tau=float(tau))
+    anchor = above = None
+    if pivot is not None:
+        pivot_rec, pivot_part = pivot
+        anchor = np.sqrt(g.degrees + tau) * (1.0 + pivot_part.labels)
+        if norm_kind == "spectral" and np.isfinite(pivot_rec.dkest):
+            above = pivot_rec.dkest
+    part = regularized_spectral_clustering(g, k, tau, seed=seed, start=anchor)
+    if "gn" in criteria:
+        rec.gn_modularity = modularity(g, part)
+    if truth is not None:
+        rec.nmi = nmi(part, truth)
+        rec.misclassified_fraction = clustering_error(part, truth).misclassified_fraction
+    if "dkest" in criteria:
+        try:
+            rec.dkest = dkest_statistic(
+                g, part, rec.tau, model_kind=model_kind, norm_kind=norm_kind, seed=seed, above=above
+            )
+            rec.dkest_bound = above is not None and rec.dkest > above * (1 + NORM_TOL)
+        except DegenerateModelError:
+            rec.dkest = np.inf
+    rec.seconds = time.perf_counter() - start
+    return rec, part
 
 
 def tau_scan(
@@ -455,54 +464,41 @@ def tau_scan(
 ):
     """Run the clustering pipeline at every tau and evaluate the selectors.
 
-    The scan runs in two phases.  The first clusters and scores every grid
-    point, and one clustering seed is shared across them so per-tau
-    differences reflect tau alone.  The graph's size alone sets the eig
-    chains: below FORK_MIN_NODES nodes the whole ascending grid is one
-    chain; from FORK_MIN_NODES on it is two contiguous halves, the first
-    taking the middle point of an odd grid.  Within a chain, in
-    ascending order, the embedding eigensolve carries a
-    spectral.StartVector from a cold start: each solve starts from its
-    seeded random vector plus the direction the previous point found.
-    Eigenvectors agree with lone calls to the solver's tolerance, so
-    k-means gives the same canonical labels unless a node lies within that
-    distance of a cluster boundary.  Each point's labels are kept for the
-    second phase, in one byte per node when K <= 256.
+    One clustering seed is shared across the grid, so per-tau differences
+    reflect tau alone.  The scan runs in two rounds around the pivot, the
+    grid point nearest the graph's mean degree on a log scale (_pivot).
+    Round 1 clusters and scores the pivot, its eigensolve from a cold
+    start, and solves its DKest in full.  Round 2 does the same at every
+    other point, each on its own: its eigensolve starts from its seeded
+    draw plus an anchor that depends only on the pivot's partition and its
+    own tau, and a spectral DKest gets the pivot's value as above.  So a
+    record depends only on the pivot and its own tau, and every record,
+    chosen value and CSV byte is the same however round 2 is split.
+    Eigenvectors agree with cold solves to the solver's tolerance, so
+    k-means gives the labels of a lone clustering unless a node lies
+    within that distance of a cluster boundary.
 
-    The chains run through util.fork_map, which refuses a bad workers
-    before any clustering.  Two halves run in forked processes, workers of
-    them, or with workers=None one per CPU this process may use, never
-    more than two; one chain runs in this process.  The chains never
-    depend on workers, so every record, chosen value and CSV byte is the
-    same at every worker count.  Peak memory is per process: each child
-    holds its half's eigensolver and k-means work on the shared graph.  A
+    Against the pivot's value m, a spectral numerator is solved only as
+    precisely as the choice needs: one norm call, one Lanczos run, per grid
+    point.  A Ritz value never exceeds the norm, so the run's largest
+    |Ritz value| over mu_K is a lower bound on the statistic; once it
+    exceeds m (1 + NORM_TOL), the point cannot be the argmin, the run stops
+    and the record keeps that bound, with dkest_bound set.  Every other run
+    goes on until its residual estimate passes NORM_TOL, bitwise as a lone
+    dkest_statistic call.  The argmin is at most m, so it is always solved
+    in full and the chosen tau is the argmin of full-precision values.
+    When DKest is infinite at every grid point, "dkest" is left out of the
+    chosen values.  A record's seconds cover its clustering, scores and
+    DKest.
+
+    Both rounds go through util.fork_map, which refuses a bad workers
+    before any clustering.  Round 1 is one item and runs in this process.
+    From FORK_MIN_NODES nodes on, round 2 runs in forked processes, workers
+    of them, or with workers=None one per CPU this process may use; on a
+    smaller graph it runs here.  Peak memory is per process: each child
+    holds one point's eigensolver and k-means work on the shared graph.  A
     caller that runs threads of its own passes workers=1, since forking a
     threaded process can deadlock.  No process outlives the call.
-
-    The second phase, when "dkest" is among the criteria, evaluates DKest
-    at every grid point in _walk_order's order: the pivot, the point
-    nearest the graph's mean degree on a log scale, then outward from it.
-    Every norm call starts cold from its seeded draw, so a record depends
-    on the points evaluated before it only through the running minimum
-    below, and every full-precision record is bitwise a lone
-    dkest_statistic call.
-
-    Each DKest call after the first gets the smallest DKest recorded so
-    far as above, so a spectral numerator is solved only as precisely as
-    the choice needs: one norm call, one Lanczos run, per grid point.  A
-    Ritz value never exceeds the norm, so the run's largest |Ritz value|
-    over mu_K is a lower bound on the statistic; once it exceeds the
-    running minimum m by more than the solve's tolerance
-    (m * (1 + NORM_TOL)), the grid point cannot be the argmin, the run
-    stops and that bound is recorded.  Every other run goes on until its
-    residual estimate passes NORM_TOL, bitwise as a call without a
-    threshold.  So the running minimum is always a full-precision
-    value, every lower bound lies above the final minimum, and the chosen
-    tau is the argmin of full-precision values.  DKest usually falls from
-    tau = 1 to a minimum near the mean degree, so starting there leaves
-    few points to solve in full.  When DKest is infinite at every grid
-    point, "dkest" is left out of the chosen values.  A record's seconds
-    cover its clustering, scores and DKest.
     """
     grid = check_taus(np.sort(grid))
     for crit in criteria:
@@ -513,33 +509,13 @@ def tau_scan(
     if truth is not None and truth.n != g.n:
         raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
-    chains = [half for half in np.array_split(grid, 2) if half.size] if g.n >= FORK_MIN_NODES else [grid]
 
-    cluster = partial(_cluster_points, g, k, criteria, truth, seed)
-    scored = fork_map(cluster, chains, workers)  # checks workers before any clustering
-    points = [point for chain in scored for point in chain]
-    records = [rec for rec, _ in points]
-    labels = [lab for _, lab in points]
-
-    if "dkest" in criteria:
-        best = np.inf  # smallest DKest so far
-        for i in _walk_order(grid, g.mean_degree):
-            rec = records[i]
-            start = time.perf_counter()
-            try:
-                rec.dkest = dkest_statistic(
-                    g,
-                    Partition(labels[i], k),
-                    rec.tau,
-                    model_kind=model_kind,
-                    norm_kind=norm_kind,
-                    seed=seed,
-                    above=best if best < np.inf else None,
-                )
-            except DegenerateModelError:
-                rec.dkest = np.inf
-            rec.seconds += time.perf_counter() - start
-            best = min(best, rec.dkest)
+    point = partial(_grid_point, g, k, criteria, truth, model_kind, norm_kind, seed)
+    at = _pivot(grid, g.mean_degree)
+    [pivot] = fork_map(partial(point, None), grid[at : at + 1], workers)  # checks workers first
+    rest = np.delete(grid, at)
+    records = fork_map(lambda tau: point(pivot, tau)[0], rest, workers if g.n >= FORK_MIN_NODES else 1)
+    records.insert(at, pivot[0])
 
     chosen = {}
     if "dkest" in criteria:

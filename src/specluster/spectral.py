@@ -14,9 +14,9 @@ three-term Lanczos recurrence, stopped on ARPACK's residual estimate read
 from its tridiagonal, or, with stop_above, as soon as a Ritz value proves
 the norm exceeds a threshold.  A Ritz value is never above the norm.  Each
 norm run starts cold from its seeded draw, so its value depends only on
-the operators, seed and stop_above.  A StartVector carries the direction
-one eigensolve found into the start of the next, so a sequence of nearby
-operators (a tau grid) needs fewer eigensolve matvecs.
+the operators, seed and stop_above.  An eigensolve may take a start
+direction, added to its seeded draw, so a solve near a known answer
+needs fewer matvecs; the direction is only read.
 """
 
 from dataclasses import dataclass
@@ -83,27 +83,6 @@ class RegularizedLaplacian:
         a = self.graph.adjacency.toarray()
         a += self.tau / self.graph.n
         return self.inv_sqrt_deg[:, None] * a * self.inv_sqrt_deg[None, :]
-
-
-@dataclass
-class StartVector:
-    """Direction carried from one eigensolve to the next.
-
-    direction is None until a solve stores the direction it found.  Every
-    top_eigenpairs call given this holder starts from its seeded random
-    vector plus direction scaled to that vector's norm, which keeps a
-    random component along every eigenvector.  The norm's Lanczos run
-    never takes one: it starts cold from its seeded draw.
-    """
-
-    direction: np.ndarray | None = None
-
-    def draw(self, rng, n):
-        """The seeded random draw of length n, plus the carried direction."""
-        v0 = rng.standard_normal(n)
-        if self.direction is not None:
-            v0 += self.direction * (np.linalg.norm(v0) / np.linalg.norm(self.direction))
-        return v0
 
 
 @dataclass(frozen=True)
@@ -249,13 +228,18 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     7e-9 returned a vector about 1e-3 rad off, and k-means placed 17 nodes
     differently.
 
-    start, a StartVector, warm-starts the Lanczos path: its direction is
-    added to the random start, and after a successful solve it holds the
-    sum of the K returned (sign-fixed) vectors.  The dense path ignores it.
+    start, a finite, nonzero float n-vector, warm-starts the Lanczos path:
+    it is added to the random draw, scaled to the draw's norm, which keeps
+    a random component along every eigenvector.  It is only read, and the
+    dense path ignores it; any other start raises SpeclusterError.
     """
     mv, n = _as_matvec(op)
     if k < 1 or k > n:
         raise SpeclusterError(f"k={k} out of range for operator of size {n}")
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (n,) or start.dtype.kind != "f" or not np.isfinite(start).all() or not start.any():
+            raise SpeclusterError(f"start must be a finite, nonzero float vector of length n={n}")
 
     if n <= DENSE_FALLBACK and (isinstance(op, np.ndarray) or hasattr(op, "to_dense")):
         vals, vecs = np.linalg.eigh(op if isinstance(op, np.ndarray) else op.to_dense())
@@ -266,15 +250,14 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     if k == n:
         raise SpeclusterError(f"k={k} needs k < n for an operator without a dense path")
     rng = rng_from(seed)
-    if start is None:
-        start = StartVector()
-    vals, vecs = _thick_restart_lanczos(mv, start.draw(rng, n), k, tol, rng)
+    v0 = rng.standard_normal(n)
+    if start is not None:
+        v0 += start * (np.linalg.norm(v0) / np.linalg.norm(start))
+    vals, vecs = _thick_restart_lanczos(mv, v0, k, tol, rng)
     res = _residuals(mv, vals, vecs)
     if not np.all(res <= tol):
         raise ConvergenceError(f"eigenpair residuals {res.max():.3g} exceed tol={tol}", residuals=res)
-    vecs = _fix_signs(vecs)
-    start.direction = vecs.sum(axis=1)
-    return EigenBasis(values=vals, vectors=vecs, residuals=res)
+    return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=res)
 
 
 def _extreme_ritz_pair(alpha, beta, scale):

@@ -69,7 +69,7 @@ def test_scan_subcommand(tmp_path):
     ]) == 0
     lines = out.read_text().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "tau,dkest,gn_modularity,nmi,misclassified_fraction,seconds"
+    assert header == "tau,dkest,dkest_bound,gn_modularity,nmi,misclassified_fraction,seconds"
     assert lines[-1].startswith("# chosen dkest=")
 
 

@@ -205,7 +205,7 @@ def test_run_experiment_shape_and_determinism(tmp_path):
     assert lines[0].startswith("# specluster v")
     assert lines[1].startswith("# config_hash=")
     data = [l for l in lines if not l.startswith("#")]
-    assert data[0] == "replicate,tau,dkest,gn_modularity,nmi,misclassified_fraction"
+    assert data[0] == "replicate,tau,dkest,dkest_bound,gn_modularity,nmi,misclassified_fraction"
     assert len(data) == 1 + 2 * 3  # header + replicates * grid points
     assert sum(1 for l in lines if l.startswith("# summary ")) == 3
     assert not np.isnan(result.mean_nmi("dkest"))

@@ -27,6 +27,7 @@ RULE_MESSAGES = (
     "a population degree plus tau is zero",
     "unknown config key",
     "repeats line",
+    "start must be a finite, nonzero float vector of length n",
 )
 
 
@@ -205,6 +206,22 @@ INPUT_CHECKS = {
         "cannot interpret list as a linear operator",
     ),
 }
+# a start that is not a finite, nonzero float n-vector, given to the public
+# clustering entry point, is refused before the eigensolve draws
+_BAD_STARTS = {
+    "short": np.ones(9),
+    "scalar": np.float64(1.0),
+    "row": np.ones((1, 10)),
+    "integer": np.ones(10, dtype=np.int64),
+    "nan": np.r_[np.ones(9), np.nan],
+    "zero": np.zeros(10),
+}
+for _name, _start in _BAD_STARTS.items():
+    INPUT_CHECKS[f"eigensolve start, {_name}"] = (
+        lambda tmp, start=_start: sp.regularized_spectral_clustering(two_cliques(5), 2, 1.0, start=start),
+        sp.SpeclusterError,
+        "start must be a finite, nonzero float vector of length n=10",
+    )
 
 
 @pytest.mark.parametrize("case", list(INPUT_CHECKS))

@@ -647,7 +647,7 @@ def pinned_scan_records(model_kind, norm_kind):
         g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
         model_kind=model_kind, norm_kind=norm_kind, seed=2,
     )
-    fields = ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction")
+    fields = ("tau", "dkest", "dkest_bound", "gn_modularity", "nmi", "misclassified_fraction")
     rows = [tuple(float(getattr(rec, f)) for f in fields) for rec in scan.records]
     return repr((rows, sorted(scan.chosen.items())))
 
@@ -664,11 +664,11 @@ def pinned_experiment_csv(tmp_path):
 
 
 _PINNED_SCAN_OUTPUTS = {
-    "experiment-csv": "7fa6256d78b65ca61242442f1628e9d6a471b2d2f345db85d423ded6ba8c1083",
-    "sbm-spectral": "6f94c03cbf0b955e87f96507265cd23ef5103caf20f1c9a48c6e49521506a3de",
-    "dsbm-frobenius": "813288fdf59597125919f5589576c0e1660bb8362abecbe6ba48bd72c6e42335",
-    # the same graph scanned on two eig chains: its records equal the one-chain scan's
-    "sbm-spectral-halves": "6f94c03cbf0b955e87f96507265cd23ef5103caf20f1c9a48c6e49521506a3de",
+    "experiment-csv": "f0fedc0c7fc63e1bbbbcbb1f72f85a8b6bab53b9a8031fc37c8dacf33e4dbf10",
+    "sbm-spectral": "7559826799f7638218a994b2a1b51f559a606386219724d018d77562f75af3b4",
+    "dsbm-frobenius": "cf8306da285a5568e794d305ee94de7e25e6b453931540ebccb3a966823945d3",
+    # the same graph with round 2 forked: its records equal the one-process scan's
+    "sbm-spectral-forked": "7559826799f7638218a994b2a1b51f559a606386219724d018d77562f75af3b4",
 }
 
 
@@ -680,13 +680,13 @@ def test_scan_outputs_are_pinned(monkeypatch, tmp_path, case):
     if case == "experiment-csv":
         text = pinned_experiment_csv(tmp_path)
     else:
-        if case.endswith("-halves"):  # the two-chain split of a graph of FORK_MIN_NODES or more
+        if case.endswith("-forked"):  # round 2 forked, as on a graph of FORK_MIN_NODES or more
             monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
         text = pinned_scan_records(*case.split("-")[:2])
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SCAN_OUTPUTS[case]
 
 
-def warm_chain_graphs():
+def lanczos_graphs():
     """A two-block SBM graph and a three-block degree-corrected one, both
     above DENSE_FALLBACK so every eigensolve runs Lanczos."""
     sbm = sp.BlockModel.from_sizes([350, 350], [[0.03, 0.008], [0.008, 0.015]])
@@ -698,50 +698,51 @@ def warm_chain_graphs():
     return [(sp.sample(sbm, 2), 2, "sbm"), (sp.sample(dsbm, 2), 3, "dsbm")]
 
 
-def dkest_order(grid, mean_degree):
-    """Indices of an ascending grid in the order tau_scan evaluates DKest:
-    the point nearest mean_degree on a log scale (the first of ties, else
-    the first point), the points below it descending, then those above."""
+def pivot_index(grid, mean_degree):
+    """Index of the grid point nearest mean_degree on a log scale: the
+    first of ties, else the first point."""
     pivot, nearest = 0, np.inf
     for i, tau in enumerate(grid):
         if tau > 0 and mean_degree > 0 and abs(np.log(tau / mean_degree)) < nearest:
             pivot, nearest = i, abs(np.log(tau / mean_degree))
-    return [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, len(grid))]
+    return pivot
 
 
 def test_pivot_is_the_nearest_grid_point_on_a_log_scale():
-    # _walk_order: the pivot, the points below it descending, then those above
-    walk = selection._walk_order
-    assert walk(np.array([0.0, 1.0, 4.0, 9.0]), 2.0) == [1, 0, 2, 3]  # a tie: the lower tau
-    assert walk(np.array([0.0, 1.0, 3.0, 9.0]), 2.0) == [2, 1, 0, 3]
-    assert walk(np.array([0.0, 5.0]), 0.0) == [0, 1]  # no finite distance: the first point
-    assert walk(np.array([0.0]), 3.0) == [0]
+    pivot = selection._pivot
+    assert pivot(np.array([0.0, 1.0, 4.0, 9.0]), 2.0) == 1  # a tie: the lower tau
+    assert pivot(np.array([0.0, 1.0, 3.0, 9.0]), 2.0) == 2
+    assert pivot(np.array([0.0, 5.0]), 0.0) == 0  # no finite distance: the first point
+    assert pivot(np.array([0.0]), 3.0) == 0
+    for grid, mean_degree in ((np.geomspace(0.1, 300.0, 17), 4.59), (np.array([0.0, 2.0, 9.0]), 4.0)):
+        assert pivot(grid, mean_degree) == pivot_index(grid, mean_degree)
 
 
-def test_scan_clusters_the_whole_grid_before_its_dkest_walk(monkeypatch):
+def test_scan_runs_the_pivot_before_every_other_point(monkeypatch):
     g = sp.load_edge_list(_DATA / "karate_edges.txt")
     grid = sp.default_tau_grid(g)
     events = []
     real_rsc, real_dkest = selection.regularized_spectral_clustering, selection.dkest_statistic
 
     def clustering(*args, **kwargs):
-        events.append(("cluster", args[2]))
+        events.append(("cluster", args[2], kwargs["start"] is None))
         return real_rsc(*args, **kwargs)
 
     def dkest(*args, **kwargs):
-        events.append(("dkest", args[2]))
+        events.append(("dkest", args[2], kwargs["above"] is None))
         return real_dkest(*args, **kwargs)
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", clustering)
     monkeypatch.setattr(selection, "dkest_statistic", dkest)
     scan = sp.tau_scan(g, 2, grid, criteria=("dkest", "gn"), seed=0)
-    order = selection._walk_order(scan.grid, g.mean_degree)
-    assert order == dkest_order(scan.grid, g.mean_degree)
-    assert 0 < order[0] < grid.size - 1  # the pivot is inside the grid
-    kinds, taus = zip(*events)
-    assert kinds == ("cluster",) * grid.size + ("dkest",) * grid.size
-    assert list(taus[: grid.size]) == list(scan.grid)
-    assert list(taus[grid.size :]) == [scan.grid[i] for i in order]
+    pivot = scan.grid[pivot_index(scan.grid, g.mean_degree)]
+    assert 0 < pivot_index(scan.grid, g.mean_degree) < grid.size - 1  # the pivot is inside the grid
+    # round 1: the pivot's cold clustering and its DKest without a threshold
+    assert events[:2] == [("cluster", pivot, True), ("dkest", pivot, True)]
+    # round 2: every other point once, anchored, and against the pivot's value
+    rest = {(kind, tau): cold for kind, tau, cold in events[2:]}
+    assert len(rest) == len(events) - 2 == 2 * (grid.size - 1)
+    assert rest == {(kind, tau): False for tau in scan.grid if tau != pivot for kind in ("cluster", "dkest")}
 
 
 _KARATE_GRIDS = {
@@ -752,58 +753,85 @@ _KARATE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
-@pytest.mark.parametrize("case", list(_KARATE_GRIDS))
-def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kind):
-    g = sp.load_edge_list(_DATA / "karate_edges.txt")
-    truth = sp.load_partition(_DATA / "karate_labels.txt")
-    grid = _KARATE_GRIDS[case]
-    grid = sp.default_tau_grid(g) if grid is None else grid
-    calls = []
+def spy_norm(monkeypatch):
+    """{tau: (stop_above, the run stopped above it)} of every
+    spectral_norm_diff call tau_scan makes in this process."""
+    calls = {}
     real_norm = selection.spectral_norm_diff
 
     def spy(sample_op, fitted, stop_above=None, **kwargs):
         out = real_norm(sample_op, fitted, stop_above=stop_above, **kwargs)
-        calls.append((sample_op.tau, stop_above, stop_above is not None and out > stop_above))
+        assert sample_op.tau not in calls  # one norm call per grid point
+        calls[sample_op.tau] = (stop_above, stop_above is not None and out > stop_above)
         return out
 
     monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    return calls
+
+
+@pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
+@pytest.mark.parametrize("case", list(_KARATE_GRIDS))
+def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kind):
+    # the pivot's DKest is solved in full; every other point's is solved
+    # against the pivot's value, and marked where its run stopped above it
+    g = sp.load_edge_list(_DATA / "karate_edges.txt")
+    truth = sp.load_partition(_DATA / "karate_labels.txt")
+    grid = _KARATE_GRIDS[case]
+    grid = sp.default_tau_grid(g) if grid is None else grid
+    calls = spy_norm(monkeypatch)
     scan = sp.tau_scan(
         g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, norm_kind=norm_kind, seed=0
     )
     monkeypatch.undo()
-    order = dkest_order(scan.grid, g.mean_degree)
-    pivot = order[0]
+    pivot = pivot_index(scan.grid, g.mean_degree)
     if case == "pivot-first":
         assert pivot == 0
     if case == "pivot-last":
         assert pivot == len(grid) - 1
+    top = scan.records[pivot].dkest
     if norm_kind == "spectral":
-        # one norm call per grid point, in DKest's order; only the pivot's has no threshold
-        taus, bounds, settled = zip(*calls)
-        assert list(taus) == [scan.grid[i] for i in order]
-        assert bounds[0] is None and all(bound is not None for bound in bounds[1:])
-        certified = {i for i, c in zip(order, settled) if c}
+        assert sorted(calls) == list(scan.grid)
+        assert calls[scan.grid[pivot]] == (None, False)
+        for rec in scan.records:
+            if rec.tau != scan.grid[pivot]:
+                assert calls[rec.tau][0] is not None
+                assert calls[rec.tau][1] == rec.dkest_bound
     else:
         assert not calls
-        certified = set()
-    chosen = scan.record_at(scan.chosen["dkest"]).dkest
-    for i, rec in enumerate(scan.records):
+    assert not scan.records[pivot].dkest_bound
+    if case != "one-point":
+        assert any(rec.dkest_bound for rec in scan.records) == (norm_kind == "spectral")
+    for rec in scan.records:
         part = sp.regularized_spectral_clustering(g, 2, rec.tau, seed=0)
         assert rec.gn_modularity == selection.modularity(g, part)
         assert rec.nmi == sp.nmi(part, truth)
         assert rec.misclassified_fraction == sp.clustering_error(part, truth).misclassified_fraction
         lone = dkest_statistic(g, part, rec.tau, norm_kind=norm_kind)
-        if i in certified:
-            assert i != pivot and chosen * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
+        if rec.dkest_bound:
+            assert top * (1 + 1e-6) < rec.dkest <= lone * (1 + 1e-12)
         else:
             # every norm run starts cold: a full-precision record is the lone call, bitwise
             assert rec.dkest == lone
 
 
+def spy_clustering(monkeypatch):
+    """{tau: (partition, eig start)} of every clustering tau_scan makes in
+    this process."""
+    made = {}
+    real_rsc = selection.regularized_spectral_clustering
+
+    def recording(*args, **kwargs):
+        part = real_rsc(*args, **kwargs)
+        made[args[2]] = (part, kwargs["start"])
+        return part
+
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
+    return made
+
+
 @pytest.mark.parametrize("case", [0, 1])
 def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
-    g, k, model_kind = warm_chain_graphs()[case]
+    g, k, model_kind = lanczos_graphs()[case]
     assert g.n > DENSE_FALLBACK
     grid = np.geomspace(1.0, g.n, 8)
     applies = [0]
@@ -813,86 +841,74 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
         applies[0] += 1
         return real_apply(self, x)
 
-    labels = []
-    real_rsc = selection.regularized_spectral_clustering
-
-    def recording(*args, **kwargs):
-        part = real_rsc(*args, **kwargs)
-        labels.append(part.labels)
-        return part
-
     monkeypatch.setattr(RegularizedLaplacian, "apply", counting)
-    monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
+    real_rsc = selection.regularized_spectral_clustering
+    made = spy_clustering(monkeypatch)
     scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7)
     warm_applies, applies[0] = applies[0], 0
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
-    pivot = dkest_order(scan.grid, g.mean_degree)[0]
+    pivot = pivot_index(scan.grid, g.mean_degree)
+    pivot_labels = made[scan.grid[pivot]][0].labels
     lone = []
     for i, rec in enumerate(scan.records):
-        part = real_rsc(g, k, rec.tau, seed=7)
-        cold = dkest_statistic(g, part, rec.tau, model_kind=model_kind, seed=7)
-        lone.append(cold)
-        assert np.array_equal(labels[i], part.labels)
+        part, start = made[rec.tau]
         if i == pivot:
-            assert rec.dkest == cold  # DKest's first point: the lone call, bitwise
+            assert start is None
+        else:
+            # the anchor: sqrt(d + tau) times 1 + the pivot's label
+            assert np.array_equal(start, np.sqrt(g.degrees + rec.tau) * (1.0 + pivot_labels))
+        cold_part = real_rsc(g, k, rec.tau, seed=7)
+        cold = dkest_statistic(g, cold_part, rec.tau, model_kind=model_kind, seed=7)
+        lone.append(cold)
+        assert np.array_equal(part.labels, cold_part.labels)
+        if i == pivot:
+            assert rec.dkest == cold  # the pivot: the lone call, bitwise
         # full precision, or a Lanczos lower bound that certifies a losing tau
-        full = rec.dkest == pytest.approx(cold, rel=1e-10, abs=0)
-        assert full or chosen * (1 + 1e-6) < rec.dkest <= cold * (1 + 1e-12)
-    assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
+        if rec.dkest_bound:
+            assert chosen * (1 + 1e-6) < rec.dkest <= cold * (1 + 1e-12)
+        else:
+            assert rec.dkest == cold
+    assert chosen == min(lone)
     assert scan.chosen["dkest"] == grid[int(np.argmin(lone))]
     assert warm_applies < applies[0]
 
 
 @pytest.mark.parametrize("case", ["karate", "above-dense-fallback"])
-def test_dkest_is_its_lone_call_whatever_the_walk_visited_before(monkeypatch, case):
-    # every norm run starts cold from its seeded draw, so moving the pivot,
-    # which changes the points the DKest walk visits before each one,
-    # changes only which records are certified bounds: every full-precision
-    # record is its lone call, bitwise
+def test_dkest_is_its_lone_call_wherever_the_pivot_lies(monkeypatch, case):
+    # every norm run starts cold from its seeded draw, so moving the pivot
+    # changes only which records are certified bounds: every
+    # full-precision record is its lone call, bitwise, and the choice stays
     if case == "karate":
         g = sp.load_edge_list(_DATA / "karate_edges.txt")
         k, model_kind, grid = 2, "sbm", sp.default_tau_grid(g)
         pivots = range(0, grid.size, 4)
     else:
-        g, k, model_kind = warm_chain_graphs()[0]
+        g, k, model_kind = lanczos_graphs()[0]
         assert g.n > DENSE_FALLBACK
         grid = np.geomspace(1.0, g.n, 8)
         pivots = [0, 3, grid.size - 1]
-    parts, calls = [], []
-    real_rsc, real_norm = selection.regularized_spectral_clustering, selection.spectral_norm_diff
-
-    def recording(*args, **kwargs):
-        part = real_rsc(*args, **kwargs)
-        parts.append(part)
-        return part
-
-    def spy(sample_op, fitted, stop_above=None, **kwargs):
-        out = real_norm(sample_op, fitted, stop_above=stop_above, **kwargs)
-        calls.append((sample_op.tau, stop_above is not None and out > stop_above))
-        return out
-
-    monkeypatch.setattr(selection, "regularized_spectral_clustering", recording)
-    monkeypatch.setattr(selection, "spectral_norm_diff", spy)
-    lone, minima, full = None, set(), set()
+    lone = [
+        dkest_statistic(g, sp.regularized_spectral_clustering(g, k, tau, seed=0), tau, model_kind=model_kind)
+        for tau in grid
+    ]
+    minima, full = set(), set()
     for pivot in pivots:
-        walk = [pivot, *range(pivot - 1, -1, -1), *range(pivot + 1, grid.size)]
-        monkeypatch.setattr(selection, "_walk_order", lambda grid, mean_degree: walk)
-        parts.clear()
-        calls.clear()
+        monkeypatch.setattr(selection, "_pivot", lambda grid, mean_degree: pivot)
+        calls = spy_norm(monkeypatch)
         scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
-        if lone is None:
-            lone = [dkest_statistic(g, part, tau, model_kind=model_kind) for part, tau in zip(parts, scan.grid)]
-        assert calls[0] == (scan.grid[pivot], False)
-        certified = {tau for tau, c in calls if c}
+        monkeypatch.undo()
+        assert calls[scan.grid[pivot]] == (None, False)
+        assert not scan.records[pivot].dkest_bound
         for rec, want in zip(scan.records, lone):
-            if rec.tau in certified:
-                assert rec.dkest <= want * (1 + 1e-12)
+            assert rec.dkest_bound == calls[rec.tau][1]
+            if rec.dkest_bound:
+                assert scan.records[pivot].dkest * (1 + 1e-6) < rec.dkest <= want * (1 + 1e-12)
             else:
                 assert rec.dkest == want
                 full.add(rec.tau)
         minima.add((scan.chosen["dkest"], scan.record_at(scan.chosen["dkest"]).dkest))
-    assert minima == {(scan.grid[int(np.argmin(lone))], min(lone))}
-    assert len(full) > len(pivots)  # the walks solved different points in full
+    assert minima == {(grid[int(np.argmin(lone))], min(lone))}
+    assert len(full) > len(pivots)  # the pivots solved different points in full
 
 
 def fitted_pair(model_kind, tau):
@@ -989,43 +1005,34 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
     else:
         g = sp.load_edge_list(_DATA / "karate_edges.txt")
         grid, model_kind = sp.default_tau_grid(g), case.split("-")[1]
-    bounds = []
-    outcomes = []  # per norm call: its run stopped above the threshold, or converged
-    real_norm = selection.spectral_norm_diff
-
-    def spy(*args, stop_above=None, **kwargs):
-        out = real_norm(*args, stop_above=stop_above, **kwargs)
-        bounds.append(stop_above)
-        outcomes.append("certified" if stop_above is not None and out > stop_above else "converged")
-        return out
-
-    monkeypatch.setattr(selection, "spectral_norm_diff", spy)
+    calls = spy_norm(monkeypatch)
     scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
     monkeypatch.undo()
-    # every norm after the first is solved against the smallest DKest so far;
-    # the pivot's run has no threshold and converges
-    assert bounds[0] is None and all(b is not None for b in bounds[1:])
-    assert outcomes[0] == "converged"
-    order = dkest_order(scan.grid, g.mean_degree)
-    certified = [i for i, c in zip(order, outcomes) if c == "certified"]
+    # the pivot's norm has no threshold and converges; every other one is
+    # solved against the pivot's value
+    pivot = scan.grid[pivot_index(scan.grid, g.mean_degree)]
+    assert calls.pop(pivot) == (None, False)
+    assert all(bound is not None for bound, _ in calls.values())
+    certified = {tau for tau, (_, stopped) in calls.items() if stopped}
+    assert certified == {rec.tau for rec in scan.records if rec.dkest_bound}
     lone = [
         dkest_statistic(g, sp.regularized_spectral_clustering(g, 2, tau, seed=0), tau, model_kind=model_kind)
         for tau in scan.grid
     ]
     assert scan.chosen["dkest"] == scan.grid[int(np.argmin(lone))]
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
-    assert chosen == pytest.approx(min(lone), rel=1e-10, abs=0)
-    for i, rec in enumerate(scan.records):
-        if i in certified:
-            assert chosen * (1 + 1e-6) < rec.dkest <= lone[i] * (1 + 1e-12)
+    assert chosen == min(lone)
+    for rec, want in zip(scan.records, lone):
+        if rec.dkest_bound:
+            assert chosen * (1 + 1e-6) < rec.dkest <= want * (1 + 1e-12)
         else:
-            assert rec.dkest == pytest.approx(lone[i], rel=1e-10, abs=0)
+            assert rec.dkest == want
     if case == "criterion-5":
         # most losing points are settled by the bound, and tightly: from a
         # cold start the loosest bound on criterion 5's ten graphs is 0.880
         # of its statistic (this graph's: 0.9505)
         assert len(certified) >= len(grid) // 2
-        assert all(scan.records[i].dkest >= 0.88 * lone[i] for i in certified)
+        assert all(scan.record_at(tau).dkest >= 0.88 * want for tau, want in zip(scan.grid, lone) if tau in certified)
 
 
 @pytest.mark.parametrize("fork_min_nodes", [selection.FORK_MIN_NODES, 0], ids=["in-process", "forked"])
@@ -1053,35 +1060,42 @@ def test_scan_refuses_a_bad_worker_count_before_clustering(monkeypatch, workers)
         raise AssertionError("clustered before the worker count was checked")
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
-    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):  # one eig chain, then the two halves
+    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):  # round 2 in this process, then forked
         monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
         with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
             sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
 
 
-def record_chains(monkeypatch):
-    """A list that gets, per tau_scan call, the eig chains (lists of taus)
-    the scan hands selection.fork_map."""
-    chains = []
+def record_rounds(monkeypatch):
+    """A list that gets, per fork_map call of tau_scan, its taus and its
+    worker count."""
+    rounds = []
     real_fork_map = selection.fork_map
 
     def recording(fn, items, workers):
-        chains.append([list(chain) for chain in items])
+        rounds.append(([float(tau) for tau in items], workers))
         return real_fork_map(fn, items, workers)
 
     monkeypatch.setattr(selection, "fork_map", recording)
-    return chains
+    return rounds
 
 
-def scan_outputs(scan):
-    """A scan's records, less the wall-clock seconds, and its choices."""
-    fields = ("tau", "dkest", "gn_modularity", "nmi", "misclassified_fraction")
-    return [tuple(getattr(rec, f) for f in fields) for rec in scan.records], scan.chosen
+def scan_outputs(scan, tmp_path):
+    """A scan's records, less the wall-clock seconds, its choices and its
+    CSV's bytes less the seconds column."""
+    fields = ("tau", "dkest", "dkest_bound", "gn_modularity", "nmi", "misclassified_fraction")
+    path = tmp_path / "scan.csv"
+    scan.to_csv(path)
+    rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    return [tuple(getattr(rec, f) for f in fields) for rec in scan.records], scan.chosen, rows
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["sbm-spectral", "dsbm-frobenius"])
-def test_forked_scan_gives_the_one_process_outputs(monkeypatch, case):
-    g, k, model_kind = warm_chain_graphs()[case]
+def test_forked_scan_gives_the_one_process_outputs(monkeypatch, tmp_path, case):
+    # every record depends on the pivot and its own tau alone, so no split
+    # of round 2 (fork_map deals child j of p the points j, j + p, ...)
+    # moves a byte
+    g, k, model_kind = lanczos_graphs()[case]
     norm_kind = "spectral" if model_kind == "sbm" else "frobenius"
     truth = sp.Partition(np.arange(g.n) * k // g.n, k)
     starts = []
@@ -1092,21 +1106,34 @@ def test_forked_scan_gives_the_one_process_outputs(monkeypatch, case):
         return real_start(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
-    chains = record_chains(monkeypatch)
-    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
     grid = np.geomspace(1.0, g.n, 7)
-    outputs = {}
-    for workers in (1, 2, None):
-        scan = sp.tau_scan(
-            g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
-            model_kind=model_kind, norm_kind=norm_kind, seed=7, workers=workers,
-        )
-        outputs[workers] = scan_outputs(scan)
-    # the eig chains are the grid's two halves at every worker count
-    assert chains == [[list(grid[:4]), list(grid[4:])]] * 3
-    assert outputs[2] == outputs[1]
-    assert outputs[None] == outputs[1]
-    assert len(starts) >= 2  # workers=2 forked the two halves
+    outputs = []
+    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):
+        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
+        for workers in (1, 2, 3, None):
+            scan = sp.tau_scan(
+                g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
+                model_kind=model_kind, norm_kind=norm_kind, seed=7, workers=workers,
+            )
+            outputs.append(scan_outputs(scan, tmp_path))
+    assert all(out == outputs[0] for out in outputs)
+    assert len(starts) >= 2 + 3  # workers=2 and workers=3 forked round 2
+    assert multiprocessing.active_children() == []
+
+
+def test_experiment_csv_is_the_same_at_every_worker_count(monkeypatch, tmp_path):
+    cfg = sp.ExperimentConfig(
+        n=600, k=2, inside_weights=(1.0, 0.5), out_in_ratio=4.0, target_degree=12.0,
+        tau_grid=np.geomspace(1.0, 600.0, 6), replicates=3, seed=5,
+    )
+    texts = set()
+    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):
+        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
+        for workers in (1, 2, 3, None):
+            path = tmp_path / f"{fork_min_nodes}-{workers}.csv"
+            sp.run_experiment(cfg, out_path=path, workers=workers)
+            texts.add(path.read_bytes())
+    assert len(texts) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -1146,14 +1173,16 @@ def test_scan_below_the_fork_size_starts_no_process(monkeypatch):
         raise AssertionError("tau_scan started a process")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    chains = record_chains(monkeypatch)
+    rounds = record_rounds(monkeypatch)
     g = two_cliques(5)
     assert g.n < selection.FORK_MIN_NODES
     for workers in (1, 2, None):
         scan = sp.tau_scan(g, 2, [100.0, 1.0, 10.0, 3.0], workers=workers)
         assert len(scan.records) == 4
-    # one eig chain, the whole ascending grid, at every worker count
-    assert chains == [[[1.0, 3.0, 10.0, 100.0]]] * 3
+        # round 1, the pivot nearest the mean degree 4, is given workers to
+        # check; round 2 runs here
+        assert rounds.pop(0) == ([3.0], workers)
+        assert rounds.pop(0) == ([1.0, 10.0, 100.0], 1)
 
 
 def test_scan_csv_format(tmp_path):
@@ -1166,7 +1195,7 @@ def test_scan_csv_format(tmp_path):
     assert lines[0].startswith("# specluster v")
     assert lines[1].startswith("# config_hash=")
     assert lines[2] == "# seed=0"
-    assert lines[3] == "tau,dkest,gn_modularity,nmi,misclassified_fraction,seconds"
+    assert lines[3] == "tau,dkest,dkest_bound,gn_modularity,nmi,misclassified_fraction,seconds"
     assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2 rows
     assert lines[-1].startswith("# chosen ")
 

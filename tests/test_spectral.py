@@ -159,6 +159,32 @@ def test_lanczos_seed_invariance():
     assert np.max(angles) < 1e-6
 
 
+def test_lanczos_start_is_only_read():
+    op = RegularizedLaplacian(sample_graph(n=600, seed=7, p_in=0.1, p_out=0.02), 10.0)
+    start = np.linspace(1.0, 2.0, op.shape[0])
+    start.flags.writeable = False  # a write would raise
+    warm = top_eigenpairs(op, 2, seed=1, start=start)
+    assert np.array_equal(start, np.linspace(1.0, 2.0, op.shape[0]))
+    again = top_eigenpairs(op, 2, seed=1, start=start.copy())
+    assert np.array_equal(warm.vectors, again.vectors) and np.array_equal(warm.values, again.values)
+    cold = top_eigenpairs(op, 2, seed=1)
+    assert np.allclose(warm.values, cold.values, atol=1e-8)
+    sv = np.linalg.svd(warm.vectors.T @ cold.vectors, compute_uv=False)
+    assert np.max(np.arccos(np.clip(sv, -1, 1))) < 1e-6
+
+
+def test_lanczos_refuses_a_bad_start_before_it_draws(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("drew before the start was checked")
+
+    monkeypatch.setattr(spectral, "rng_from", refuse)
+    op = RegularizedLaplacian(sample_graph(n=600, seed=7, p_in=0.1, p_out=0.02), 10.0)
+    assert op.shape[0] > DENSE_FALLBACK
+    for start in (np.ones(599), np.full(600, np.inf), np.zeros(600), 1.0):
+        with pytest.raises(sp.SpeclusterError, match="start must be a finite, nonzero float vector of length n=600"):
+            top_eigenpairs(op, 2, start=start)
+
+
 def test_sign_convention_deterministic():
     g = sample_graph(n=40, seed=8)
     basis = top_eigenpairs(RegularizedLaplacian(g, 2.0), 3)
