@@ -92,8 +92,10 @@ class DegreeCorrectedModel:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=np.float64)
         object.__setattr__(self, "theta", theta)
-        if theta.size != self.base.n:
-            raise SpeclusterError("theta length must equal node count")
+        if theta.shape != (self.base.n,):
+            raise SpeclusterError(
+                f"theta length must equal node count: need shape ({self.base.n},), got {theta.shape}"
+            )
         if not 0 < theta.min() <= theta.max() < np.inf:  # NaN fails too
             raise SpeclusterError("theta entries must be positive and finite")
         # Largest entry of Theta Z B Z' Theta per block pair must stay <= 1.
@@ -516,10 +518,10 @@ def _sizes_from_weights(n, weights):
 def load_model_config(path):
     """Read a block model from a flat key=value file.
 
-    Keys: n, k, sizes (comma list) or weights (comma list), b (row-major
-    K*K comma list), optional theta_file (one positive weight per line,
-    producing a degree-corrected model).  Text after '#' is a comment.  A
-    key given twice, or any other key, is a ConfigError.
+    Keys: n, k, sizes (comma list) or weights (comma list), never both,
+    b (row-major K*K comma list), optional theta_file (one positive weight
+    per line, producing a degree-corrected model).  Text after '#' is a
+    comment.  A key given twice, or any other key, is a ConfigError.
     """
     path = Path(path)
     items = _parse_kv_file(path, MODEL_CONFIG_KEYS)
@@ -527,12 +529,12 @@ def load_model_config(path):
         n = int(items["n"])
         k = int(items["k"])
         b_entries = _numbers(items, "b", float)
+        if ("sizes" in items) == ("weights" in items):
+            raise ConfigError(f"{path}: need sizes or weights, not both")
         if "sizes" in items:
             sizes = np.asarray(_numbers(items, "sizes", int), dtype=np.int64)
-        elif "weights" in items:
-            sizes = _sizes_from_weights(n, _numbers(items, "weights", float))
         else:
-            raise ConfigError(f"{path}: need sizes or weights")
+            sizes = _sizes_from_weights(n, _numbers(items, "weights", float))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     except ValueError as exc:

@@ -22,7 +22,7 @@ from .clustering import Partition, load_partition, regularized_spectral_clusteri
 from .errors import SpeclusterError
 from .experiments import parse_experiment_config, parse_tau_grid_spec, run_experiment
 from .graph import load_edge_list, save_edge_list
-from .selection import FORK_MIN_NODES, MODEL_KINDS, NORM_KINDS, default_tau_grid, tau_scan
+from .selection import MODEL_KINDS, NORM_KINDS, default_tau_grid, tau_scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,10 +53,10 @@ def _build_parser():
     p = sub.add_parser(
         "scan",
         help="scan the tau selectors over a grid",
-        description="Scan the tau selectors over a grid.  On a graph of at least "
-        f"{FORK_MIN_NODES} nodes every grid point but the one nearest the mean degree runs "
-        "in up to one process per CPU; the CSV is byte-identical to a one-process run, and peak memory is "
-        "per process, since each process clusters its points on the shared graph.",
+        description="Scan the tau selectors over a grid.  Every grid point but the one nearest the "
+        "mean degree runs in up to one process per CPU; the CSV, less its seconds column, is byte-identical "
+        "to a one-process run at the same BLAS thread count, and peak memory is per process, since each "
+        "process clusters its points on the shared graph.",
     )
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--k", type=int, required=True)
@@ -70,9 +70,9 @@ def _build_parser():
     p = sub.add_parser(
         "experiment",
         help="run a replicated simulation",
-        description="Run a replicated simulation.  Replicates run in up to one process per CPU; "
-        "the CSV is byte-identical to a one-process run, and peak memory grows with the "
-        "process count, since each process holds one replicate's graph and scan.",
+        description="Run a replicated simulation.  Replicates run one after another, and each "
+        "replicate's scan runs its grid points as the scan command does, in up to one process per CPU; "
+        "the CSV is byte-identical to a one-process run at the same BLAS thread count.",
     )
     p.add_argument("config", help="experiment config file")
     p.add_argument("--out", help="override output path")

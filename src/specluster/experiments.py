@@ -7,7 +7,6 @@ closed form so the population mean degree equals the target lambda.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from .clustering import Partition
 from .errors import ConfigError, InfeasibleConfigError, SpeclusterError
 from .selection import TauRecord, _check_kinds, tau_scan
 from .spectral import check_taus
-from .util import fmt, fork_map, write_artifact_csv
+from .util import fmt, process_count, write_artifact_csv
 
 
 def parse_tau_grid_spec(spec):
@@ -159,59 +158,45 @@ class ExperimentResult:
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def _replicate(cfg, model, truth, rep):
-    """Sample and scan one replicate: (rows, chosen, failures) as run_experiment
-    records them.  A SpeclusterError becomes a failure here, so a worker
-    process returns only plain values.  The scan runs in this process, so
-    processes never nest."""
-    rep_seed = cfg.seed + rep
-    try:
-        g = sample(model, rep_seed)
-        scan = tau_scan(
-            g,
-            cfg.k,
-            cfg.tau_grid,
-            criteria=("dkest", "gn", "oracle"),
-            truth=truth,
-            model_kind=cfg.model_kind,
-            norm_kind=cfg.norm_kind,
-            seed=rep_seed,
-            workers=1,
-        )
-    except SpeclusterError as exc:
-        return [], [], [(rep, str(exc))]
-    rows = [(rep, rec) for rec in scan.records]
-    chosen = [(rep, crit, tau, scan.record_at(tau).nmi) for crit, tau in sorted(scan.chosen.items())]
-    return rows, chosen, []
-
-
 def run_experiment(cfg, out_path=None, workers=None):
     """Sample, scan, and select per replicate; write one deterministic CSV.
 
-    Replicate seeds are seed + replicate index.  Per-replicate failures are
-    recorded and skipped.  Output rows carry no wall-clock values, so
-    identical inputs produce byte-identical artifacts.
-
-    Replicates share no work, so they run in forked worker processes
-    (util.fork_map): workers of them at once, or with workers=None one per
-    CPU this process may use, never more than the replicate count.
-    Outcomes are collected in replicate order, so the result and the CSV
-    are byte-identical to a workers=1 run.  Peak memory grows with the
-    worker count, since each worker holds one replicate's graph and scan;
-    each replicate's tau_scan runs with one process.  One worker, one
-    replicate, or a platform without the fork start method runs in this
-    process; a caller that runs threads of its own passes workers=1, since
-    forking a threaded process can deadlock.  Every worker is joined
-    before return, also on an exception.
+    Replicate seeds are seed + replicate index.  Replicates are sampled
+    and scanned one after another in this process, and each replicate's
+    tau_scan gets workers, so its round 2 runs in up to that many forked
+    processes (workers=None: one per CPU this process may use; workers=1:
+    none, which a caller that runs threads of its own passes, since
+    forking a threaded process can deadlock).  A bad workers is refused
+    before any graph is sampled.  A replicate's SpeclusterError is
+    recorded as its failure and the run goes on.  Output rows carry no
+    wall-clock values, and no record depends on workers, so identical
+    inputs give byte-identical artifacts at a fixed BLAS thread count (a
+    lower-bound dkest cell moves in its last digits with that count).
     """
+    process_count(workers)
     model = build_experiment_model(cfg)
     truth = Partition(model.membership, cfg.k)
-    outcomes = fork_map(partial(_replicate, cfg, model, truth), range(cfg.replicates), workers)
     result = ExperimentResult(config=cfg)
-    for rows, chosen, failures in outcomes:
-        result.rows += rows
-        result.chosen += chosen
-        result.failures += failures
+    for rep in range(cfg.replicates):
+        rep_seed = cfg.seed + rep
+        try:
+            g = sample(model, rep_seed)
+            scan = tau_scan(
+                g,
+                cfg.k,
+                cfg.tau_grid,
+                criteria=("dkest", "gn", "oracle"),
+                truth=truth,
+                model_kind=cfg.model_kind,
+                norm_kind=cfg.norm_kind,
+                seed=rep_seed,
+                workers=workers,
+            )
+        except SpeclusterError as exc:
+            result.failures.append((rep, str(exc)))
+            continue
+        result.rows += [(rep, rec) for rec in scan.records]
+        result.chosen += [(rep, crit, tau, scan.record_at(tau).nmi) for crit, tau in sorted(scan.chosen.items())]
 
     comments = [
         f"chosen replicate={rep} criterion={crit} tau={fmt(tau)} nmi={fmt(score)}"

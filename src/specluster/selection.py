@@ -44,12 +44,9 @@ from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
 from .metrics import block_counts, clustering_error, modularity, nmi
 from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, check_taus, spectral_norm_diff, top_eigenpairs
-from .util import fmt, fork_map, write_artifact_csv
+from .util import fmt, fork_map, process_count, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
-# smallest graph whose scan forks its second round (an 8-point scan at
-# n = 3000 ran slower forked on 2 cores); no record depends on it
-FORK_MIN_NODES = 5000
 MODEL_KINDS = ("sbm", "dsbm")
 NORM_KINDS = ("spectral", "frobenius")
 
@@ -379,6 +376,11 @@ class TauScan:
         raise KeyError(tau)
 
     def to_csv(self, path):
+        """Write the records and the chosen values as a CSV artifact.  Less
+        its seconds column, it is byte-identical for identical inputs only
+        at a fixed BLAS thread count: a lower-bound dkest cell (dkest_bound
+        set) moves in its last digits with that count, since the norm
+        run's threaded dot products do."""
         config = {
             "grid": ",".join(fmt(t) for t in self.grid),
             "k": self.k,
@@ -491,11 +493,11 @@ def tau_scan(
     chosen values.  A record's seconds cover its clustering, scores and
     DKest.
 
-    Both rounds go through util.fork_map, which refuses a bad workers
-    before any clustering.  Round 1 is one item and runs in this process.
-    From FORK_MIN_NODES nodes on, round 2 runs in forked processes, workers
-    of them, or with workers=None one per CPU this process may use; on a
-    smaller graph it runs here.  Peak memory is per process: each child
+    A bad workers is refused (util.process_count) before any clustering.
+    Round 1 runs in this process.  Round 2 runs in forked processes
+    (util.fork_map), workers of them, or with workers=None one per CPU
+    this process may use, never more than its point count; workers=1 runs
+    it here and starts no process.  Peak memory is per process: each child
     holds one point's eigensolver and k-means work on the shared graph.  A
     caller that runs threads of its own passes workers=1, since forking a
     threaded process can deadlock.  No process outlives the call.
@@ -509,12 +511,12 @@ def tau_scan(
     if truth is not None and truth.n != g.n:
         raise SpeclusterError(f"reference partition covers {truth.n} nodes; the graph has {g.n}")
     _check_kinds(model_kind, norm_kind)
+    process_count(workers)
 
     point = partial(_grid_point, g, k, criteria, truth, model_kind, norm_kind, seed)
     at = _pivot(grid, g.mean_degree)
-    [pivot] = fork_map(partial(point, None), grid[at : at + 1], workers)  # checks workers first
-    rest = np.delete(grid, at)
-    records = fork_map(lambda tau: point(pivot, tau)[0], rest, workers if g.n >= FORK_MIN_NODES else 1)
+    pivot = point(None, grid[at])
+    records = fork_map(lambda tau: point(pivot, tau)[0], np.delete(grid, at), workers)
     records.insert(at, pivot[0])
 
     chosen = {}

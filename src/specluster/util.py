@@ -1,5 +1,6 @@
 """Small shared helpers: seeding, the line reader of every input text
-file, provenance-stamped CSV artifacts and a map over forked processes."""
+file, provenance-stamped CSV artifacts, the worker-count check and a map
+over forked processes."""
 
 import hashlib
 import multiprocessing
@@ -81,13 +82,27 @@ def _run_share(fn, share, writer):
     writer.send(answer)
 
 
+def process_count(workers):
+    """The process count that workers asks for: workers itself, or with
+    None one per CPU this process may use.  Anything but None or an
+    integer of at least 1 is a ConfigError."""
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
+    ):
+        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
+    if workers is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return int(workers)
+
+
 def fork_map(fn, items, workers=None):
     """[fn(item) for item in items], over forked child processes.
 
-    workers is None, for one process per CPU this process may use, or an
-    integer of at least 1; it is checked before anything runs, and never
+    workers is checked by process_count before anything runs, and never
     more than len(items) processes run.  With one process, or on a
-    platform without the fork start method, the map runs here.
+    platform without the fork start method, the map runs here.  It is
+    the package's one fork site: round 2 of selection.tau_scan calls it,
+    and run_experiment reaches it only through each replicate's scan.
 
     Child j of p runs items j, j + p, j + 2p, ... and sends its results
     back over a one-way pipe; the caller only waits, and the results come
@@ -100,14 +115,9 @@ def fork_map(fn, items, workers=None):
     items reach the children through the fork; only results and
     exceptions are pickled.
     """
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1
-    ):
-        raise ConfigError(f"workers must be None or an integer of at least 1, got {workers!r}")
+    workers = process_count(workers)
     items = list(items)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(int(workers), len(items))
+    processes = min(workers, len(items))
     if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")

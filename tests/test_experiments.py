@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specluster as sp
-from specluster import experiments
+from specluster import experiments, selection
 from specluster.blockmodel import edge_probabilities
 
 
@@ -290,18 +290,20 @@ def test_parallel_run_records_the_same_failure_and_rows(tmp_path, monkeypatch):
 
 
 def test_parallel_run_raises_a_foreign_error_and_leaves_no_process(tmp_path, monkeypatch):
+    # replicate 1's tau = 1 is never the pivot (8 or 80, near the mean
+    # degree 25), so it clusters in a forked child of round 2
     cfg = small_config(tmp_path, replicates=3, seed=4)
-    real = experiments.tau_scan
+    real = selection.regularized_spectral_clustering
 
-    def broken_at_seed_5(g, *args, seed, **kwargs):
-        if seed == 5:
+    def broken_at_seed_5(g, k, tau, *, seed, **kwargs):
+        if seed == 5 and tau == 1.0:
             raise RuntimeError(f"not a specluster error, pid {os.getpid()}")
-        return real(g, *args, seed=seed, **kwargs)
+        return real(g, k, tau, seed=seed, **kwargs)
 
-    monkeypatch.setattr(experiments, "tau_scan", broken_at_seed_5)
+    monkeypatch.setattr(selection, "regularized_spectral_clustering", broken_at_seed_5)
     with pytest.raises(RuntimeError, match="not a specluster error") as info:
         sp.run_experiment(cfg, workers=2)
-    assert str(info.value) != f"not a specluster error, pid {os.getpid()}"  # raised in a worker
+    assert str(info.value) != f"not a specluster error, pid {os.getpid()}"  # raised in a child
     assert multiprocessing.active_children() == []
 
 
@@ -318,15 +320,24 @@ def test_one_worker_runs_in_the_calling_thread_and_process(tmp_path, monkeypatch
     assert not result.failures and len(result.rows) == 6
 
 
-def test_each_replicate_scans_in_one_process(tmp_path, monkeypatch):
-    # processes never nest: a replicate's tau_scan, forked or not, forks nothing
-    real = experiments.tau_scan
-    workers = []
+def test_each_replicate_scan_gets_the_callers_workers(tmp_path, monkeypatch):
+    # one fork site: run_experiment forks nothing itself, and every
+    # replicate's tau_scan hands the caller's workers to its round 2
+    real_scan, real_fork_map = experiments.tau_scan, selection.fork_map
+    calls = []
 
-    def spy(*args, **kwargs):
-        workers.append(kwargs.get("workers", "missing"))
-        return real(*args, **kwargs)
+    def scan(*args, **kwargs):
+        calls.append(("tau_scan", kwargs.get("workers", "missing")))
+        return real_scan(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "tau_scan", spy)
-    sp.run_experiment(small_config(tmp_path, replicates=3), workers=1)
-    assert workers == [1, 1, 1]
+    def fork_map(fn, items, workers):
+        calls.append(("fork_map", workers))
+        return real_fork_map(fn, items, workers)
+
+    monkeypatch.setattr(experiments, "tau_scan", scan)
+    monkeypatch.setattr(selection, "fork_map", fork_map)
+    assert not hasattr(experiments, "fork_map")
+    for workers in (1, 2, None):
+        calls.clear()
+        sp.run_experiment(small_config(tmp_path, replicates=3), workers=workers)
+        assert calls == [("tau_scan", workers), ("fork_map", workers)] * 3

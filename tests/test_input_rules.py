@@ -28,6 +28,7 @@ RULE_MESSAGES = (
     "unknown config key",
     "repeats line",
     "start must be a finite, nonzero float vector of length n",
+    "theta length must equal node count",
 )
 
 
@@ -73,7 +74,10 @@ def test_cli_kind_choices_are_the_selection_kinds():
     assert choices["norm"] == NORM_KINDS
 
 
-def _config(tmp_path, text):
+def _config(tmp_path, text, theta=None):
+    """input.cfg holding text, beside a theta.txt holding theta if given."""
+    if theta is not None:
+        (tmp_path / "theta.txt").write_text(theta)
     path = tmp_path / "input.cfg"
     path.write_text(text)
     return path
@@ -149,6 +153,23 @@ INPUT_CHECKS = {
         lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk = 2\nb = 0.5,0.1,0.1,0.4\n")),
         sp.ConfigError,
         "input.cfg: need sizes or weights",
+    ),
+    "model config with sizes and weights": (
+        lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk = 2\nsizes = 3,3\nweights = 1,1\nb = 0.5,0.1,0.1,0.4\n")),
+        sp.ConfigError,
+        "input.cfg: need sizes or weights, not both",
+    ),
+    "theta of two columns": (
+        lambda tmp: sp.DegreeCorrectedModel(sp.BlockModel.from_sizes([2, 2], np.eye(2) * 0.5), np.ones((2, 2))),
+        sp.SpeclusterError,
+        r"theta length must equal node count: need shape \(4,\), got \(2, 2\)",
+    ),
+    "theta_file of two columns": (
+        lambda tmp: sp.load_model_config(
+            _config(tmp, "n = 4\nk = 2\nsizes = 2,2\nb = 0.5,0.1,0.1,0.4\ntheta_file = theta.txt\n", theta="1 1\n1 1\n")
+        ),
+        sp.ConfigError,
+        r"input.cfg: theta length must equal node count: need shape \(4,\), got \(2, 2\)",
     ),
     "model config, wrong block count": (
         lambda tmp: sp.load_model_config(_config(tmp, "n = 6\nk = 1\nsizes = 3,3\nb = 0.5\n")),

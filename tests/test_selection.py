@@ -627,7 +627,7 @@ def test_scan_reproducible(rng):
     assert scan.record_at(scan.chosen["oracle"]).nmi == max(r.nmi for r in scan.records)
 
 
-def pinned_scan_records(model_kind, norm_kind):
+def pinned_scan_records(model_kind, norm_kind, workers):
     """repr of a small scan's records and choices, without the wall-clock
     seconds."""
     if model_kind == "sbm":
@@ -645,7 +645,7 @@ def pinned_scan_records(model_kind, norm_kind):
     grid = sp.default_tau_grid(g, points=7)
     scan = sp.tau_scan(
         g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
-        model_kind=model_kind, norm_kind=norm_kind, seed=2,
+        model_kind=model_kind, norm_kind=norm_kind, seed=2, workers=workers,
     )
     fields = ("tau", "dkest", "dkest_bound", "gn_modularity", "nmi", "misclassified_fraction")
     rows = [tuple(float(getattr(rec, f)) for f in fields) for rec in scan.records]
@@ -667,22 +667,21 @@ _PINNED_SCAN_OUTPUTS = {
     "experiment-csv": "f0fedc0c7fc63e1bbbbcbb1f72f85a8b6bab53b9a8031fc37c8dacf33e4dbf10",
     "sbm-spectral": "7559826799f7638218a994b2a1b51f559a606386219724d018d77562f75af3b4",
     "dsbm-frobenius": "cf8306da285a5568e794d305ee94de7e25e6b453931540ebccb3a966823945d3",
-    # the same graph with round 2 forked: its records equal the one-process scan's
+    # the same graph with round 2 forked onto two processes: its records
+    # equal the one-process scan's
     "sbm-spectral-forked": "7559826799f7638218a994b2a1b51f559a606386219724d018d77562f75af3b4",
 }
 
 
 @pytest.mark.parametrize("case", list(_PINNED_SCAN_OUTPUTS))
-def test_scan_outputs_are_pinned(monkeypatch, tmp_path, case):
+def test_scan_outputs_are_pinned(tmp_path, case):
     # a scan's exact outputs, so that a change meant to keep them can be
     # checked against earlier commits: a change that moves any of these
     # bytes must re-baseline the digests and say so
     if case == "experiment-csv":
         text = pinned_experiment_csv(tmp_path)
     else:
-        if case.endswith("-forked"):  # round 2 forked, as on a graph of FORK_MIN_NODES or more
-            monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
-        text = pinned_scan_records(*case.split("-")[:2])
+        text = pinned_scan_records(*case.split("-")[:2], workers=2 if case.endswith("-forked") else 1)
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_SCAN_OUTPUTS[case]
 
 
@@ -734,7 +733,7 @@ def test_scan_runs_the_pivot_before_every_other_point(monkeypatch):
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", clustering)
     monkeypatch.setattr(selection, "dkest_statistic", dkest)
-    scan = sp.tau_scan(g, 2, grid, criteria=("dkest", "gn"), seed=0)
+    scan = sp.tau_scan(g, 2, grid, criteria=("dkest", "gn"), seed=0, workers=1)
     pivot = scan.grid[pivot_index(scan.grid, g.mean_degree)]
     assert 0 < pivot_index(scan.grid, g.mean_degree) < grid.size - 1  # the pivot is inside the grid
     # round 1: the pivot's cold clustering and its DKest without a threshold
@@ -780,7 +779,7 @@ def test_scan_evaluates_dkest_outward_from_the_pivot(monkeypatch, case, norm_kin
     grid = sp.default_tau_grid(g) if grid is None else grid
     calls = spy_norm(monkeypatch)
     scan = sp.tau_scan(
-        g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, norm_kind=norm_kind, seed=0
+        g, 2, grid, criteria=("dkest", "gn", "oracle"), truth=truth, norm_kind=norm_kind, seed=0, workers=1
     )
     monkeypatch.undo()
     pivot = pivot_index(scan.grid, g.mean_degree)
@@ -844,7 +843,7 @@ def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     monkeypatch.setattr(RegularizedLaplacian, "apply", counting)
     real_rsc = selection.regularized_spectral_clustering
     made = spy_clustering(monkeypatch)
-    scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7)
+    scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=7, workers=1)
     warm_applies, applies[0] = applies[0], 0
     chosen = scan.record_at(scan.chosen["dkest"]).dkest
     pivot = pivot_index(scan.grid, g.mean_degree)
@@ -895,7 +894,7 @@ def test_dkest_is_its_lone_call_wherever_the_pivot_lies(monkeypatch, case):
     for pivot in pivots:
         monkeypatch.setattr(selection, "_pivot", lambda grid, mean_degree: pivot)
         calls = spy_norm(monkeypatch)
-        scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
+        scan = sp.tau_scan(g, k, grid, criteria=("dkest",), model_kind=model_kind, seed=0, workers=1)
         monkeypatch.undo()
         assert calls[scan.grid[pivot]] == (None, False)
         assert not scan.records[pivot].dkest_bound
@@ -1006,7 +1005,7 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         g = sp.load_edge_list(_DATA / "karate_edges.txt")
         grid, model_kind = sp.default_tau_grid(g), case.split("-")[1]
     calls = spy_norm(monkeypatch)
-    scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0)
+    scan = sp.tau_scan(g, 2, grid, criteria=("dkest",), model_kind=model_kind, seed=0, workers=1)
     monkeypatch.undo()
     # the pivot's norm has no threshold and converges; every other one is
     # solved against the pivot's value
@@ -1035,8 +1034,8 @@ def test_scan_choice_is_the_argmin_of_lone_calls(monkeypatch, case):
         assert all(scan.record_at(tau).dkest >= 0.88 * want for tau, want in zip(scan.grid, lone) if tau in certified)
 
 
-@pytest.mark.parametrize("fork_min_nodes", [selection.FORK_MIN_NODES, 0], ids=["in-process", "forked"])
-def test_scan_starts_no_thread(monkeypatch, fork_min_nodes):
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "forked"])
+def test_scan_starts_no_thread(monkeypatch, workers):
     # no thread, whatever SPECLUSTER_THREADS or workers= say: a thread pool's
     # malloc arenas raise peak RSS, and forking a threaded process can deadlock
     def refuse(self):
@@ -1044,13 +1043,11 @@ def test_scan_starts_no_thread(monkeypatch, fork_min_nodes):
 
     monkeypatch.setenv("SPECLUSTER_THREADS", "2")
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
     model = sp.BlockModel.from_sizes([30, 30], [[0.4, 0.05], [0.05, 0.4]])
     g = sp.sample(model, 1)
     truth = sp.Partition(model.membership, 2)
-    for workers in (None, 2):
-        scan = sp.tau_scan(g, 2, [1.0, 10.0, 100.0], truth=truth, seed=3, workers=workers)
-        assert len(scan.records) == 3
+    scan = sp.tau_scan(g, 2, [1.0, 10.0, 100.0], truth=truth, seed=3, workers=workers)
+    assert len(scan.records) == 3
     assert multiprocessing.active_children() == []
 
 
@@ -1060,10 +1057,8 @@ def test_scan_refuses_a_bad_worker_count_before_clustering(monkeypatch, workers)
         raise AssertionError("clustered before the worker count was checked")
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", refuse)
-    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):  # round 2 in this process, then forked
-        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
-        with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
-            sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
+    with pytest.raises(sp.SpeclusterError, match="workers must be None or an integer of at least 1"):
+        sp.tau_scan(two_cliques(4), 2, [0.5, 1.0, 8.0], workers=workers)
 
 
 def record_rounds(monkeypatch):
@@ -1108,31 +1103,27 @@ def test_forked_scan_gives_the_one_process_outputs(monkeypatch, tmp_path, case):
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
     grid = np.geomspace(1.0, g.n, 7)
     outputs = []
-    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):
-        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
-        for workers in (1, 2, 3, None):
-            scan = sp.tau_scan(
-                g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
-                model_kind=model_kind, norm_kind=norm_kind, seed=7, workers=workers,
-            )
-            outputs.append(scan_outputs(scan, tmp_path))
+    for workers in (1, 2, 3, None):
+        scan = sp.tau_scan(
+            g, k, grid, criteria=("dkest", "gn", "oracle"), truth=truth,
+            model_kind=model_kind, norm_kind=norm_kind, seed=7, workers=workers,
+        )
+        outputs.append(scan_outputs(scan, tmp_path))
     assert all(out == outputs[0] for out in outputs)
     assert len(starts) >= 2 + 3  # workers=2 and workers=3 forked round 2
     assert multiprocessing.active_children() == []
 
 
-def test_experiment_csv_is_the_same_at_every_worker_count(monkeypatch, tmp_path):
+def test_experiment_csv_is_the_same_at_every_worker_count(tmp_path):
     cfg = sp.ExperimentConfig(
         n=600, k=2, inside_weights=(1.0, 0.5), out_in_ratio=4.0, target_degree=12.0,
         tau_grid=np.geomspace(1.0, 600.0, 6), replicates=3, seed=5,
     )
     texts = set()
-    for fork_min_nodes in (selection.FORK_MIN_NODES, 0):
-        monkeypatch.setattr(selection, "FORK_MIN_NODES", fork_min_nodes)
-        for workers in (1, 2, 3, None):
-            path = tmp_path / f"{fork_min_nodes}-{workers}.csv"
-            sp.run_experiment(cfg, out_path=path, workers=workers)
-            texts.add(path.read_bytes())
+    for workers in (1, 2, 3, None):
+        path = tmp_path / f"{workers}.csv"
+        sp.run_experiment(cfg, out_path=path, workers=workers)
+        texts.add(path.read_bytes())
     assert len(texts) == 1
     assert multiprocessing.active_children() == []
 
@@ -1146,7 +1137,6 @@ def test_forked_scan_raises_a_child_error_and_leaves_no_process(monkeypatch):
         return real(g, k, tau, **kwargs)
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", broken_at_the_top)
-    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
     with pytest.raises(RuntimeError, match="not a specluster error") as info:
         sp.tau_scan(two_cliques(5), 2, [1.0, 3.0, 10.0, 100.0], workers=2)
     assert str(info.value) != f"not a specluster error, pid {os.getpid()}"  # raised in a child
@@ -1162,27 +1152,33 @@ def test_forked_scan_names_the_exit_code_of_a_child_that_died(monkeypatch):
         return real(g, k, tau, **kwargs)
 
     monkeypatch.setattr(selection, "regularized_spectral_clustering", dying_at_the_top)
-    monkeypatch.setattr(selection, "FORK_MIN_NODES", 0)
     with pytest.raises(sp.SpeclusterError, match="exited with code 3 before it answered"):
         sp.tau_scan(two_cliques(5), 2, [1.0, 3.0, 10.0, 100.0], workers=2)
     assert multiprocessing.active_children() == []
 
 
-def test_scan_below_the_fork_size_starts_no_process(monkeypatch):
-    def refuse(self):
-        raise AssertionError("tau_scan started a process")
+def test_one_worker_scan_starts_no_process(monkeypatch, tmp_path):
+    # round 1, the pivot nearest the mean degree 4, is a plain call; round 2
+    # is the scan's one fork_map, given the caller's workers at any size
+    g, grid = two_cliques(5), [100.0, 1.0, 10.0, 3.0]
+    truth = sp.Partition(np.repeat([0, 1], 5), 2)  # no NaN cell, which a pickled copy would not equal
+    starts = []
+    real_start = multiprocessing.process.BaseProcess.start
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    def counting(self):
+        starts.append(self)
+        return real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
     rounds = record_rounds(monkeypatch)
-    g = two_cliques(5)
-    assert g.n < selection.FORK_MIN_NODES
-    for workers in (1, 2, None):
-        scan = sp.tau_scan(g, 2, [100.0, 1.0, 10.0, 3.0], workers=workers)
-        assert len(scan.records) == 4
-        # round 1, the pivot nearest the mean degree 4, is given workers to
-        # check; round 2 runs here
-        assert rounds.pop(0) == ([3.0], workers)
-        assert rounds.pop(0) == ([1.0, 10.0, 100.0], 1)
+    outputs = []
+    for workers in (1, 2):
+        outputs.append(scan_outputs(sp.tau_scan(g, 2, grid, truth=truth, workers=workers), tmp_path))
+        assert rounds.pop() == ([1.0, 10.0, 100.0], workers)
+        assert len(starts) == (0 if workers == 1 else 2)
+    assert not rounds
+    assert outputs[1] == outputs[0]
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_csv_format(tmp_path):
