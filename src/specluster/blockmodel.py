@@ -109,9 +109,18 @@ class DegreeCorrectedModel:
         return self.base.n
 
 
+def plain_model(model):
+    """model, refused unless it is a plain block model: a degree-corrected
+    one has no per-block degree or spectrum, so nothing that reads
+    block_matrix or block_sizes takes it."""
+    if isinstance(model, DegreeCorrectedModel):
+        raise SpeclusterError("needs a plain block model, not a degree-corrected one")
+    return model
+
+
 def block_degrees(model, tau=0.0):
     """Common population degree of each block: d_k = sum_l n_l B[k, l] (+ tau)."""
-    return model.block_matrix @ model.block_sizes + tau
+    return plain_model(model).block_matrix @ model.block_sizes + tau
 
 
 def population_degree_extremes(model):
@@ -307,10 +316,8 @@ class PopulationLaplacian:
     """
 
     def __init__(self, model, tau):
-        if isinstance(model, DegreeCorrectedModel):
-            raise SpeclusterError("matrix-free form only supports plain block models")
+        self.model = plain_model(model)
         d = _checked_degrees(block_degrees(model, tau))
-        self.model = model
         self.tau = float(tau)
         self.labels = model.membership
         self.num_blocks = model.num_blocks
@@ -334,7 +341,7 @@ def reduced_spectrum(model, tau):
     Taken from the symmetric similar form W (B + tau/n) W with
     W = diag(sqrt(n_k / (d_k + tau))).
     """
-    sizes = model.block_sizes
+    sizes = plain_model(model).block_sizes
     d = _checked_degrees(block_degrees(model, tau))
     w = np.sqrt(sizes / d)
     bt = model.block_matrix + tau / model.n
@@ -358,7 +365,7 @@ def center_distances(model):
     Entry (k, l) is sqrt(1/n_k + 1/n_l) for k != l; the value does not
     depend on tau.
     """
-    inv = 1.0 / model.block_sizes
+    inv = 1.0 / plain_model(model).block_sizes
     d = np.sqrt(inv[:, None] + inv[None, :])
     np.fill_diagonal(d, 0.0)
     return d

@@ -14,6 +14,7 @@ import numpy as np
 from .blockmodel import (
     PopulationLaplacian,
     eigen_gap,
+    plain_model,
     population_degree_extremes,
     sample,
 )
@@ -47,7 +48,7 @@ def concentration_bound(n, d_min, d_max, tau):
 
 def _diagonal_plus_q_form(model):
     """Split B into diagonal p_k and constant off-diagonal q; error otherwise."""
-    b = model.block_matrix
+    b = plain_model(model).block_matrix
     k = b.shape[0]
     if k == 1:
         return np.array([b[0, 0]]), 0.0

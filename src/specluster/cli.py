@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .__about__ import __version__
-from .blockmodel import load_model_config, sample
+from .blockmodel import DegreeCorrectedModel, load_model_config, sample
 from .bounds import theory_report
 from .clustering import Partition, load_partition, regularized_spectral_clustering, save_partition
 from .errors import SpeclusterError
@@ -89,7 +89,7 @@ def _cmd_generate(args):
     g = sample(model, args.seed)
     save_edge_list(g, args.out)
     if args.labels_out:
-        membership = model.base.membership if hasattr(model, "base") else model.membership
+        membership = model.base.membership if isinstance(model, DegreeCorrectedModel) else model.membership
         k = int(membership.max()) + 1
         save_partition(Partition(membership, k), args.labels_out)
     print(f"wrote {g.num_edges} edges on {g.n} nodes to {args.out}")
@@ -136,8 +136,6 @@ def _cmd_experiment(args):
 
 def _cmd_theory(args):
     model = load_model_config(args.config)
-    if hasattr(model, "base"):
-        raise SpeclusterError("theory subcommand supports plain block models only")
     report = theory_report(model, args.tau)
     text = report.to_text()
     if args.out:

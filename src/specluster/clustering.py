@@ -13,15 +13,18 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class Partition:
-    """Cluster labels per node.  Label -1 marks a node without ground truth
-    (allowed only when the partition is used as a reference)."""
+    """Cluster labels per node, a 1-D integer array.  Label -1 marks a node
+    without ground truth (allowed only when the partition is used as a
+    reference; metrics.check_estimate refuses it in an estimate)."""
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise SpeclusterError(f"labels must be a 1-D array of integers, got {labels.ndim}-D {labels.dtype}")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         if labels.size and labels.max() >= self.k:
             raise SpeclusterError("label out of range")
         if labels.size and labels.min() < -1:
@@ -311,7 +314,7 @@ def kmeans(points, k, restarts=20, max_iter=100, seed=0):
         if obj < best_obj:
             best_obj = obj
             best_labels = labels
-    return Partition(labels=best_labels.astype(np.int64), k=k), float(best_obj)
+    return Partition(labels=best_labels, k=k), float(best_obj)
 
 
 def regularized_spectral_clustering(g, k, tau, seed=0, start=None):

@@ -23,7 +23,14 @@ class ErrorReport:
     misclassified_fraction: float
 
 
+def check_estimate(part):
+    """Refuse label -1 in an estimated partition; only a reference may leave a node out."""
+    if part.n and part.labels.min() < 0:
+        raise SpeclusterError("an estimated partition must label every node; -1 is for a reference only")
+
+
 def _contingency(est, truth):
+    check_estimate(est)
     if est.n != truth.n:
         raise SpeclusterError("partitions cover different node counts")
     mask = truth.labels >= 0
@@ -214,6 +221,7 @@ def block_counts(g, labels, k):
 
 def modularity(g, part):
     """Girvan-Newman modularity sum_k [ e_k/m - (d_k / 2m)^2 ]."""
+    check_estimate(part)
     m = g.num_edges
     if m < 1:
         raise SpeclusterError("modularity needs at least one edge")

@@ -42,13 +42,14 @@ from scipy import sparse
 from .blockmodel import BlockModel, PopulationLaplacian, eigen_gap
 from .clustering import regularized_spectral_clustering
 from .errors import DegenerateModelError, EmptyClusterError, SpeclusterError
-from .metrics import block_counts, clustering_error, modularity, nmi
-from .spectral import DENSE_FALLBACK, NORM_TOL, RegularizedLaplacian, check_taus, spectral_norm_diff, top_eigenpairs
+from .metrics import block_counts, check_estimate, clustering_error, modularity, nmi
+from .spectral import NORM_TOL, RegularizedLaplacian, check_taus, spectral_norm_diff, top_eigenpairs
 from .util import fmt, fork_map, process_count, write_artifact_csv
 
 CRITERIA = ("dkest", "gn", "oracle")
 MODEL_KINDS = ("sbm", "dsbm")
 NORM_KINDS = ("spectral", "frobenius")
+DENSE_FALLBACK = 512  # largest degree-corrected mu_K reduction solved densely
 
 
 def estimate_block_matrix(g, part):
@@ -158,11 +159,6 @@ class _EstimatedDSBMLaplacian:
     def clamped_entries(self):
         """Number of clamped pairs i <= j, the diagonal included."""
         return 0 if self.excess is None else sparse.triu(self.excess).nnz
-
-    def fitted_probability(self, i, j):
-        """Clamped fitted edge probability for node arrays i, j."""
-        raw = self.theta[i] * self.theta[j] * self.counts[self.labels[i], self.labels[j]]
-        return np.minimum(raw, 1.0)
 
     def apply(self, x):
         y = self.inv_sqrt_deg * x
@@ -278,7 +274,7 @@ def _frobenius_dsbm(sample_op, est):
         total += float((w2[entries.row] * w2[entries.col] * (1.0 - p_raw**2)).sum())
     e0, e1 = g.edges.T
     aa = w2[e0] * w2[e1]
-    p_e = est.fitted_probability(e0, e1)
+    p_e = np.minimum(est.theta[e0] * est.theta[e1] * est.counts[z[e0], z[e1]], 1.0)  # the clamped fit
     total += float((2.0 * aa * (1.0 - 2.0 * p_e)).sum())
     return float(np.sqrt(max(total, 0.0)))
 
@@ -309,6 +305,7 @@ def dkest_statistic(g, part, tau, model_kind="sbm", norm_kind="spectral", seed=0
     TauRecord.dkest_bound is not set.  The Frobenius numerator ignores
     above.
     """
+    check_estimate(part)
     _check_kinds(model_kind, norm_kind)
     bhat, counts = estimate_block_matrix(g, part)
     sample_op = RegularizedLaplacian(g, tau)

@@ -5,16 +5,17 @@ materialized, so the operator keeps A sparse and applies the tau term as a
 rank-one correction inside the matvec.  Cost per apply is O(|E| + n).
 
 Both Krylov computations are written here, on numpy alone.  The top-K
-eigenpairs above DENSE_FALLBACK nodes come from a thick-restart Lanczos
-run (Wu & Simon 2000): a basis of LANCZOS_BASIS vectors kept orthogonal
-by classical Gram-Schmidt with a DGKS correction, restarted from its
-K + LANCZOS_KEEP_EXTRA best Ritz vectors, each returned pair checked by an
-explicit residual.  The spectral norm of a difference comes from one plain
-three-term Lanczos recurrence, stopped on ARPACK's residual estimate read
-from its tridiagonal, or, with stop_above, as soon as a Ritz value proves
-the norm exceeds a threshold.  A Ritz value is never above the norm.  Each
-norm run starts cold from its seeded draw, so its value depends only on
-the operators, seed and stop_above.  An eigensolve may take a start
+eigenpairs of every operator, a dense array or matrix-free, at every
+size, come from a thick-restart Lanczos run (Wu & Simon 2000): a basis of
+LANCZOS_BASIS vectors kept orthogonal by classical Gram-Schmidt with a
+DGKS correction, restarted from its K + LANCZOS_KEEP_EXTRA best Ritz
+vectors, each returned pair checked by an explicit residual.  The
+spectral norm of a difference comes from one plain three-term Lanczos
+recurrence, stopped on ARPACK's residual estimate read from its
+tridiagonal, or, with stop_above, as soon as a Ritz value proves the norm
+exceeds a threshold.  A Ritz value is never above the norm.  Each norm
+run starts cold from its seeded draw, so its value depends only on the
+operators, seed and stop_above.  An eigensolve may take a start
 direction, added to its seeded draw, so a solve near a known answer
 needs fewer matvecs; the direction is only read.
 """
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import ConvergenceError, SingularLaplacianError, SpeclusterError
 from .util import rng_from
 
-DENSE_FALLBACK = 512
 NORM_TOL = 1e-6  # spectral_norm_diff stops once its Ritz residual estimate is at most this times the value
 LANCZOS_FIRST_CHECK = 6  # first Lanczos step whose Ritz values are read, and the check interval after LANCZOS_EVERY_STEP_CHECKS
 LANCZOS_EVERY_STEP_CHECKS = 20  # a norm run reads its Ritz values at every step up to this one
@@ -211,13 +211,13 @@ def _thick_restart_lanczos(mv, v0, k, tol, rng):
 
 
 def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
-    """K algebraically-largest eigenpairs of a symmetric operator.
+    """K algebraically-largest eigenpairs of a symmetric operator, 1 <= k < n.
 
-    Uses dense symmetric eigendecomposition for arrays and operators with
-    to_dense up to DENSE_FALLBACK nodes, and the package's thick-restart
-    Lanczos (_thick_restart_lanczos) otherwise, from a start vector drawn
-    from seed.  Every returned pair is checked explicitly: any residual
-    above tol raises ConvergenceError.  Deterministic given seed and start.
+    Runs the package's thick-restart Lanczos (_thick_restart_lanczos) on
+    every operator, a dense array or any object with apply and shape, from
+    a start vector drawn from seed.  Every returned pair is checked
+    explicitly: any residual above tol raises ConvergenceError.
+    Deterministic given seed and start.
 
     The gate is absolute and bounds residuals only.  It does not bound the
     error of the vectors: by Davis-Kahan the angle between the returned
@@ -228,27 +228,19 @@ def top_eigenpairs(op, k, tol=1e-8, seed=0, start=None):
     7e-9 returned a vector about 1e-3 rad off, and k-means placed 17 nodes
     differently.
 
-    start, a finite, nonzero float n-vector, warm-starts the Lanczos path:
-    it is added to the random draw, scaled to the draw's norm, which keeps
-    a random component along every eigenvector.  It is only read, and the
-    dense path ignores it; any other start raises SpeclusterError.
+    start, a finite, nonzero float n-vector, warm-starts the run: it is
+    added to the random draw, scaled to the draw's norm, which keeps a
+    random component along every eigenvector.  It is only read; any other
+    start raises SpeclusterError.
     """
     mv, n = _as_matvec(op)
-    if k < 1 or k > n:
-        raise SpeclusterError(f"k={k} out of range for operator of size {n}")
+    if not 1 <= k < n:
+        raise SpeclusterError(f"k={k} out of range: need 1 <= k < n={n}")
     if start is not None:
         start = np.asarray(start)
         if start.shape != (n,) or start.dtype.kind != "f" or not np.isfinite(start).all() or not start.any():
             raise SpeclusterError(f"start must be a finite, nonzero float vector of length n={n}")
 
-    if n <= DENSE_FALLBACK and (isinstance(op, np.ndarray) or hasattr(op, "to_dense")):
-        vals, vecs = np.linalg.eigh(op if isinstance(op, np.ndarray) else op.to_dense())
-        vals = vals[::-1][:k].copy()
-        vecs = vecs[:, ::-1][:, :k].copy()
-        return EigenBasis(values=vals, vectors=_fix_signs(vecs), residuals=_residuals(mv, vals, vecs))
-
-    if k == n:
-        raise SpeclusterError(f"k={k} needs k < n for an operator without a dense path")
     rng = rng_from(seed)
     v0 = rng.standard_normal(n)
     if start is not None:

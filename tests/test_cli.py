@@ -147,7 +147,7 @@ def test_theory_subcommand_rejects_a_degree_corrected_model(tmp_path, capsys):
     cfg.write_text("n = 40\nk = 2\nsizes = 20,20\nb = 0.9,0.05,0.05,0.9\ntheta_file = theta.txt\n")
     out = tmp_path / "report.txt"
     assert main(["theory", str(cfg), "--tau", "40", "--out", str(out)]) == 2
-    assert "error: theory subcommand supports plain block models only" in capsys.readouterr().err
+    assert "error: needs a plain block model, not a degree-corrected one" in capsys.readouterr().err
     assert not out.exists()
 
 

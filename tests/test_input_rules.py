@@ -14,7 +14,8 @@ from specluster import spectral
 from specluster.blockmodel import PopulationLaplacian, full_model
 from specluster.cli import _build_parser
 from specluster.graph import build_graph
-from specluster.selection import MODEL_KINDS, NORM_KINDS
+from specluster.metrics import modularity
+from specluster.selection import MODEL_KINDS, NORM_KINDS, dkest_statistic
 from specluster.spectral import RegularizedLaplacian, top_eigenpairs
 
 RULE_MESSAGES = (
@@ -29,6 +30,9 @@ RULE_MESSAGES = (
     "repeats line",
     "start must be a finite, nonzero float vector of length n",
     "theta length must equal node count",
+    "needs a plain block model, not a degree-corrected one",
+    "labels must be a 1-D array of integers",
+    "an estimated partition must label every node",
 )
 
 
@@ -122,7 +126,7 @@ INPUT_CHECKS = {
             sp.DegreeCorrectedModel(two_block_benchmark_model(20), np.ones(20)), 1.0
         ),
         sp.SpeclusterError,
-        "matrix-free form only supports plain block models",
+        "needs a plain block model, not a degree-corrected one",
     ),
     "strong-weak q above p": (
         lambda tmp: sp.StrongWeakParams(2, 10, p_strong=0.1, q=0.2, b_sw=0.1, num_weak_nodes=5),
@@ -227,6 +231,54 @@ INPUT_CHECKS = {
         "cannot interpret list as a linear operator",
     ),
 }
+# every reader of a block matrix or block sizes refuses a degree-corrected model
+_DEGREE_CORRECTED = sp.DegreeCorrectedModel(two_block_benchmark_model(20), np.ones(20))
+_PLAIN_ONLY = {
+    "block_degrees": sp.block_degrees,
+    "population_degree_extremes": sp.population_degree_extremes,
+    "center_distances": sp.center_distances,
+    "reduced_spectrum": lambda m: sp.reduced_spectrum(m, 1.0),
+    "eigen_gap": lambda m: sp.eigen_gap(m, 1.0),
+    "theory_report": lambda m: sp.theory_report(m, 1.0),
+    "concentration_check": lambda m: sp.concentration_check(m, 100.0, trials=1),
+    "davis_kahan_limit": sp.davis_kahan_limit,
+    "trace_inverse_limit": sp.trace_inverse_limit,
+}
+for _name, _call in _PLAIN_ONLY.items():
+    INPUT_CHECKS[f"degree-corrected model, {_name}"] = (
+        lambda tmp, call=_call: call(_DEGREE_CORRECTED),
+        sp.SpeclusterError,
+        "needs a plain block model, not a degree-corrected one",
+    )
+# Partition labels must be a 1-D array of integers
+_BAD_LABELS = {
+    "fractional": np.array([0.5, 1.2]),
+    "integral floats": np.array([0.0, 1.0]),
+    "two-dimensional": np.zeros((2, 2), dtype=int),
+    "scalar": np.int64(0),
+    "boolean": np.array([True, False]),
+}
+for _name, _labels in _BAD_LABELS.items():
+    INPUT_CHECKS[f"partition labels, {_name}"] = (
+        lambda tmp, labels=_labels: sp.Partition(labels, 2),
+        sp.SpeclusterError,
+        "labels must be a 1-D array of integers",
+    )
+# label -1 marks a node without ground truth, which only a reference may hold
+_UNLABELED_ESTIMATE = sp.Partition([0, 1, -1, 1], 2)
+_REFERENCE = sp.Partition([0, 1, 0, 1], 2)
+_ESTIMATE_READERS = {
+    "clustering_error": lambda: sp.clustering_error(_UNLABELED_ESTIMATE, _REFERENCE),
+    "nmi": lambda: sp.nmi(_UNLABELED_ESTIMATE, _REFERENCE),
+    "modularity": lambda: modularity(two_cliques(2), _UNLABELED_ESTIMATE),
+    "dkest_statistic": lambda: dkest_statistic(two_cliques(2), _UNLABELED_ESTIMATE, 1.0),
+}
+for _name, _call in _ESTIMATE_READERS.items():
+    INPUT_CHECKS[f"estimate with label -1, {_name}"] = (
+        lambda tmp, call=_call: call(),
+        sp.SpeclusterError,
+        "an estimated partition must label every node; -1 is for a reference only",
+    )
 # a start that is not a finite, nonzero float n-vector, given to the public
 # clustering entry point, is refused before the eigensolve draws
 _BAD_STARTS = {
@@ -279,9 +331,9 @@ def test_experiment_config_refuses_a_mistyped_key_after_a_repeat(tmp_path):
 
 
 class _Spread:
-    """diag(1, 2, ..., 600) as an operator without a dense path, so the
-    eigensolve goes to Lanczos, whose 20-vector basis cannot resolve the
-    top pair of so evenly spread a spectrum without restarts."""
+    """diag(1, 2, ..., 600) as an operator, whose top pair a 20-vector
+    Lanczos basis cannot resolve without restarts, so evenly spread is
+    the spectrum."""
 
     shape = (600, 600)
     diagonal = np.arange(1.0, 601.0)

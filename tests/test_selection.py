@@ -15,7 +15,7 @@ from specluster import selection, spectral
 from specluster.blockmodel import PopulationLaplacian
 from specluster.graph import build_graph
 from specluster.selection import _EstimatedDSBMLaplacian, dkest_statistic, estimate_block_matrix
-from specluster.spectral import DENSE_FALLBACK, RegularizedLaplacian, spectral_norm_diff
+from specluster.spectral import RegularizedLaplacian, spectral_norm_diff
 
 
 def two_triangles():
@@ -447,7 +447,6 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
     # clamps pairs on 53 hubs, so mu_k takes the closed-form reduction
     # (K+1+h = 56 columns, below DENSE_FALLBACK); the numerators run Lanczos
     g, part = hub_joined_graph()
-    assert g.n > DENSE_FALLBACK
     bhat, counts = estimate_block_matrix(g, part)
     for tau in (0.5, 60.0):
         est = _EstimatedDSBMLaplacian(g, part, counts, tau)
@@ -463,8 +462,8 @@ def test_krylov_mu_k_and_numerators_match_dense_above_dense_fallback():
 
 @pytest.mark.parametrize("norm_kind", ["spectral", "frobenius"])
 def test_dsbm_dkest_runs_no_eigensolver_for_mu_k(monkeypatch, norm_kind):
-    # above DENSE_FALLBACK nodes a Krylov mu_k would run the thick-restart
-    # Lanczos; the spectral numerator runs its own three-term loop instead
+    # a Krylov mu_k would run the thick-restart Lanczos; the spectral
+    # numerator runs its own three-term loop instead
     g, part = hub_joined_graph()
 
     def refuse(*args, **kwargs):
@@ -686,8 +685,8 @@ def test_scan_outputs_are_pinned(tmp_path, case):
 
 
 def lanczos_graphs():
-    """A two-block SBM graph and a three-block degree-corrected one, both
-    above DENSE_FALLBACK so every eigensolve runs Lanczos."""
+    """A two-block SBM graph of 700 nodes and a three-block
+    degree-corrected one of 750."""
     sbm = sp.BlockModel.from_sizes([350, 350], [[0.03, 0.008], [0.008, 0.015]])
     m, c = 250, 0.006
     b = np.full((3, 3), c) + np.diag(np.full(3, 5.0 * c))
@@ -831,7 +830,6 @@ def spy_clustering(monkeypatch):
 @pytest.mark.parametrize("case", [0, 1])
 def test_scan_warm_start_matches_lone_calls(monkeypatch, case):
     g, k, model_kind = lanczos_graphs()[case]
-    assert g.n > DENSE_FALLBACK
     grid = np.geomspace(1.0, g.n, 8)
     applies = [0]
     real_apply = RegularizedLaplacian.apply
@@ -883,7 +881,6 @@ def test_dkest_is_its_lone_call_wherever_the_pivot_lies(monkeypatch, case):
         pivots = range(0, grid.size, 4)
     else:
         g, k, model_kind = lanczos_graphs()[0]
-        assert g.n > DENSE_FALLBACK
         grid = np.geomspace(1.0, g.n, 8)
         pivots = [0, 3, grid.size - 1]
     lone = [
@@ -912,7 +909,7 @@ def test_dkest_is_its_lone_call_wherever_the_pivot_lies(monkeypatch, case):
 
 def fitted_pair(model_kind, tau):
     """Sample Laplacian and a fitted one (plain or degree-corrected) at
-    n=600, above DENSE_FALLBACK, for a partition from the pipeline."""
+    n=600, for a partition from the pipeline."""
     model = sp.BlockModel.from_sizes([300, 300], [[0.04, 0.01], [0.01, 0.02]])
     g = sp.sample(model, 3)
     part = sp.regularized_spectral_clustering(g, 2, 5.0, seed=0)
@@ -928,7 +925,6 @@ def fitted_pair(model_kind, tau):
 @pytest.mark.parametrize("tau", [1.0, 30.0, 600.0])
 def test_norm_stop_above_certifies_a_lower_bound(monkeypatch, model_kind, tau):
     sample_op, fitted = fitted_pair(model_kind, tau)
-    assert sample_op.shape[0] > DENSE_FALLBACK
     exact = np.linalg.norm(sample_op.to_dense() - fitted.to_dense(), 2)
     applies = [0]
     real_apply = RegularizedLaplacian.apply

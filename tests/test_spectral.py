@@ -9,7 +9,6 @@ from specluster.blockmodel import PopulationLaplacian, full_model
 from specluster.graph import build_graph
 from specluster import spectral
 from specluster.spectral import (
-    DENSE_FALLBACK,
     NORM_TOL,
     RegularizedLaplacian,
     spectral_norm_diff,
@@ -19,7 +18,7 @@ from conftest import complete_graph, path_graph, strong_weak_benchmark_params, t
 
 
 class MatrixFree:
-    """A matrix seen only through apply, so it has no dense path."""
+    """A matrix seen only through apply and shape."""
 
     def __init__(self, a):
         self.shape = a.shape
@@ -113,25 +112,21 @@ def test_dense_and_lanczos_match_brute_force():
     op = RegularizedLaplacian(g, 5.0)
     dense = dense_regularized(g, 5.0)
     brute = np.linalg.eigvalsh(dense)[::-1][:4]
-    dense_path = top_eigenpairs(op, 4)  # n=300 <= DENSE_FALLBACK
-    # a matrix-free wrapper has no dense path, so it takes the Krylov path
-    lanczos_path = top_eigenpairs(MatrixFree(dense), 4, seed=11)
-    assert np.allclose(dense_path.values, brute, atol=1e-10)
-    assert np.allclose(lanczos_path.values, brute, atol=1e-8)
+    # a Ritz value's error is about residual^2 / gap, far inside the gate
+    assert np.allclose(top_eigenpairs(op, 4).values, brute, rtol=0, atol=1e-10)
+    assert np.allclose(top_eigenpairs(MatrixFree(dense), 4, seed=11).values, brute, rtol=0, atol=1e-8)
 
 
-def test_full_spectrum_small_dense():
+def test_full_spectrum_of_an_array_rejected():
+    # every operator runs Lanczos, which needs k < n, dense arrays too
     g = sample_graph(n=30, seed=5)
-    dense = dense_regularized(g, 1.0)
-    brute = np.linalg.eigvalsh(dense)[::-1]
-    basis = top_eigenpairs(dense, 30)
-    assert np.allclose(basis.values, brute, atol=1e-8)
+    with pytest.raises(sp.SpeclusterError, match=r"k=30 out of range: need 1 <= k < n=30"):
+        top_eigenpairs(dense_regularized(g, 1.0), 30)
 
 
 def test_matrix_free_full_spectrum_rejected():
-    # Lanczos needs k < n, and a matrix-free operator has no dense path
     g = sample_graph(n=30, seed=5)
-    with pytest.raises(sp.SpeclusterError, match="k < n"):
+    with pytest.raises(sp.SpeclusterError, match=r"k=30 out of range: need 1 <= k < n=30"):
         top_eigenpairs(MatrixFree(dense_regularized(g, 1.0)), 30)
 
 
@@ -179,7 +174,6 @@ def test_lanczos_refuses_a_bad_start_before_it_draws(monkeypatch):
 
     monkeypatch.setattr(spectral, "rng_from", refuse)
     op = RegularizedLaplacian(sample_graph(n=600, seed=7, p_in=0.1, p_out=0.02), 10.0)
-    assert op.shape[0] > DENSE_FALLBACK
     for start in (np.ones(599), np.full(600, np.inf), np.zeros(600), 1.0):
         with pytest.raises(sp.SpeclusterError, match="start must be a finite, nonzero float vector of length n=600"):
             top_eigenpairs(op, 2, start=start)
@@ -234,20 +228,24 @@ def _assert_matches_dense(basis, dense):
     vals, vecs = vals[::-1], vecs[:, ::-1]
     assert np.allclose(basis.values, vals[:k], rtol=0, atol=1e-8)
     gap = vals[k - 1] - vals[k]
-    assert _sin_to_span(basis.vectors, vecs[:, :k]) <= 2 * np.sqrt(k) * basis.residuals.max() / gap + 1e-12
+    if gap > 0:  # a repeated K-th eigenvalue leaves the top-K subspace open
+        assert _sin_to_span(basis.vectors, vecs[:, :k]) <= 2 * np.sqrt(k) * basis.residuals.max() / gap + 1e-12
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_lanczos_matches_dense_eigh(seed):
+    # n log-uniform from 3: about a third of the cases have n <= 20, where
+    # the basis holds all n directions and the run's last step spans the space
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(DENSE_FALLBACK + 1, 1000))
-    blocks = int(rng.integers(2, 5))
+    n = int(np.exp(rng.uniform(np.log(3), np.log(1000))))
+    blocks = int(rng.integers(2, min(n, 4) + 1))
     b = np.full((blocks, blocks), rng.uniform(0.002, 0.01)) + np.diag(np.full(blocks, rng.uniform(0.02, 0.06)))
+    b = np.minimum(b * max(1.0, 500.0 / n), 1.0)  # small graphs keep some edges
     sizes = [n // blocks] * (blocks - 1) + [n - (blocks - 1) * (n // blocks)]
     g = sp.sample(sp.BlockModel.from_sizes(sizes, b), seed)
     tau = float(rng.choice([0.0, 1.0, 30.0, float(n)])) if g.degrees.min() > 0 else 1.0
     op = RegularizedLaplacian(g, tau)
-    _assert_matches_dense(top_eigenpairs(op, int(rng.integers(2, 6)), seed=seed), op.to_dense())
+    _assert_matches_dense(top_eigenpairs(op, int(rng.integers(2, min(n, 6))), seed=seed), op.to_dense())
 
 
 def test_lanczos_matches_dense_eigh_on_clustered_top_eigenvalues():
@@ -287,9 +285,10 @@ def test_lanczos_finds_every_copy_of_a_repeated_eigenvalue():
 
 
 def test_k_out_of_range():
-    g = path_graph(4)
-    with pytest.raises(sp.SpeclusterError):
-        top_eigenpairs(RegularizedLaplacian(g, 1.0), 5)
+    op = RegularizedLaplacian(path_graph(4), 1.0)
+    for k in (0, 4, 5):
+        with pytest.raises(sp.SpeclusterError, match=rf"^k={k} out of range: need 1 <= k < n=4$"):
+            top_eigenpairs(op, k)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +399,13 @@ def test_norm_memory_is_far_below_dense():
     assert peak <= 8 * (8 * g.n) + 64 * 1024
 
 
-def test_rank_one_operator_above_dense_fallback():
+def test_rank_one_operator_breaks_down_both_lanczos_loops():
     # a rank-one operator exhausts its Krylov space after two vectors: the
     # eigensolve's Lanczos must restart from a fresh direction, and the
     # norm's Lanczos run stops at that breakdown (a residual of rounding
     # noise normalized into a third basis vector once grew the
     # tridiagonal's top eigenvalue to ~10, above the norm)
-    n = DENSE_FALLBACK + 88
+    n = 600
     a = np.zeros((n, n))
     a[0, 0] = 5.0
     for seed in range(50):
@@ -421,7 +420,7 @@ def test_rank_one_operator_above_dense_fallback():
     assert np.array_equal(top_eigenpairs(a, 3).vectors, basis.vectors)
 
 
-@pytest.mark.parametrize("n", [4, 12, DENSE_FALLBACK + 88])
+@pytest.mark.parametrize("n", [4, 12, 600])
 def test_lanczos_bound_survives_breakdown_on_a_rank_one_difference(n):
     # a rank-one operator's Krylov space is invariant after two steps, so
     # the run stops at that breakdown, before its first regular check,
@@ -478,7 +477,7 @@ def test_norm_residual_check_accepts_an_eigenvalue_below_the_norm():
     # eigenvector of a diagonal operator keeps the whole Krylov space
     # orthogonal to it, and the residual test then accepts the second
     # eigenvalue, which is a lower bound on the norm and not the norm
-    n = DENSE_FALLBACK + 88
+    n = 600
     diag = np.concatenate([[2.0, 1.0], np.linspace(-0.5, 0.5, n - 2)])
     v0 = np.random.default_rng(0).standard_normal(n)
     v0[0] = 0.0
